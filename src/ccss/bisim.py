@@ -2,8 +2,8 @@
 
 States of a system with signals carry an emission set; the equivalence
 refines by those sets first, so bisimilar states always emit exactly the
-same signals.  The main checker is partition refinement by transition
-signatures; a naive fixpoint variant is kept as an oracle for testing.
+same signals.  The checker is partition refinement by transition
+signatures; the tests compare it with a naive fixpoint oracle.
 """
 
 from __future__ import annotations
@@ -137,27 +137,3 @@ def equivalence_classes(lts: Lts):
     for s, bid in enumerate(final):
         groups.setdefault(bid, []).append(s)
     return list(groups.values())
-
-
-def naive_bisimilar(lts_a: Lts, a: int, lts_b: Lts, b: int) -> bool:
-    """Greatest-fixpoint computation over the full relation; quadratic in
-    states, only suitable for small systems.  Used as a test oracle."""
-    out, signals, shift = _disjoint_union(lts_a, lts_b)
-    n = len(out)
-    related = [[signals[p] == signals[q] for q in range(n)] for p in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for p in range(n):
-            for q in range(n):
-                if not related[p][q]:
-                    continue
-                ok = (all(any(lq == lp and related[tp][tq] for lq, tq in out[q])
-                          for lp, tp in out[p])
-                      and all(any(lp == lq and related[tq][tp]
-                                  for lp, tp in out[p])
-                              for lq, tq in out[q]))
-                if not ok:
-                    related[p][q] = False
-                    changed = True
-    return related[a][b + shift]

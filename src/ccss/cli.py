@@ -14,14 +14,13 @@ import os
 import sys
 
 from .errors import CcssError
-from .terms import validate, leaf_paths, subterm_at
+from .terms import validate
 from .syntax import parse, spec_str, term_str, action_str
 from .sos import SosEngine
 from .lts import explore, export_dot, export_json
 from .bisim import bisimilar
 from .justness import Lasso, is_just, is_complete
 from . import protocols
-from .protocols import ProtocolModel, _tag_role
 from .verify import check_safety, check_liveness
 
 EXIT_OK, EXIT_VIOLATED, EXIT_USAGE, EXIT_UNKNOWN = 0, 1, 2, 3
@@ -114,37 +113,6 @@ _MAKERS = {
 }
 
 
-def _roles_from_file(spec) -> ProtocolModel:
-    """Build role metadata for a plain specification file: any component
-    whose own behavior contains a pair of actions whose names start with
-    `noncrit` and `crit` (same suffix and parameters) is treated as one
-    process of a mutual-exclusion protocol."""
-    engine = SosEngine(spec.env)
-    roles = []
-    for leaf in leaf_paths(spec.root):
-        agent = subterm_at(spec.root, leaf)
-        small = explore(spec.env, agent, max_states=50_000, engine=engine)
-        noncrit = {}
-        crits = {}
-        for t in small.transitions:
-            if t.label.is_tau or t.label.kind != "name":
-                continue
-            base, params = t.label.name.base, t.label.name.params
-            if base.startswith("noncrit"):
-                noncrit[(base[len("noncrit"):], params)] = t.label
-            elif base.startswith("crit"):
-                crits[(base[len("crit"):], params)] = t.label
-        for key, nc in noncrit.items():
-            if key in crits:
-                name = ("P" + "_".join(str(p) for p in key[1])
-                        if key[1] else (key[0] or "P"))
-                roles.append(_tag_role(spec.env, name, agent, nc,
-                                       crits[key], leaf))
-    return ProtocolModel(spec.env, spec.root, tuple(roles), "",
-                         {"family": "file", "flavor":
-                          "ccss" if spec.env.declared_signals else "ccs"})
-
-
 def _get_model(args):
     if args.model:
         if args.model not in _MAKERS:
@@ -152,7 +120,7 @@ def _get_model(args):
         return _MAKERS[args.model](args)
     if not args.file:
         raise CcssError("need a FILE or --model")
-    return _roles_from_file(_load(args.file))
+    return protocols.roles_from_file(_load(args.file))
 
 
 def cmd_verify(args) -> int:

@@ -41,6 +41,3 @@ class DynamicParallelism(CcssError):
 class ParameterOutOfRange(CcssError):
     """A protocol generator was called with unsupported parameters."""
 
-
-class BudgetExceeded(CcssError):
-    """A bounded search ran out of budget before reaching a verdict."""

@@ -130,12 +130,22 @@ class LeafProjection:
 # --------------------------------------------------------------------------
 # decomposition
 
-def _leaf_of(leaves, address):
-    for leaf in leaves:
-        if address[:len(leaf)] == leaf:
-            return leaf
-    raise DynamicParallelism(
-        f"participant {'/'.join(address)} resolves to no static component")
+def components(leaves, transitions) -> frozenset:
+    """The parallel components, among `leaves` (the leaf addresses of a
+    state on the path), that take part in any of the transitions: the
+    leaf above each participant's address."""
+    out = set()
+    for t in transitions:
+        for address in t.participants:
+            for leaf in leaves:
+                if address[:len(leaf)] == leaf:
+                    out.add(leaf)
+                    break
+            else:
+                raise DynamicParallelism(
+                    f"participant {'/'.join(address)} resolves to no "
+                    "static component")
+    return frozenset(out)
 
 
 def _check_static(engine_terms):
@@ -158,8 +168,8 @@ def decompose(lts: Lts, lasso: Lasso):
     leaves = leaf_paths(terms[0])
     steps = {leaf: [] for leaf in leaves}
     for pos, idx in enumerate(path):
-        for p in lts.transitions[idx].participants:
-            steps[_leaf_of(leaves, p)].append(pos)
+        for leaf in components(leaves, [lts.transitions[idx]]):
+            steps[leaf].append(pos)
     cycle_start = len(lasso.stem)
     out = []
     anchor_term = lts.states[anchor]
@@ -274,8 +284,9 @@ def _alternatives(lts: Lts, idx: int):
     """All transition entries with the same source, label and target (a
     path fixes those; the derivation behind them is existential)."""
     t = lts.transitions[idx]
-    return [u for u in lts.outgoing(t.src)
-            if u.label == t.label and u.tgt == t.tgt]
+    trans = lts.transitions
+    return [trans[i] for i in lts.outgoing(t.src)
+            if trans[i].label == t.label and trans[i].tgt == t.tgt]
 
 
 def is_just(lts: Lts, env: Environment, lasso: Lasso, mode: str = "ccss",
@@ -302,8 +313,7 @@ def is_just(lts: Lts, env: Environment, lasso: Lasso, mode: str = "ccss",
     verdict = None
     seen = set()
     for choice in itertools.product(*options):
-        movers = frozenset(_leaf_of(leaves, p)
-                           for t in choice for p in t.participants)
+        movers = components(leaves, choice)
         if movers in seen:
             continue
         seen.add(movers)

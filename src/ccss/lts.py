@@ -27,10 +27,6 @@ class Transition:
     participants: frozenset = frozenset()
     signal_partner: Optional[tuple] = None
 
-    def __hash__(self):
-        return hash((self.src, self.label, self.tgt,
-                     self.participants, self.signal_partner))
-
 
 @dataclass
 class Lts:
@@ -46,10 +42,13 @@ class Lts:
         return self.index[term]
 
     def outgoing(self, state: int) -> list:
+        """Indices into `transitions` of the state's outgoing transitions,
+        in index order.  This is the one adjacency structure every graph
+        walk over the system uses; it is built on first use."""
         if self._out is None:
             out = [[] for _ in self.states]
-            for t in self.transitions:
-                out[t.src].append(t)
+            for i, t in enumerate(self.transitions):
+                out[t.src].append(i)
             self._out = out
         return self._out[state]
 
@@ -128,10 +127,6 @@ def _label_from_json(obj: dict) -> Action:
     if obj["kind"] == INTERNAL:
         return TAU
     return Action(obj["kind"], Name(obj["base"], tuple(obj["params"])))
-
-
-def label_str(action: Action) -> str:
-    return str(action)
 
 
 def export_json(lts: Lts, state_str=str) -> str:

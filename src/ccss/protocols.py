@@ -19,10 +19,12 @@ from .terms import (
     Action, Environment, Ident, Name, Term, act, leaf_paths, subterm_at,
 )
 from .syntax import SpecFile, parse
-from .lts import explore
+from .lts import Lts, explore
 from .sos import SosEngine
 
 FLAVORS = ("ccs", "ccss")
+# exploration cap for one agent explored on its own for role tagging
+_AGENT_MAX_STATES = 200_000
 
 
 @dataclass(frozen=True)
@@ -66,32 +68,24 @@ class ProtocolModel:
 # --------------------------------------------------------------------------
 # role tagging
 
-def _tag_role(env: Environment, name: str, agent: Term, noncrit: Action,
-              crit: Action, leaf: tuple) -> Role:
-    """Explore the agent on its own and classify its local states."""
-    lts = explore(env, agent, max_states=200_000)
-    adj = [[] for _ in lts.states]
-    for t in lts.transitions:
-        adj[t.src].append((t.label, t.tgt))
-    started = {t.tgt for t in lts.transitions if t.label == noncrit}
+def _tag_role(name: str, lts: Lts, noncrit: Action, crit: Action,
+              leaf: tuple) -> Role:
+    """Classify the local states of the agent's own explored LTS."""
     pending = set()
-    stack = list(started)
+    stack = [t.tgt for t in lts.transitions if t.label == noncrit]
     while stack:
         s = stack.pop()
         if s in pending:
             continue
         pending.add(s)
-        for label, tgt in adj[s]:
-            if label != crit:
-                stack.append(tgt)
+        for i in lts.outgoing(s):
+            if lts.transitions[i].label != crit:
+                stack.append(lts.transitions[i].tgt)
     critical = {t.tgt for t in lts.transitions if t.label == crit}
     overflow = set()
-    for s in range(lts.num_states):
-        hits = [tgt for label, tgt in adj[s]
-                if not label.is_tau and label.name.base == "overflow"]
-        if hits:
-            overflow.add(s)
-            overflow.update(hits)
+    for t in lts.transitions:
+        if not t.label.is_tau and t.label.name.base == "overflow":
+            overflow.update((t.src, t.tgt))
     return Role(
         name, noncrit, crit, leaf,
         frozenset(lts.states[s] for s in pending),
@@ -109,9 +103,42 @@ def _build(source: str, role_defs, meta) -> ProtocolModel:
         if agent not in leaves:
             raise ValueError(f"agent {agent_name} is not a component "
                              "of the system term")
-        roles.append(_tag_role(spec.env, rname, agent, noncrit, crit,
+        agent_lts = explore(spec.env, agent, max_states=_AGENT_MAX_STATES)
+        roles.append(_tag_role(rname, agent_lts, noncrit, crit,
                                leaves[agent]))
     return ProtocolModel(spec.env, spec.root, tuple(roles), source, meta)
+
+
+def roles_from_file(spec: SpecFile) -> ProtocolModel:
+    """Build role metadata for a plain specification file: any component
+    whose own behavior contains a pair of actions whose names start with
+    `noncrit` and `crit` (same suffix and parameters) is treated as one
+    process of a mutual-exclusion protocol."""
+    engine = SosEngine(spec.env)
+    roles = []
+    for leaf in leaf_paths(spec.root):
+        agent = subterm_at(spec.root, leaf)
+        agent_lts = explore(spec.env, agent, max_states=_AGENT_MAX_STATES,
+                            engine=engine)
+        noncrit = {}
+        crits = {}
+        for t in agent_lts.transitions:
+            if t.label.is_tau or t.label.kind != "name":
+                continue
+            base, params = t.label.name.base, t.label.name.params
+            if base.startswith("noncrit"):
+                noncrit[(base[len("noncrit"):], params)] = t.label
+            elif base.startswith("crit"):
+                crits[(base[len("crit"):], params)] = t.label
+        for key, nc in noncrit.items():
+            if key in crits:
+                name = ("P" + "_".join(str(p) for p in key[1])
+                        if key[1] else (key[0] or "P"))
+                roles.append(_tag_role(name, agent_lts, nc, crits[key],
+                                       leaf))
+    return ProtocolModel(spec.env, spec.root, tuple(roles), "",
+                         {"family": "file", "flavor":
+                          "ccss" if spec.env.declared_signals else "ccs"})
 
 
 # --------------------------------------------------------------------------

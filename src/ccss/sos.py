@@ -33,9 +33,6 @@ class Derivation:
     participants: frozenset  # of address tuples
     signal_partner: Optional[tuple] = None  # emitter address, if a signal read
 
-    def __hash__(self):
-        return hash((self.label, self.target, self.participants, self.signal_partner))
-
 
 def _prefix_paths(paths, step):
     return frozenset((step,) + p for p in paths)
@@ -57,7 +54,6 @@ class SosEngine:
     def __init__(self, env: Environment):
         self.env = env
         self._trans = {}
-        self._signals = {}
         self._emitters = {}
 
     # -- emitted signals ---------------------------------------------------
@@ -112,10 +108,7 @@ class SosEngine:
     # -- transitions -------------------------------------------------------
 
     def transitions(self, term: Term) -> tuple:
-        cached = self._trans.get(term)
-        if cached is None:
-            cached = self._trans[term] = self._compute(term, ())
-        return cached
+        return self._compute_memo(term, ())
 
     def _compute(self, term: Term, stack: tuple) -> tuple:
         env = self.env

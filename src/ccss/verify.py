@@ -13,27 +13,31 @@ removes constraints.  Hence if any cycle inside an SCC is just, the
 cycle that moves every component touched by the SCC is just too, and the
 per-SCC configuration (touched components moving, all others resting at
 their — necessarily constant — subterms) decides the existence question
-exactly.  Terminal violations (a maximal state with only blocking
-actions enabled while a role is stuck mid-protocol) are checked
-separately.  The search is exhaustive whenever exploration was not
-truncated.
+exactly.  Components are resolved per SCC, against the leaves of the
+SCC's own anchor state, so components spawned before the cycle count.
+Terminal violations (a maximal state with only blocking actions enabled
+while a role is stuck mid-protocol) are checked separately.  The search
+is exhaustive whenever exploration was not truncated.  Every witness
+cycle is confirmed by the full lasso justness check; when some witness
+fails it and no other is confirmed, the verdict is "unknown", never
+"holds".
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import TruncatedInput
 from .lts import Lts, explore
 from .justness import (
-    JustnessVerdict, Lasso, analyze_configuration, is_complete, is_just,
+    Lasso, analyze_configuration, components, is_complete, is_just,
 )
-from .protocols import ProtocolModel, Role
+from .protocols import ProtocolModel
 from .sos import SosEngine
-from .terms import leaf_paths, subterm_at
-from .syntax import action_str, term_str
+from .terms import leaf_paths, skeleton, subterm_at
+from .syntax import action_str
 
 
 @dataclass
@@ -86,6 +90,12 @@ class _Workspace:
     ok_states: list  # state ids that are not excluded
     excluded: set
 
+    def stem(self, goals) -> Optional[list]:
+        """Shortest path from the initial state to a goal that enters no
+        excluded state."""
+        return _path(self.lts, self.lts.initial, goals,
+                     lambda i: self.lts.transitions[i].tgt not in self.excluded)
+
 
 def _prepare(model: ProtocolModel, max_states: int) -> _Workspace:
     engine = SosEngine(model.env)
@@ -96,26 +106,28 @@ def _prepare(model: ProtocolModel, max_states: int) -> _Workspace:
     return _Workspace(model, engine, lts, ok, excluded)
 
 
-def _bfs_stem(lts: Lts, excluded, source: int, goals: set) -> Optional[list]:
-    """Shortest transition-index path from source to any goal state,
-    avoiding excluded states."""
+def _path(lts: Lts, source: int, goals, allowed) -> Optional[list]:
+    """Shortest path (transition indices) from source to a state in goals
+    that takes only transitions whose index satisfies `allowed`; [] when
+    the source is a goal, None when no goal is reachable."""
     if source in goals:
         return []
-    out = [[] for _ in lts.states]
-    for i, t in enumerate(lts.transitions):
-        out[t.src].append((i, t.tgt))
-    seen = {source}
-    queue = deque([(source, [])])
+    parent = {source: None}  # state -> index of the transition entering it
+    queue = deque([source])
     while queue:
-        s, path = queue.popleft()
-        for i, tgt in out[s]:
-            if tgt in excluded or tgt in seen:
+        s = queue.popleft()
+        for i in lts.outgoing(s):
+            tgt = lts.transitions[i].tgt
+            if tgt in parent or not allowed(i):
                 continue
-            nxt = path + [i]
+            parent[tgt] = i
             if tgt in goals:
-                return nxt
-            seen.add(tgt)
-            queue.append((tgt, nxt))
+                path = []
+                while tgt != source:
+                    path.append(parent[tgt])
+                    tgt = lts.transitions[path[-1]].src
+                return path[::-1]
+            queue.append(tgt)
     return None
 
 
@@ -134,7 +146,7 @@ def check_safety(model: ProtocolModel,
             bad_roles[sid] = tuple(inside)
     if not bad:
         return SafetyVerdict(True, excluded_states=len(ws.excluded))
-    stem = _bfs_stem(ws.lts, ws.excluded, ws.lts.initial, bad)
+    stem = ws.stem(bad)
     target = (ws.lts.transitions[stem[-1]].tgt if stem else ws.lts.initial)
     return SafetyVerdict(False, Lasso(tuple(stem), ()), bad_roles[target],
                          len(ws.excluded))
@@ -143,22 +155,19 @@ def check_safety(model: ProtocolModel,
 # --------------------------------------------------------------------------
 # liveness
 
-def _transition_indices(lts: Lts):
-    return {id(t): i for i, t in enumerate(lts.transitions)}
-
-
-def _sccs(num_states, edges_out, states):
-    """Tarjan over the given subgraph (iterative)."""
+def _sccs(successors, roots):
+    """Tarjan over the subgraph reachable from roots (iterative);
+    `successors(state)` gives the target states of its edges."""
     index = {}
     low = {}
     on_stack = set()
     stack = []
     out = []
     counter = [0]
-    for root in states:
+    for root in roots:
         if root in index:
             continue
-        work = [(root, iter(edges_out(root)))]
+        work = [(root, iter(successors(root)))]
         index[root] = low[root] = counter[0]
         counter[0] += 1
         stack.append(root)
@@ -166,14 +175,13 @@ def _sccs(num_states, edges_out, states):
         while work:
             v, it = work[-1]
             advanced = False
-            for t in it:
-                w = t.tgt
+            for w in it:
                 if w not in index:
                     index[w] = low[w] = counter[0]
                     counter[0] += 1
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(edges_out(w))))
+                    work.append((w, iter(successors(w))))
                     advanced = True
                     break
                 if w in on_stack:
@@ -195,50 +203,21 @@ def _sccs(num_states, edges_out, states):
     return out
 
 
-def _leaf_of(leaves, address):
-    for leaf in leaves:
-        if address[:len(leaf)] == leaf:
-            return leaf
-    raise ValueError(f"participant {'/'.join(address)} matches no component")
-
-
-def _cycle_through(ws: _Workspace, allowed_edges, comp: set, anchor: int,
-                   required_edges: list) -> list:
-    """A closed walk (transition indices) from anchor through all required
-    edges, staying inside the component."""
-    tindex = {}
-    adj = {}
-    for t in allowed_edges:
-        if t.src in comp and t.tgt in comp:
-            adj.setdefault(t.src, []).append(t)
-    def bfs(frm, to):
-        if frm == to:
-            return []
-        seen = {frm}
-        queue = deque([(frm, [])])
-        while queue:
-            s, path = queue.popleft()
-            for t in adj.get(s, ()):
-                if t.tgt in seen:
-                    continue
-                nxt = path + [t]
-                if t.tgt == to:
-                    return nxt
-                seen.add(t.tgt)
-                queue.append((t.tgt, nxt))
-        raise ValueError("component is not strongly connected")
+def _cycle_through(lts: Lts, inside, anchor: int, required: list) -> list:
+    """A closed walk (transition indices) from anchor through every
+    required transition, taking only transitions that satisfy `inside`
+    (the edges of one strongly connected component)."""
     walk = []
     at = anchor
-    for edge in required_edges:
-        walk += bfs(at, edge.src)
-        walk.append(edge)
-        at = edge.tgt
-    walk += bfs(at, anchor)
-    return walk
+    for i in required:
+        walk += _path(lts, at, {lts.transitions[i].src}, inside)
+        walk.append(i)
+        at = lts.transitions[i].tgt
+    return walk + _path(lts, at, {anchor}, inside)
 
 
-def check_liveness(model: ProtocolModel, max_states: int = 1_000_000,
-                   max_assignments: int = 4096) -> LivenessVerdict:
+def check_liveness(model: ProtocolModel,
+                   max_states: int = 1_000_000) -> LivenessVerdict:
     ws = _prepare(model, max_states)
     if ws.lts.truncated:
         return LivenessVerdict("unknown", exhaustive=False,
@@ -246,17 +225,15 @@ def check_liveness(model: ProtocolModel, max_states: int = 1_000_000,
     mode = model.mode
     env = model.env
     lts = ws.lts
-    index_of = {}
-    for i, t in enumerate(lts.transitions):
-        index_of[id(t)] = i
-    leaves = leaf_paths(lts.states[lts.initial])
+    trans = lts.transitions
     config_cache = {}
+    unconfirmed = None  # role of the first witness that is_just rejected
 
-    def config_just(anchor_term, movers):
+    def config_just(anchor_term, leaves, movers):
         resting = tuple(
             (leaf, subterm_at(anchor_term, leaf))
             for leaf in leaves if leaf not in movers)
-        key = (movers, resting)
+        key = (skeleton(anchor_term), movers, resting)
         if key not in config_cache:
             config_cache[key] = analyze_configuration(
                 ws.engine, env, anchor_term, movers, mode)
@@ -264,43 +241,45 @@ def check_liveness(model: ProtocolModel, max_states: int = 1_000_000,
 
     for role in model.roles:
         candidates = []  # (score, kind, payload); cycles preferred
-        allowed = [t for t in lts.transitions
-                   if t.src not in ws.excluded and t.tgt not in ws.excluded
-                   and t.label != role.crit]
-        adj = {}
-        for t in allowed:
-            adj.setdefault(t.src, []).append(t)
-        comps = _sccs(lts.num_states, lambda s: adj.get(s, ()),
-                      list(ws.ok_states))
+
+        def allowed(i):
+            t = trans[i]
+            return t.tgt not in ws.excluded and t.label != role.crit
+
+        comps = _sccs(lambda s: [trans[i].tgt for i in lts.outgoing(s)
+                                 if allowed(i)], ws.ok_states)
         for comp in comps:
             comp_set = set(comp)
-            edges = [t for s in comp for t in adj.get(s, ())
-                     if t.tgt in comp_set]
+            edges = [i for s in comp for i in lts.outgoing(s)
+                     if allowed(i) and trans[i].tgt in comp_set]
             if not edges:
                 continue
-            touched = frozenset(_leaf_of(leaves, p)
-                                for t in edges for p in t.participants)
             anchor = min(comp_set)
             anchor_term = lts.states[anchor]
             # the role must be stuck mid-protocol on this cycle
-            noncrit_edges = [t for t in edges if t.label == role.noncrit]
+            noncrit_edges = [i for i in edges
+                             if trans[i].label == role.noncrit]
             pending_states = {s for s in comp_set
                               if model.pending(lts.states[s], role)}
             if not noncrit_edges and not pending_states:
                 continue
-            verdict = config_just(anchor_term, touched)
+            # every state of the SCC has the anchor's parallel structure:
+            # a Par never disappears, so none can appear on a cycle either
+            leaves = leaf_paths(anchor_term)
+            touched = components(leaves, (trans[i] for i in edges))
+            verdict = config_just(anchor_term, leaves, touched)
             if not verdict.just:
                 continue
             # prefer informative witnesses: cycles over dead ends, then
             # SCCs showing the most other roles completing their rounds,
             # then ones where this role performs no transition at all
-            other_crits = len({t.label for t in edges
-                               if any(t.label == r.crit
+            other_crits = len({trans[i].label for i in edges
+                               if any(trans[i].label == r.crit
                                       for r in model.roles if r is not role)})
             role_rests = role.leaf not in touched
             score = (1, other_crits, role_rests)
             candidates.append((score, "cycle",
-                               (comp_set, edges, touched, anchor,
+                               (comp_set, edges, leaves, anchor,
                                 noncrit_edges, pending_states)))
         # terminal violations: a maximal, only-blocking state reached
         # while the role is still mid-protocol
@@ -308,13 +287,14 @@ def check_liveness(model: ProtocolModel, max_states: int = 1_000_000,
             term = lts.states[sid]
             if not model.pending(term, role):
                 continue
-            if any(not env.is_blocking(t.label) for t in lts.outgoing(sid)):
+            if any(not env.is_blocking(trans[i].label)
+                   for i in lts.outgoing(sid)):
                 continue
             candidates.append(((0, 0, True), "terminal", sid))
         for score, kind, payload in sorted(candidates,
                                            key=lambda c: c[0], reverse=True):
             if kind == "terminal":
-                stem = _bfs_stem(lts, ws.excluded, lts.initial, {payload})
+                stem = ws.stem({payload})
                 if stem is None:
                     continue  # only reachable through excluded states
                 lasso = Lasso(tuple(stem), ())
@@ -323,36 +303,38 @@ def check_liveness(model: ProtocolModel, max_states: int = 1_000_000,
                     "violated", exhaustive=True, role=role.name,
                     counterexample=(lasso, verdict),
                     excluded_states=len(ws.excluded))
-            comp_set, edges, touched, anchor, noncrit_edges, pending = payload
-            anchor_term = lts.states[anchor]
+            comp_set, edges, leaves, anchor, noncrit_edges, pending = payload
             # build a witness cycle covering every touched component
             required = []
             covered = set()
             if noncrit_edges and not pending:
                 required.append(noncrit_edges[0])
-                covered |= {_leaf_of(leaves, p)
-                            for p in noncrit_edges[0].participants}
+                covered |= components(leaves, [trans[noncrit_edges[0]]])
             elif pending:
                 anchor = min(pending)
-            for t in edges:
-                extra = {_leaf_of(leaves, p) for p in t.participants}
+            for i in edges:
+                extra = components(leaves, [trans[i]])
                 if extra - covered:
-                    required.append(t)
+                    required.append(i)
                     covered |= extra
-            walk = _cycle_through(ws, allowed, comp_set, anchor, required)
-            stem = _bfs_stem(lts, ws.excluded, lts.initial, {anchor})
+            walk = _cycle_through(
+                lts, lambda i: allowed(i) and trans[i].tgt in comp_set,
+                anchor, required)
+            stem = ws.stem({anchor})
             if stem is None:
                 continue
-            lasso = Lasso(tuple(stem),
-                          tuple(index_of[id(t)] for t in walk))
-            full = is_just(lts, env, lasso, mode, ws.engine,
-                           max_assignments=max_assignments)
-            if not full.just:  # pragma: no cover - safeguarded by theory
+            lasso = Lasso(tuple(stem), tuple(walk))
+            full = is_just(lts, env, lasso, mode, ws.engine)
+            if not full.just:
+                unconfirmed = unconfirmed or role.name
                 continue
             return LivenessVerdict(
                 "violated", exhaustive=True, role=role.name,
                 counterexample=(lasso, full),
                 excluded_states=len(ws.excluded))
+    if unconfirmed is not None:
+        return LivenessVerdict("unknown", exhaustive=True, role=unconfirmed,
+                               excluded_states=len(ws.excluded))
     return LivenessVerdict("holds", exhaustive=True,
                            excluded_states=len(ws.excluded))
 

@@ -1,4 +1,4 @@
-"""Brute-force justness oracle.
+"""Brute-force justness and bisimilarity oracles.
 
 Independently re-decides whether a lasso-shaped run is just by enumerating
 *all* candidate bound-set assignments over the finite relevant alphabet:
@@ -25,12 +25,16 @@ actions only.  Families are sets of bitmasks over the union of all actions
 enabled at (or signals emitted by) any subterm of the anchor state, so
 every quantifier really is an exhaustive enumeration.  This is exponential
 and only meant for systems with a handful of actions.
+
+`naive_bisimilar` re-decides strong bisimilarity as a greatest fixpoint
+over the full relation, the reference for partition refinement.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
+from ccss.bisim import _disjoint_union
 from ccss.terms import (
     Par, Relabel, Restrict, SignalEmit, contains_par,
     STEP_LEFT, STEP_RIGHT, STEP_RESTRICT, STEP_RELABEL, STEP_EMIT,
@@ -190,8 +194,8 @@ def oracle_config(engine, env, state_term, movers, mode="ccss"):
 
 def _alternatives(lts, t):
     """All transitions with the same (source, label, target) triple."""
-    return [u for u in lts.outgoing(t.src)
-            if u.label == t.label and u.tgt == t.tgt]
+    siblings = (lts.transitions[i] for i in lts.outgoing(t.src))
+    return [u for u in siblings if u.label == t.label and u.tgt == t.tgt]
 
 
 def oracle_is_just(lts, env, lasso, mode="ccss", engine=None,
@@ -232,3 +236,27 @@ def oracle_is_just(lts, env, lasso, mode="ccss", engine=None,
         if config(movers):
             return True
     return False
+
+
+def naive_bisimilar(lts_a, a, lts_b, b):
+    """Greatest-fixpoint computation over the full relation; quadratic in
+    states, only suitable for small systems."""
+    out, signals, shift = _disjoint_union(lts_a, lts_b)
+    n = len(out)
+    related = [[signals[p] == signals[q] for q in range(n)] for p in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for p in range(n):
+            for q in range(n):
+                if not related[p][q]:
+                    continue
+                ok = (all(any(lq == lp and related[tp][tq] for lq, tq in out[q])
+                          for lp, tp in out[p])
+                      and all(any(lp == lq and related[tq][tp]
+                                  for lp, tp in out[p])
+                              for lq, tq in out[q]))
+                if not ok:
+                    related[p][q] = False
+                    changed = True
+    return related[a][b + shift]

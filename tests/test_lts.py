@@ -6,7 +6,7 @@ from ccss.lts import (
     Lts, encode_signals_as_transitions, explore, export_dot, export_json,
     import_json,
 )
-from ccss.bisim import bisimilar, naive_bisimilar
+from ccss.bisim import bisimilar
 from ccss.terms import Environment, NIL, Name, Par, Prefix, SignalEmit, act, coact, sig
 from ccss.syntax import parse_term, term_str
 from ccss import protocols

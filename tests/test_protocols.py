@@ -59,7 +59,8 @@ def test_peterson_initially_offers_exactly_the_noncritical_actions():
     for flavor in protocols.FLAVORS:
         model = protocols.peterson2(flavor)
         lts = explore(model.env, model.root)
-        enabled = {str(t.label) for t in lts.outgoing(lts.initial)}
+        enabled = {str(lts.transitions[i].label)
+                   for i in lts.outgoing(lts.initial)}
         assert enabled == {"noncritA", "noncritB"}
 
 

@@ -1,16 +1,21 @@
 """Safety/liveness verification and counterexample quality."""
 
 import json
+import random
+from collections import deque
 
 import pytest
 
-from ccss.justness import is_complete, is_just
+from ccss.cli import main
+from ccss.justness import JustnessVerdict, is_complete, is_just
 from ccss.lts import explore
 from ccss.sos import SosEngine
 from ccss.terms import Name, act
-from ccss.verify import check_liveness, check_safety, classify_path
-from ccss import protocols
+from ccss.verify import _path, check_liveness, check_safety, classify_path
+from ccss import protocols, verify
 from ccss.protocols import _build
+
+from _randterms import ENV as RAND_ENV, sample_terms
 
 
 def replay(model, lts, lasso):
@@ -115,3 +120,112 @@ def test_truncated_exploration_yields_unknown():
     model = protocols.peterson2("ccss")
     verdict = check_liveness(model, max_states=10)
     assert verdict.status == "unknown"
+
+
+# A spawns two components before its tau cycle: only the leaves of the
+# cycle's own states show that the cycle moves S's children and rests A.
+SPAWNING = """\
+blocking { noncritA, req }
+A = noncritA.req.critA.A
+S = go.(T | T)
+T = tau.T
+system = A | S
+"""
+
+
+def role_a(source, flavor):
+    return _build(source,
+                  [("A", Name("A", ()), act("noncritA"), act("critA"))],
+                  {"family": "spawning", "flavor": flavor})
+
+
+def test_components_spawned_before_the_cycle_are_resolved_per_scc():
+    model = role_a(SPAWNING, "ccs")
+    verdict = check_liveness(model)
+    assert verdict.status == "violated"
+    assert verdict.role == "A"
+    lasso, justness = verdict.counterexample
+    assert justness.just and lasso.cycle
+    lts = explore(model.env, model.root)
+    replay(model, lts, lasso)
+    assert is_just(lts, model.env, lasso, mode=model.mode).just
+    assert is_complete(lts, model.env, lasso, mode=model.mode)
+
+
+# Both branches spawn leaves at the same addresses with the same resting
+# subterms; only the restriction above them differs.  Under \{s} the
+# resting P may fire d, so its SCC is unjust; under \{d, s} it is just.
+# Sharing one configuration verdict between the two (the og branch's SCC
+# is analysed first) loses the cycle and leaves only a terminal witness.
+BRANCHES = """\
+signals { s }
+blocking { noncritA, req }
+A = noncritA.req.critA.A
+S = og.((T | P) \\ {s}) + go.((T | P) \\ {d, s})
+T = s.T
+P = (d.0) ^ s
+system = A | S
+"""
+
+
+def test_configurations_under_different_parallel_structure_stay_apart():
+    model = role_a(BRANCHES, "ccss")
+    verdict = check_liveness(model)
+    assert verdict.status == "violated"
+    lasso, justness = verdict.counterexample
+    assert lasso.cycle and justness.just
+
+
+def test_unconfirmed_witness_gives_unknown_not_holds(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "is_just",
+                        lambda *args, **kwargs: JustnessVerdict(False))
+    verdict = check_liveness(protocols.peterson2("ccs"))
+    assert verdict.status == "unknown"
+    assert verdict.exhaustive
+    code = main(["verify", "--liveness", "--model", "peterson2",
+                 "--flavor", "ccs"])
+    assert code == 3
+    assert json.loads(capsys.readouterr().out)["status"] == "unknown"
+
+
+def bfs_distances(lts, source, allowed):
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        s = queue.popleft()
+        for i in lts.outgoing(s):
+            tgt = lts.transitions[i].tgt
+            if allowed(i) and tgt not in dist:
+                dist[tgt] = dist[s] + 1
+                queue.append(tgt)
+    return dist
+
+
+def test_path_is_a_shortest_allowed_path_to_a_goal():
+    rng = random.Random(7)
+    found = missing = 0
+    for term in sample_terms(200):
+        lts = explore(RAND_ENV, term, max_states=2000)
+        for _ in range(10):
+            banned = {i for i in range(len(lts.transitions))
+                      if rng.random() < 0.2}
+            allowed = lambda i: i not in banned
+            source = rng.randrange(lts.num_states)
+            goals = set(rng.sample(range(lts.num_states),
+                                   min(2, lts.num_states)))
+            path = _path(lts, source, goals, allowed)
+            dist = bfs_distances(lts, source, allowed)
+            reachable = [dist[g] for g in goals if g in dist]
+            if not reachable:
+                assert path is None
+                missing += 1
+                continue
+            found += 1
+            assert len(path) == min(reachable)
+            at = source
+            for i in path:
+                t = lts.transitions[i]
+                assert t.src == at and allowed(i)
+                at = t.tgt
+            assert at in goals
+    assert found and missing  # both outcomes are exercised
