@@ -46,7 +46,12 @@ def _disjoint_union(lts_a: Lts, lts_b: Lts):
 
 def _refine(out, signals):
     """Signature-based partition refinement.  Returns the final block id
-    per state and the per-round history (for evidence extraction)."""
+    per state and the per-round history (for evidence extraction).
+
+    A state's signature is its block followed by the sorted set of its
+    moves, each coded as label id * n + target block: a tuple of ints,
+    which hashes in C and which the garbage collector stops tracking, so
+    refinement does not make it collect the whole heap over and over."""
     n = len(out)
     blocks = {}
     block_of = []
@@ -54,13 +59,16 @@ def _refine(out, signals):
         key = signals[s]
         bid = blocks.setdefault(key, len(blocks))
         block_of.append(bid)
+    label_ids = {}
+    moves = [[(label_ids.setdefault(label, len(label_ids)) * n, tgt)
+              for label, tgt in out[s]] for s in range(n)]
     history = [list(block_of)]
     while True:
         sig_ids = {}
         new = [0] * n
         for s in range(n):
-            sig = (block_of[s],
-                   frozenset((label, block_of[tgt]) for label, tgt in out[s]))
+            sig = (block_of[s], *sorted(
+                {code + block_of[tgt] for code, tgt in moves[s]}))
             new[s] = sig_ids.setdefault(sig, len(sig_ids))
         if new == block_of:
             return block_of, history

@@ -128,6 +128,8 @@ def cmd_verify(args) -> int:
     if args.safety:
         verdict = check_safety(model, max_states=_max_states(args))
         print(json.dumps(verdict.to_json(), indent=2))
+        if verdict.holds is None:
+            return EXIT_UNKNOWN
         return EXIT_OK if verdict.holds else EXIT_VIOLATED
     verdict = check_liveness(model, max_states=_max_states(args))
     print(json.dumps(verdict.to_json(), indent=2))
@@ -267,6 +269,8 @@ def main(argv=None) -> int:
         return _fail(str(exc))
     except CcssError as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
+    except RecursionError:
+        return _fail("input nested too deeply to process")
 
 
 if __name__ == "__main__":

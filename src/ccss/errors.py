@@ -30,10 +30,6 @@ class ScopeError(CcssError):
     """Reference to an unknown range or index variable."""
 
 
-class TruncatedInput(CcssError):
-    """An operation required a fully explored transition system."""
-
-
 class DynamicParallelism(CcssError):
     """The parallel structure of the system changed along a path."""
 

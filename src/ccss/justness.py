@@ -329,10 +329,15 @@ def is_complete(lts: Lts, env: Environment, lasso: Lasso,
                 engine: Optional[SosEngine] = None) -> bool:
     """Whether the lasso presents an entire run: finite maximal paths must
     end where only blocking actions are enabled (progress), infinite
-    paths must be just."""
-    engine = engine or SosEngine(env)
+    paths must be just.  Unless exploration was truncated, every
+    derivation of an explored state is one of its transitions, so the
+    enabled actions are read from the system itself."""
     anchor = lasso.validate(lts)
     if lasso.terminal:
-        term = lts.states[anchor]
-        return all(env.is_blocking(d.label) for d in engine.transitions(term))
+        if not lts.truncated:
+            return all(env.is_blocking(lts.transitions[i].label)
+                       for i in lts.outgoing(anchor))
+        engine = engine or SosEngine(env)
+        return all(env.is_blocking(d.label)
+                   for d in engine.transitions(lts.states[anchor]))
     return is_just(lts, env, lasso, mode, engine).just

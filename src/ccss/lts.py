@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .terms import (
     Action, COHANDSHAKE, Environment, HANDSHAKE, INTERNAL, Name, SIGNAL,
-    TAU, Term, canonical,
+    TAU, Term, Par, Relabel, Restrict, SignalEmit, canonical, contains_par,
+    STEP_LEFT, STEP_RIGHT, STEP_RESTRICT, STEP_RELABEL, STEP_EMIT,
 )
-from .sos import Derivation, SosEngine
+from .sos import SosEngine
 
 
 @dataclass(frozen=True)
@@ -35,11 +36,7 @@ class Lts:
     transitions: list  # of Transition
     state_signals: list  # index -> frozenset of Name
     truncated: bool = False
-    index: dict = field(default_factory=dict)  # Term -> state id
     _out: Optional[list] = None
-
-    def state_of(self, term) -> int:
-        return self.index[term]
 
     def outgoing(self, state: int) -> list:
         """Indices into `transitions` of the state's outgoing transitions,
@@ -59,32 +56,333 @@ class Lts:
 
 def explore(env: Environment, root: Term, max_states: int = 1_000_000,
             engine: Optional[SosEngine] = None) -> Lts:
-    """Breadth-first state-space construction from the root term."""
+    """Breadth-first state-space construction from the root term.
+
+    Each state is held as its parallel skeleton and the tuple of its
+    leaves; its derivations are exactly those of
+    `SosEngine.transitions` on the whole state term, in the same order,
+    and the state term itself is built only when the state is new."""
     engine = engine or SosEngine(env)
+    split = _Splitter(engine)
     start = canonical(env, root)
+    skel, leaves = split(start)
+    skel.index[leaves] = 0
+    keys = [(skel, leaves)]
     states = [start]
-    index = {start: 0}
-    signals = [engine.signals(start)]
+    signals = [skel.signals(leaves)]
     transitions = []
     truncated = False
     queue = deque([0])
     while queue:
         sid = queue.popleft()
-        for d in engine.transitions(states[sid]):
-            tgt = d.target
-            tid = index.get(tgt)
+        skel, leaves = keys[sid]
+        for label, changes, parts, partner, reshapes in \
+                skel.derivations(leaves):
+            if reshapes:
+                tskel, tleaves = split(skel.build(leaves, changes))
+            else:
+                tskel, tleaves = skel, leaves
+                for slot, term in changes:
+                    tleaves = tleaves[:slot] + (term,) + tleaves[slot + 1:]
+            tid = tskel.index.get(tleaves)
             if tid is None:
                 if len(states) >= max_states:
                     truncated = True
                     continue
                 tid = len(states)
-                index[tgt] = tid
-                states.append(tgt)
-                signals.append(engine.signals(tgt))
+                tskel.index[tleaves] = tid
+                keys.append((tskel, tleaves))
+                states.append(tskel.build(tleaves))
+                signals.append(tskel.signals(tleaves))
                 queue.append(tid)
-            transitions.append(Transition(sid, d.label, tid,
-                                          d.participants, d.signal_partner))
-    return Lts(states, 0, transitions, signals, truncated, index)
+            transitions.append(Transition(sid, label, tid, parts, partner))
+    return Lts(states, 0, transitions, signals, truncated)
+
+
+# -- parallel skeletons -----------------------------------------------------
+#
+# A skeleton is the part of a state term above its leaves (the maximal
+# parallel-free subterms at `leaf_paths`): the Par nodes and the
+# Restrict, Relabel and SignalEmit nodes above a Par.  It is kept as a
+# post-order list of nodes, which is both the program that rebuilds the
+# term from its leaves and, up to the topmost Par, the walk that composes
+# the state's derivations from its leaves' derivations.
+
+_LEAF, _PAR, _RESTRICT, _RELABEL, _EMIT = range(5)
+
+
+def _lift(label: Action, ops) -> Optional[Action]:
+    """The label as seen above the Restrict/Relabel nodes `ops`
+    (innermost first), or None when one of them restricts it."""
+    for kind, arg in ops:
+        if kind == _RESTRICT:
+            if not label.is_tau and label.name in arg:
+                return None
+        else:
+            label = arg.apply(label)
+    return label
+
+
+def _lift_name(name: Name, ops) -> Optional[Name]:
+    """The emitted signal name as seen above `ops`, or None."""
+    for kind, arg in ops:
+        if kind == _RESTRICT:
+            if name in arg:
+                return None
+        else:
+            name = arg.apply_name(name, True)
+    return name
+
+
+class _Splitter:
+    """Splits terms into (skeleton, leaves); one skeleton object per
+    distinct skeleton, so that its caches and state index are shared by
+    every state with that structure during one exploration."""
+
+    def __init__(self, engine: SosEngine):
+        self.engine = engine
+        self.skeletons = {}
+        self.ids = {}  # label or signal name -> small int, for set tests
+        self.label_ids = {}  # label -> (its id, the id it pairs with)
+
+    def __call__(self, term: Term):
+        nodes, leaves, slots, emitted = [], [], [], set()
+        outer = None  # length of the chain above the topmost Par
+        # (term, address, Restrict/Relabel chain root first, under a
+        # SignalEmit), or a node to emit once its subtree is done
+        stack = [(term, (), (), False)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item[0], int):
+                nodes.append(item + (len(leaves),) if item[0] == _EMIT
+                             else item)
+                continue
+            term, path, chain, under_emit = item
+            if isinstance(term, Par):
+                if outer is None:
+                    outer = len(chain)
+                stack.append((_PAR,))
+                stack.append((term.right, path + (STEP_RIGHT,), chain,
+                              under_emit))
+                stack.append((term.left, path + (STEP_LEFT,), chain,
+                              under_emit))
+            elif (isinstance(term, (Restrict, Relabel, SignalEmit))
+                  and contains_par(term.body)):
+                if isinstance(term, Restrict):
+                    op, step = (_RESTRICT, term.names), STEP_RESTRICT
+                    inner = chain + (op,)
+                elif isinstance(term, Relabel):
+                    op, step = (_RELABEL, term.relabelling), STEP_RELABEL
+                    inner = chain + (op,)
+                else:
+                    op = (_EMIT, term.signal, path, len(leaves))
+                    step, inner, under_emit = STEP_EMIT, chain, True
+                    name = _lift_name(term.signal, chain[::-1])
+                    if name is not None:
+                        emitted.add(name)
+                stack.append(op)
+                stack.append((term.body, path + (step,), inner, under_emit))
+            else:
+                nodes.append((_LEAF, len(leaves)))
+                leaves.append(term)
+                top = outer or 0  # a leaf without a Par above is the root
+                slots.append((path, chain[top:][::-1], chain[:top][::-1],
+                              under_emit))
+        key = tuple(nodes)
+        skel = self.skeletons.get(key)
+        if skel is None:
+            skel = self.skeletons[key] = _Skeleton(
+                key, tuple(slots), frozenset(emitted), self)
+        return skel, tuple(leaves)
+
+    def move(self, label, changes, parts, reshapes) -> tuple:
+        """A non-tau move as the walk holds it: (label id, id of what it
+        synchronizes with, label, changes, participants, reshapes).  A
+        handshake pairs with its complement, a signal read with an
+        emission of its name."""
+        pair = self.label_ids.get(label)
+        if pair is None:
+            want = label.complement() if label.kind != SIGNAL else label.name
+            pair = self.label_ids[label] = (self._id(label), self._id(want))
+        return pair + (label, changes, parts, reshapes)
+
+    def emitter(self, name, address) -> tuple:
+        return (self._id(name), name, address)
+
+    def _id(self, item) -> int:
+        return self.ids.setdefault(item, len(self.ids))
+
+
+def _keys(handshakes, reads, emitters):
+    """(what a subtree offers, what it wants) as sets of ids: its
+    handshake labels and emitted names, and the complements of its
+    handshakes and the names its signal reads need."""
+    return (frozenset([m[0] for m in handshakes] + [e[0] for e in emitters]),
+            frozenset([m[1] for m in handshakes] + [m[1] for m in reads]))
+
+
+class _Skeleton:
+    """One parallel skeleton, with a per-leaf cache of derivations and
+    emitters whose addresses are absolute, and the index of the explored
+    states that have this skeleton (leaf tuple -> state id)."""
+
+    def __init__(self, nodes, slots, emitted, splitter: _Splitter):
+        self.nodes = nodes
+        pars = [i for i, node in enumerate(nodes) if node[0] == _PAR]
+        self.walk = nodes[:pars[-1] + 1] if pars else nodes
+        self.has_par = bool(pars)
+        # per slot: (address, Restrict/Relabel nodes between the leaf and
+        # the topmost Par, those above the topmost Par, under a SignalEmit)
+        self.slots = slots
+        self.outer_relabels = tuple(op for op in slots[0][2]
+                                    if op[0] == _RELABEL)
+        self.emitted = emitted  # root names of the skeleton's own emissions
+        self.splitter = splitter
+        self.leaf_cache = [{} for _ in slots]
+        self.index = {}
+
+    def build(self, leaves, changes=()) -> Term:
+        """The term with these leaves; with `changes` ((slot, term)
+        pairs) applied, and every SignalEmit above a changed leaf dropped,
+        as taking any action under an emission forgets it."""
+        if changes:
+            leaves = list(leaves)
+            for slot, term in changes:
+                leaves[slot] = term
+        stack = []
+        for node in self.nodes:
+            kind = node[0]
+            if kind == _LEAF:
+                stack.append(leaves[node[1]])
+            elif kind == _PAR:
+                right = stack.pop()
+                stack[-1] = Par(stack[-1], right)
+            elif kind == _RESTRICT:
+                stack[-1] = Restrict(stack[-1], node[1])
+            elif kind == _RELABEL:
+                stack[-1] = Relabel(stack[-1], node[1])
+            elif not any(node[3] <= slot < node[4] for slot, _ in changes):
+                stack[-1] = SignalEmit(stack[-1], node[1])
+        return stack[0]
+
+    def signals(self, leaves) -> frozenset:
+        """The signal names the state emits."""
+        out = self.emitted
+        for slot, term in enumerate(leaves):
+            names = self._leaf(slot, term)[-1]
+            if names:
+                out = out | names
+        return out
+
+    def _leaf(self, slot, term) -> tuple:
+        """What the walk needs of one leaf: (records of its derivations
+        seen at the root, handshake moves, signal-read moves, emitters,
+        offered ids, wanted ids, signal names seen at the root).
+
+        A record is (label at the topmost Par, changes, participants,
+        signal partner, reshapes), where changes are (slot, target)
+        pairs and `reshapes` marks a target whose skeleton differs."""
+        cached = self.leaf_cache[slot].get(term)
+        if cached is not None:
+            return cached
+        split, engine = self.splitter, self.splitter.engine
+        path, inner, outer, under_emit = self.slots[slot]
+        records, handshakes, reads = [], [], []
+        for d in engine.transitions(term):
+            parts = (frozenset(path + p for p in d.participants) if path
+                     else d.participants)
+            partner = (None if d.signal_partner is None
+                       else path + d.signal_partner)
+            changes = ((slot, d.target),)
+            reshapes = under_emit or contains_par(d.target)
+            # without a Par the walk reads only the records
+            if self.has_par and not d.label.is_tau:
+                (reads if d.label.kind == SIGNAL else handshakes).append(
+                    split.move(d.label, changes, parts, reshapes))
+            top = _lift(d.label, inner)
+            if top is not None and _lift(top, outer) is not None:
+                records.append((top, changes, parts, partner, reshapes))
+        pairs = engine.emitters(term)
+        names = frozenset(_lift_name(name, inner + outer)
+                          for name, _ in pairs) - {None}
+        emitters = [split.emitter(name, path + address)
+                    for name, address in pairs]
+        cached = self.leaf_cache[slot][term] = (
+            records, handshakes, reads, emitters,
+            *_keys(handshakes, reads, emitters), names)
+        return cached
+
+    def derivations(self, leaves) -> list:
+        """The derivations of the state with these leaves as records, in
+        the order and with the duplicates `SosEngine.transitions` gives
+        for the whole state term.
+
+        The walk follows `SosEngine._par`: at each Par, the left side's
+        derivations, the right side's, handshakes, then left reading
+        right's signals and right reading left's.  Duplicates are removed
+        once, at the topmost Par: removing them at inner Pars as well
+        changes neither which derivations are kept nor their order."""
+        if not self.has_par:
+            # one leaf, the whole term: its derivations, duplicates kept
+            return self._leaf(0, leaves[0])[0]
+        out = []
+        # per subtree: (handshake moves, signal-read moves, emitters,
+        # offered ids, wanted ids), labels and names as seen at its root
+        stack = []
+        split = self.splitter
+        for node in self.walk:
+            kind = node[0]
+            if kind == _LEAF:
+                slot = node[1]
+                leaf = self._leaf(slot, leaves[slot])
+                out.extend(leaf[0])
+                stack.append(leaf[1:6])
+            elif kind == _PAR:
+                rhs, rrd, remit, roffer, rwant = stack.pop()
+                lhs, lrd, lemit, loffer, lwant = stack.pop()
+                left_hits = lwant & roffer
+                if left_hits:
+                    by_id = {}
+                    for m in rhs:
+                        if m[0] in left_hits:
+                            by_id.setdefault(m[0], []).append(m)
+                    for m in lhs:
+                        for p in by_id.get(m[1], ()):
+                            out.append((TAU, m[3] + p[3], m[4] | p[4], None,
+                                        m[5] or p[5]))
+                for readers, emitters, hits in (
+                        (lrd, remit, left_hits), (rrd, lemit, rwant & loffer)):
+                    if not hits:
+                        continue
+                    for m in readers:
+                        if m[1] in hits:
+                            for e in emitters:
+                                if e[0] == m[1]:
+                                    out.append((TAU, m[3], m[4], e[2], m[5]))
+                stack.append((lhs + rhs, lrd + rrd, lemit + remit,
+                              loffer | roffer, lwant | rwant))
+            elif kind == _EMIT:
+                hs, rd, emitters, offer, want = stack.pop()
+                e = split.emitter(node[1], node[2])
+                stack.append((hs, rd, [e] + emitters, offer | {e[0]}, want))
+            else:
+                hs, rd, emitters, _, _ = stack.pop()
+                if kind == _RESTRICT:
+                    hidden = node[1]
+                    hs = [m for m in hs if m[2].name not in hidden]
+                    rd = [m for m in rd if m[2].name not in hidden]
+                    emitters = [e for e in emitters if e[1] not in hidden]
+                else:
+                    f = node[1]
+                    hs = [split.move(f.apply(m[2]), *m[3:]) for m in hs]
+                    rd = [split.move(f.apply(m[2]), *m[3:]) for m in rd]
+                    emitters = [split.emitter(f.apply_name(e[1], True), e[2])
+                                for e in emitters]
+                stack.append((hs, rd, emitters, *_keys(hs, rd, emitters)))
+        out = list(dict.fromkeys(out))
+        if self.outer_relabels:
+            out = [(_lift(r[0], self.outer_relabels),) + r[1:] for r in out]
+        return out
 
 
 def encode_signals_as_transitions(lts: Lts) -> Lts:
@@ -104,7 +402,7 @@ def encode_signals_as_transitions(lts: Lts) -> Lts:
         for name in sorted(emitted, key=str):
             new_transitions.append(Transition(sid, Action(COHANDSHAKE, name), sid))
     return Lts(list(lts.states), lts.initial, new_transitions,
-               [frozenset() for _ in lts.states], lts.truncated, dict(lts.index))
+               [frozenset() for _ in lts.states], lts.truncated)
 
 
 # -- serialization ----------------------------------------------------------
@@ -168,9 +466,8 @@ def import_json(text: str) -> Lts:
                    if t.get("signalPartner") is not None else None)
         for t in data["transitions"]
     ]
-    index = {s: i for i, s in enumerate(states)}
     return Lts(states, data.get("initial", 0), transitions, signals,
-               data.get("truncated", False), index)
+               data.get("truncated", False))
 
 
 def export_dot(lts: Lts, state_str=str) -> str:

@@ -83,6 +83,9 @@ class _Parser:
         self.ranges = {}
         self.equations = []
         self.root = None
+        # one object per distinct name, action and identifier of the file:
+        # models keep their parsed equations, where most names recur
+        self.shared = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -117,6 +120,9 @@ class _Parser:
             raise ParseError(f"expected identifier, found {tok.text!r}",
                              tok.line, tok.col)
         return self.next()
+
+    def _shared(self, item):
+        return self.shared.setdefault(item, item)
 
     def error(self, message: str):
         tok = self.peek()
@@ -254,7 +260,7 @@ class _Parser:
             self.expect(".")
             if name.base in self.signals:
                 self.error(f"signal {name.base} has no output action")
-            return Action(COHANDSHAKE, name)
+            return self._shared(Action(COHANDSHAKE, name))
         if tok.kind == "ident" and tok.text not in KEYWORDS:
             try:
                 name = self.name(scope)
@@ -263,7 +269,7 @@ class _Parser:
                 return None
             if self.accept("."):
                 kind = SIGNAL if name.base in self.signals else HANDSHAKE
-                return Action(kind, name)
+                return self._shared(Action(kind, name))
             self.i = start
             return None
         return None
@@ -294,10 +300,11 @@ class _Parser:
             # of A: try to read parameters and back off if that fails.
             start = self.i
             try:
-                return Ident(self.name(scope))
+                return self._shared(Ident(self.name(scope)))
             except (ParseError, ScopeError):
                 self.i = start
-                return Ident(Name(self.expect_ident().text))
+                return self._shared(Ident(self._shared(
+                    Name(self.expect_ident().text))))
         self.error("expected a process")
 
     def name_set(self, scope):
@@ -336,7 +343,7 @@ class _Parser:
             params.append(self.param_bracketed(scope))
             while self.accept("_"):
                 params.append(self.param_tail(scope))
-        return Name(base, tuple(params))
+        return self._shared(Name(base, tuple(params)))
 
     def param_bracketed(self, scope, binding_ok=None):
         self.expect("[")

@@ -1,7 +1,9 @@
 """Safety and liveness verdicts for mutual-exclusion models.
 
 Safety is exhaustive reachability: no reachable (non-excluded) state may
-have two roles inside the critical section at once.
+have two roles inside the critical section at once.  When exploration is
+truncated, a bad state inside the explored part is still a violation;
+finding none leaves the verdict unknown.
 
 Liveness ("every noncrit is eventually followed by crit") is checked per
 role by searching for a complete, just counterexample lasso whose cycle
@@ -29,7 +31,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import TruncatedInput
 from .lts import Lts, explore
 from .justness import (
     Lasso, analyze_configuration, components, is_complete, is_just,
@@ -42,16 +43,20 @@ from .syntax import action_str
 
 @dataclass
 class SafetyVerdict:
-    holds: bool
+    holds: Optional[bool]  # None: unknown, no bad state in a truncated space
     witness: Optional[Lasso] = None  # stem to the violating state
     roles: tuple = ()  # role names occupying the critical section
     excluded_states: int = 0
+    exhaustive: bool = True  # False when exploration was truncated
 
     def to_json(self):
-        return {"holds": self.holds,
-                "witness": list(self.witness.stem) if self.witness else None,
-                "roles": list(self.roles),
-                "excludedStates": self.excluded_states}
+        out = {"holds": self.holds,
+               "witness": list(self.witness.stem) if self.witness else None,
+               "roles": list(self.roles),
+               "excludedStates": self.excluded_states}
+        if not self.exhaustive:
+            out["exhaustive"] = False
+        return out
 
 
 @dataclass
@@ -133,9 +138,11 @@ def _path(lts: Lts, source: int, goals, allowed) -> Optional[list]:
 
 def check_safety(model: ProtocolModel,
                  max_states: int = 1_000_000) -> SafetyVerdict:
+    """A bad state inside the explored part is a real violation even when
+    exploration was truncated; otherwise a truncated search gives an
+    unknown verdict (`holds` None)."""
     ws = _prepare(model, max_states)
-    if ws.lts.truncated:
-        raise TruncatedInput("state space exceeds the exploration limit")
+    exhaustive = not ws.lts.truncated
     bad = set()
     bad_roles = {}
     for sid in ws.ok_states:
@@ -145,11 +152,13 @@ def check_safety(model: ProtocolModel,
             bad.add(sid)
             bad_roles[sid] = tuple(inside)
     if not bad:
-        return SafetyVerdict(True, excluded_states=len(ws.excluded))
+        return SafetyVerdict(True if exhaustive else None,
+                             excluded_states=len(ws.excluded),
+                             exhaustive=exhaustive)
     stem = ws.stem(bad)
     target = (ws.lts.transitions[stem[-1]].tgt if stem else ws.lts.initial)
     return SafetyVerdict(False, Lasso(tuple(stem), ()), bad_roles[target],
-                         len(ws.excluded))
+                         len(ws.excluded), exhaustive)
 
 
 # --------------------------------------------------------------------------

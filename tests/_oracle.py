@@ -28,6 +28,8 @@ and only meant for systems with a handful of actions.
 
 `naive_bisimilar` re-decides strong bisimilarity as a greatest fixpoint
 over the full relation, the reference for partition refinement.
+`term_explore` explores whole state terms, one SOS call per state, the
+reference for the skeleton explorer `ccss.lts.explore`.
 """
 
 from __future__ import annotations
@@ -260,3 +262,40 @@ def naive_bisimilar(lts_a, a, lts_b, b):
                     related[p][q] = False
                     changed = True
     return related[a][b + shift]
+
+
+def term_explore(env, root, max_states=1_000_000, engine=None):
+    """Breadth-first exploration over whole state terms, one
+    `SosEngine.transitions` call per state: the reference for
+    `ccss.lts.explore`, which must return an identical system."""
+    from collections import deque
+
+    from ccss.lts import Lts, Transition
+    from ccss.sos import SosEngine
+    from ccss.terms import canonical
+
+    engine = engine or SosEngine(env)
+    start = canonical(env, root)
+    states = [start]
+    index = {start: 0}
+    signals = [engine.signals(start)]
+    transitions = []
+    truncated = False
+    queue = deque([0])
+    while queue:
+        sid = queue.popleft()
+        for d in engine.transitions(states[sid]):
+            tgt = d.target
+            tid = index.get(tgt)
+            if tid is None:
+                if len(states) >= max_states:
+                    truncated = True
+                    continue
+                tid = len(states)
+                index[tgt] = tid
+                states.append(tgt)
+                signals.append(engine.signals(tgt))
+                queue.append(tid)
+            transitions.append(Transition(sid, d.label, tid,
+                                          d.participants, d.signal_partner))
+    return Lts(states, 0, transitions, signals, truncated)

@@ -114,3 +114,45 @@ def test_step_session_scripted(example_file, capsys, monkeypatch):
     assert main(["step", example_file]) == 0
     out = capsys.readouterr().out
     assert "state:" in out and "signals:" in out and "[0]" in out
+
+
+# A and B enter their critical sections unguarded; C only makes the state
+# space larger, so that a small budget truncates it.
+UNGUARDED = (
+    "blocking { noncritA, noncritB }\n"
+    "A = noncritA.enterA.critA.exitA.A\n"
+    "B = noncritB.enterB.critB.exitB.B\n"
+    "C = " + "tick." * 40 + "0\n"
+    "system = A | B | C\n")
+
+
+def test_truncated_safety_reports_a_violation_inside_the_explored_part(
+        tmp_path, capsys):
+    path = tmp_path / "unguarded.ccss"
+    path.write_text(UNGUARDED)
+    assert main(["verify", "--safety", "--max-states", "100",
+                 str(path)]) == 1
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["holds"] is False
+    assert sorted(blob["roles"]) == ["A", "B"]
+    assert blob["witness"] and blob["exhaustive"] is False
+
+
+def test_truncated_safety_without_a_bad_state_is_unknown(capsys):
+    assert main(["verify", "--safety", "--model", "peterson2",
+                 "--max-states", "10"]) == 3
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["holds"] is None and blob["exhaustive"] is False
+
+
+@pytest.mark.parametrize("command, text", [
+    ("parse", "system = " + "(" * 3000 + "0" + ")" * 3000 + "\n"),
+    ("parse", "system = " + "a." * 5000 + "0\n"),
+    ("lts", "system = " + " | ".join(["a.0"] * 3000) + "\n"),
+])
+def test_too_deeply_nested_input_is_a_usage_error(tmp_path, capsys,
+                                                  command, text):
+    path = tmp_path / "deep.ccss"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err

@@ -200,3 +200,22 @@ def test_spot_check_against_brute_force_oracle():
             impl = is_just(lts, env, lasso, engine=engine).just
             orac = oracle_is_just(lts, env, lasso, engine=engine)
             assert impl == orac, (text, lasso)
+
+
+def test_finite_path_completeness_matches_the_whole_term_derivations():
+    """is_complete on a finite path reads the end state's enabled actions
+    from the system unless exploration was truncated; both ways agree
+    with the derivations of the whole state term."""
+    from _randterms import ENV, sample_terms
+    engine = SosEngine(ENV)
+    for term in sample_terms(80):
+        for cap in (1_000, 3):
+            lts = explore(ENV, term, max_states=cap)
+            stems = {lts.initial: ()}
+            for i, t in enumerate(lts.transitions):
+                if t.src in stems and t.tgt not in stems:
+                    stems[t.tgt] = stems[t.src] + (i,)
+            for state, stem in stems.items():
+                want = all(ENV.is_blocking(d.label)
+                           for d in engine.transitions(lts.states[state]))
+                assert is_complete(lts, ENV, Lasso(stem, ())) == want

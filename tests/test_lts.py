@@ -1,6 +1,9 @@
 """State-space exploration, serialization, and the signal encoding."""
 
 import json
+import pathlib
+
+import pytest
 
 from ccss.lts import (
     Lts, encode_signals_as_transitions, explore, export_dot, export_json,
@@ -8,10 +11,15 @@ from ccss.lts import (
 )
 from ccss.bisim import bisimilar
 from ccss.terms import Environment, NIL, Name, Par, Prefix, SignalEmit, act, coact, sig
-from ccss.syntax import parse_term, term_str
+from ccss.syntax import parse, parse_term, term_str
 from ccss import protocols
 
+import _oracle
+from _oracle import term_explore
+from _randterms import ENV as RAND_ENV, sample_terms
+
 ENV = Environment(signals=("s",))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_explore_visits_all_reachable_states():
@@ -98,3 +106,73 @@ def test_reader_self_loop_example_sizes():
         lts = explore(model.env, model.root)
         assert lts.num_states == 2
         assert len(lts.transitions) == 2
+
+
+# -- the skeleton explorer against the whole-term reference ----------------
+
+def assert_identical(env, root, max_states=1_000_000):
+    """Same states, transitions (participants and signal partners
+    included) and emissions, in the same order, truncated alike."""
+    got = explore(env, root, max_states=max_states)
+    want = term_explore(env, root, max_states=max_states)
+    assert got.initial == want.initial
+    assert got.truncated == want.truncated
+    assert got.states == want.states
+    assert got.state_signals == want.state_signals
+    assert got.transitions == want.transitions
+
+
+def benchmark_catalog(monkeypatch):
+    """The models of the benchmark's verify catalog."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    # importing the benchmark narrows the oracle's universe; keep ours
+    monkeypatch.setattr(_oracle, "MAX_UNIVERSE", _oracle.MAX_UNIVERSE)
+    import workloads
+    return [workloads.build(generator, args, flavor)
+            for _, generator, args, flavor in workloads.CATALOG]
+
+
+def test_explore_matches_the_term_explorer_on_bundled_models(monkeypatch):
+    sources = {path.read_text() for path in (ROOT / "models").glob("*.ccss")}
+    sources |= {model.source for model in benchmark_catalog(monkeypatch)}
+    for source in sorted(sources):
+        spec = parse(source)
+        for cap in (1_000_000, 1, 10, 100):
+            assert_identical(spec.env, spec.root, cap)
+
+
+def test_explore_matches_the_term_explorer_on_random_terms():
+    # spawning under a prefix, emissions above a Par, relabelling and
+    # restriction all occur among these terms; the narrow alphabet makes
+    # handshakes and signal reads meet at one Par
+    terms = sample_terms(200, depth=6) + sample_terms(200, alphabet=("a", "b"))
+    for term in terms:
+        for cap in (1_000_000, 1, 3, 10):
+            assert_identical(RAND_ENV, term, cap)
+
+
+def test_explore_matches_the_term_explorer_on_a_spawning_model():
+    env = Environment()
+    env.define(parse_term("Spawn", signals=()).name,
+               parse_term("fork.(Spawn | W)", signals=()))
+    env.define(parse_term("W", signals=()).name,
+               parse_term("work.W", signals=()))
+    for cap in (40, 1, 7, 39):
+        assert_identical(env, parse_term("Spawn", signals=()), cap)
+
+
+@pytest.mark.parametrize("source", [
+    # two derivations of one leaf become equal under a relabelling: the
+    # Par above removes the copy, a relabelling at the root keeps it
+    "system = (a.0 + b.0)[b/a] | 'b.0\n",
+    "system = ((a.0 + b.0) | c.0)[b/a]\n",
+    "system = (((a.0 + b.0) | c.0)[b/a]) | 'b.0\n",
+    # an identifier that unfolds to a Par, and emissions above a Par
+    "A = a.0 | b.0\nsystem = A | 'a.0\n",
+    "signals { s, t }\n"
+    "system = (((a.0 ^ t | b.0) ^ s)[t/s] \\ {a}) | s.0 | t.'a.0 | a.0\n",
+])
+def test_explore_matches_the_term_explorer_on_edge_cases(source):
+    spec = parse(source)
+    for cap in (1_000, 1, 2, 3):
+        assert_identical(spec.env, spec.root, cap)
