@@ -3,14 +3,15 @@
 A lasso (stem + cycle of transition indices) finitely presents an
 ultimately periodic path; an empty cycle presents a finite maximal path.
 Justness is decided by decomposing the path over the static parallel
-structure of the state terms: each parallel leaf either takes part in
-some cycle transition (its projection is infinite) or rests at a fixed
-subterm (its projection is finite).  A bottom-up pass computes, per tree
-node, the minimal set of actions that must be externally blocked for the
-node's projection to be acceptable, plus the minimal set of signals the
-projection keeps emitting, and checks the parallel-composition
-side-conditions on those minimal sets.  All side-conditions are monotone
-in the sets involved, so minimal sets decide the existential question.
+structure of its states, the shape the explorer recorded for each: each
+leaf slot either moves in some cycle transition (its projection is
+infinite) or rests at a fixed subterm (its projection is finite).  A
+bottom-up pass over the shape's nodes computes, per node, the minimal set
+of actions that must be externally blocked for the node's projection to
+be acceptable, plus the minimal set of signals the projection keeps
+emitting, and checks the parallel-composition side-conditions on those
+minimal sets.  All side-conditions are monotone in the sets involved, so
+minimal sets decide the existential question.
 
 The emitting side of a signal-read synchronization contributes an empty
 projection step: reading a signal involves only the reader.
@@ -18,22 +19,14 @@ projection step: reading a signal involves only the reader.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DynamicParallelism
-from .terms import (
-    Action, Environment, Name, Term, SIGNAL, COHANDSHAKE, HANDSHAKE,
-    Par, Restrict, Relabel, SignalEmit, contains_par, leaf_paths, skeleton,
-    subterm_at,
-)
+from .terms import Environment, Term, SIGNAL
 from .sos import SosEngine
-from .lts import Lts
-from .syntax import action_str, name_str, term_str
-
-# how many derivation assignments to try before giving up on alternatives
-MAX_ASSIGNMENTS = 4096
+from .lts import LEAF, PAR, RELABEL, RESTRICT, Lts, Shape
+from .syntax import action_str
 
 
 @dataclass(frozen=True)
@@ -130,30 +123,16 @@ class LeafProjection:
 # --------------------------------------------------------------------------
 # decomposition
 
-def components(leaves, transitions) -> frozenset:
-    """The parallel components, among `leaves` (the leaf addresses of a
-    state on the path), that take part in any of the transitions: the
-    leaf above each participant's address."""
-    out = set()
-    for t in transitions:
-        for address in t.participants:
-            for leaf in leaves:
-                if address[:len(leaf)] == leaf:
-                    out.add(leaf)
-                    break
-            else:
-                raise DynamicParallelism(
-                    f"participant {'/'.join(address)} resolves to no "
-                    "static component")
-    return frozenset(out)
-
-
-def _check_static(engine_terms):
-    first = skeleton(engine_terms[0])
-    for t in engine_terms[1:]:
-        if skeleton(t) != first:
-            raise DynamicParallelism(
-                "parallel structure changes along the path")
+def _static_shape(lts: Lts, states) -> tuple:
+    """The (shape, leaves) of the first state, when all the states share
+    its shape."""
+    if lts.shapes is None:
+        raise ValueError("justness needs an explored system; this one "
+                         "has no state shapes")
+    shape, leaves = lts.shapes[states[0]]
+    if any(lts.shapes[s][0] is not shape for s in states):
+        raise DynamicParallelism("parallel structure changes along the path")
+    return shape, leaves
 
 
 def decompose(lts: Lts, lasso: Lasso):
@@ -162,23 +141,18 @@ def decompose(lts: Lts, lasso: Lasso):
     subterm (the cycle transitions they appear in as signal-read partner
     contribute empty steps)."""
     anchor = lasso.validate(lts)
-    path = lasso.stem + lasso.cycle
-    terms = [lts.states[s] for s in lasso.states(lts)]
-    _check_static(terms)
-    leaves = leaf_paths(terms[0])
-    steps = {leaf: [] for leaf in leaves}
-    for pos, idx in enumerate(path):
-        for leaf in components(leaves, [lts.transitions[idx]]):
-            steps[leaf].append(pos)
+    shape, _ = _static_shape(lts, lasso.states(lts))
+    leaves = lts.shapes[anchor][1]
+    steps = [[] for _ in leaves]
+    for pos, idx in enumerate(lasso.stem + lasso.cycle):
+        for slot in lts.transitions[idx].components:
+            steps[slot].append(pos)
     cycle_start = len(lasso.stem)
     out = []
-    anchor_term = lts.states[anchor]
-    for leaf in leaves:
-        moved = [pos for pos in steps[leaf] if pos >= cycle_start]
-        finite = not moved
-        out.append(LeafProjection(
-            leaf, finite, tuple(steps[leaf]),
-            subterm_at(anchor_term, leaf) if finite else None))
+    for slot, address in enumerate(shape.addresses):
+        finite = not any(pos >= cycle_start for pos in steps[slot])
+        out.append(LeafProjection(address, finite, tuple(steps[slot]),
+                                  leaves[slot] if finite else None))
     return out
 
 
@@ -195,79 +169,56 @@ def minimal_signalling_set(projection: LeafProjection,
 # --------------------------------------------------------------------------
 # bottom-up minimal-set analysis
 
-def _restrict_labels(actions, names):
-    out = set()
-    for a in actions:
-        if not a.is_tau and a.name in names:
-            continue
-        out.add(a)
-    return frozenset(out)
-
-
-def _analyze(term: Term, path: tuple, movers, engine: SosEngine,
-             mode: str):
-    """Returns (witness-or-None, X_min: frozenset[Action],
-    X'_min: frozenset[Name]) for the subtree rooted at `term`."""
-    if isinstance(term, Par):
-        wl, xl, sl = _analyze(term.left, path + ("L",), movers, engine, mode)
-        if wl is not None:
-            return wl, xl, sl
-        wr, xr, sr = _analyze(term.right, path + ("R",), movers, engine, mode)
-        if wr is not None:
-            return wr, xr, sr
-        node = "/".join(path) or "(root)"
-        clash = {a for a in xl if a.is_handshake and a.complement() in xr}
-        if clash:
-            return (Witness(node, "X ∩ Z̄_H ≠ ∅",
-                            tuple(sorted(action_str(a) for a in clash))),
-                    frozenset(), frozenset())
-        if mode == "ccss":
-            reads_l = {a for a in xl if a.kind == SIGNAL and a.name in sr}
-            if reads_l:
-                return (Witness(node, "X ∩ Z′ ≠ ∅",
-                                tuple(sorted(action_str(a) for a in reads_l))),
-                        frozenset(), frozenset())
-            reads_r = {a for a in xr if a.kind == SIGNAL and a.name in sl}
-            if reads_r:
-                return (Witness(node, "X′ ∩ Z ≠ ∅",
-                                tuple(sorted(action_str(a) for a in reads_r))),
-                        frozenset(), frozenset())
-        return None, xl | xr, sl | sr
-    if isinstance(term, Restrict) and contains_par(term.body):
-        w, x, s = _analyze(term.body, path + ("r",), movers, engine, mode)
-        if w is not None:
-            return w, x, s
-        return (None, _restrict_labels(x, term.names),
-                frozenset(n for n in s if n not in term.names))
-    if isinstance(term, Relabel) and contains_par(term.body):
-        w, x, s = _analyze(term.body, path + ("f",), movers, engine, mode)
-        if w is not None:
-            return w, x, s
-        f = term.relabelling
-        return (None, frozenset(f.apply(a) for a in x),
-                frozenset(f.apply_name(n, True) for n in s))
-    if isinstance(term, SignalEmit) and contains_par(term.body):
-        w, x, s = _analyze(term.body, path + ("e",), movers, engine, mode)
-        if w is not None:
-            return w, x, s
-        return None, x, s | {term.signal}
-    # sequential leaf
-    if path in movers:
-        return None, frozenset(), frozenset()
-    enabled = frozenset(d.label for d in engine.transitions(term))
-    emitted = engine.signals(term) if mode == "ccss" else frozenset()
-    return None, enabled, emitted
-
-
-def analyze_configuration(engine: SosEngine, env: Environment,
-                          state_term: Term, movers: frozenset,
+def analyze_configuration(engine: SosEngine, env: Environment, shape: Shape,
+                          leaves: tuple, movers: frozenset,
                           mode: str = "ccss") -> JustnessVerdict:
     """Justness verdict for an ultimately periodic path whose cycle visits
-    `state_term` and moves exactly the leaves in `movers` (all other
-    leaves rest at their subterm of `state_term`)."""
-    witness, x, _ = _analyze(state_term, (), movers, engine, mode)
-    if witness is not None:
-        return JustnessVerdict(False, witness=witness)
+    a state with this shape and these leaves, and moves exactly the slots
+    in `movers` (every other leaf rests at its term).
+
+    One pass over the shape's post-order nodes keeps, per subtree, X_min
+    (the actions it must see blocked) and X'_min (the signals it keeps
+    emitting); the first Par whose side-condition fails is the witness."""
+    stack = []
+    for node in shape.nodes:
+        kind = node[0]
+        if kind == LEAF:
+            term = leaves[node[1]]
+            if node[1] in movers:
+                stack.append((frozenset(), frozenset()))
+            else:
+                stack.append((
+                    frozenset(d.label for d in engine.transitions(term)),
+                    engine.signals(term) if mode == "ccss" else frozenset()))
+        elif kind == PAR:
+            xr, sr = stack.pop()
+            xl, sl = stack.pop()
+            clauses = [("X ∩ Z̄_H ≠ ∅", {a for a in xl if a.is_handshake
+                                         and a.complement() in xr})]
+            if mode == "ccss":
+                clauses += [
+                    ("X ∩ Z′ ≠ ∅",
+                     {a for a in xl if a.kind == SIGNAL and a.name in sr}),
+                    ("X′ ∩ Z ≠ ∅",
+                     {a for a in xr if a.kind == SIGNAL and a.name in sl})]
+            for clause, offending in clauses:
+                if offending:
+                    return JustnessVerdict(False, witness=Witness(
+                        "/".join(node[1]) or "(root)", clause,
+                        tuple(sorted(action_str(a) for a in offending))))
+            stack.append((xl | xr, sl | sr))
+        else:
+            x, s = stack.pop()
+            if kind == RESTRICT:
+                x = frozenset(a for a in x if a.is_tau or a.name not in node[1])
+                s = frozenset(n for n in s if n not in node[1])
+            elif kind == RELABEL:
+                x = frozenset(node[1].apply(a) for a in x)
+                s = frozenset(node[1].apply_name(n, True) for n in s)
+            else:
+                s = s | {node[1]}
+            stack.append((x, s))
+    x = stack[0][0]
     bad = sorted((a for a in x if not env.is_blocking(a)), key=action_str)
     if bad:
         clause = ("finite path enables τ" if bad[0].is_tau else
@@ -290,37 +241,24 @@ def _alternatives(lts: Lts, idx: int):
 
 
 def is_just(lts: Lts, env: Environment, lasso: Lasso, mode: str = "ccss",
-            engine: Optional[SosEngine] = None,
-            max_assignments: int = MAX_ASSIGNMENTS) -> JustnessVerdict:
+            engine: Optional[SosEngine] = None) -> JustnessVerdict:
     """Decide justness of the path presented by the lasso.  When a cycle
-    transition admits several derivations, assignments of derivations are
-    enumerated and the path is just if some assignment is."""
+    transition admits several derivations, the path is just if some
+    choice of derivations is: every distinct set of moving slots is
+    tried, in the order an enumeration of the choices first meets it."""
     engine = engine or SosEngine(env)
-    anchor = lasso.validate(lts)
-    anchor_term = lts.states[anchor]
-    if lasso.terminal:
-        return analyze_configuration(engine, env, anchor_term, frozenset(),
-                                     mode)
-    terms = [lts.states[s] for s in lasso.states(lts)]
-    _check_static(terms[len(lasso.stem):])
-    leaves = leaf_paths(anchor_term)
-    options = [_alternatives(lts, i) for i in lasso.cycle]
-    total = 1
-    for o in options:
-        total *= len(o)
-    if total > max_assignments:
-        options = [[lts.transitions[i]] for i in lasso.cycle]
-    verdict = None
-    seen = set()
-    for choice in itertools.product(*options):
-        movers = components(leaves, choice)
-        if movers in seen:
-            continue
-        seen.add(movers)
-        verdict = analyze_configuration(engine, env, anchor_term, movers,
+    lasso.validate(lts)
+    shape, leaves = _static_shape(lts, lasso.states(lts)[len(lasso.stem):])
+    mover_sets = [frozenset()]
+    for i in lasso.cycle:
+        mover_sets = list(dict.fromkeys(
+            m | t.components for m in mover_sets
+            for t in _alternatives(lts, i)))
+    for movers in mover_sets:
+        verdict = analyze_configuration(engine, env, shape, leaves, movers,
                                         mode)
         if verdict.just:
-            return verdict
+            break
     return verdict
 
 

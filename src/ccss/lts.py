@@ -2,7 +2,9 @@
 
 States are canonical terms; every derivation found by the semantics
 becomes its own transition entry, so a single (source, label, target)
-triple can occur several times with different provenance.
+triple can occur several times with different provenance.  An explored
+system also keeps each state's parallel shape and leaf terms, and each
+transition the leaf slots it moves, for the justness analysis.
 """
 
 from __future__ import annotations
@@ -27,6 +29,19 @@ class Transition:
     tgt: int
     participants: frozenset = frozenset()
     signal_partner: Optional[tuple] = None
+    # slots, in the source state's shape, of the components that move: a
+    # signal read moves only the reader
+    components: frozenset = frozenset()
+
+
+@dataclass(frozen=True, eq=False)
+class Shape:
+    """A state's parallel skeleton: its post-order nodes (see below) and
+    the address of each leaf slot.  Explored states with the same skeleton
+    share one object, so shapes compare by identity."""
+
+    nodes: tuple
+    addresses: tuple
 
 
 @dataclass
@@ -36,6 +51,8 @@ class Lts:
     transitions: list  # of Transition
     state_signals: list  # index -> frozenset of Name
     truncated: bool = False
+    # index -> (Shape, tuple of leaf terms); None unless explored
+    shapes: Optional[list] = None
     _out: Optional[list] = None
 
     def outgoing(self, state: int) -> list:
@@ -67,7 +84,8 @@ def explore(env: Environment, root: Term, max_states: int = 1_000_000,
     start = canonical(env, root)
     skel, leaves = split(start)
     skel.index[leaves] = 0
-    keys = [(skel, leaves)]
+    skeletons = [skel]
+    shapes = [(skel.shape, leaves)]
     states = [start]
     signals = [skel.signals(leaves)]
     transitions = []
@@ -75,8 +93,8 @@ def explore(env: Environment, root: Term, max_states: int = 1_000_000,
     queue = deque([0])
     while queue:
         sid = queue.popleft()
-        skel, leaves = keys[sid]
-        for label, changes, parts, partner, reshapes in \
+        skel, leaves = skeletons[sid], shapes[sid][1]
+        for label, changes, parts, partner, reshapes, comps in \
                 skel.derivations(leaves):
             if reshapes:
                 tskel, tleaves = split(skel.build(leaves, changes))
@@ -91,12 +109,14 @@ def explore(env: Environment, root: Term, max_states: int = 1_000_000,
                     continue
                 tid = len(states)
                 tskel.index[tleaves] = tid
-                keys.append((tskel, tleaves))
+                skeletons.append(tskel)
+                shapes.append((tskel.shape, tleaves))
                 states.append(tskel.build(tleaves))
                 signals.append(tskel.signals(tleaves))
                 queue.append(tid)
-            transitions.append(Transition(sid, label, tid, parts, partner))
-    return Lts(states, 0, transitions, signals, truncated)
+            transitions.append(Transition(sid, label, tid, parts, partner,
+                                          comps))
+    return Lts(states, 0, transitions, signals, truncated, shapes)
 
 
 # -- parallel skeletons -----------------------------------------------------
@@ -106,16 +126,18 @@ def explore(env: Environment, root: Term, max_states: int = 1_000_000,
 # Restrict, Relabel and SignalEmit nodes above a Par.  It is kept as a
 # post-order list of nodes, which is both the program that rebuilds the
 # term from its leaves and, up to the topmost Par, the walk that composes
-# the state's derivations from its leaves' derivations.
+# the state's derivations from its leaves' derivations.  The nodes are
+# (LEAF, slot), (PAR, address), (RESTRICT, names), (RELABEL, relabelling)
+# and (EMIT, signal, address, first slot below, slot after the last).
 
-_LEAF, _PAR, _RESTRICT, _RELABEL, _EMIT = range(5)
+LEAF, PAR, RESTRICT, RELABEL, EMIT = range(5)
 
 
 def _lift(label: Action, ops) -> Optional[Action]:
     """The label as seen above the Restrict/Relabel nodes `ops`
     (innermost first), or None when one of them restricts it."""
     for kind, arg in ops:
-        if kind == _RESTRICT:
+        if kind == RESTRICT:
             if not label.is_tau and label.name in arg:
                 return None
         else:
@@ -126,7 +148,7 @@ def _lift(label: Action, ops) -> Optional[Action]:
 def _lift_name(name: Name, ops) -> Optional[Name]:
     """The emitted signal name as seen above `ops`, or None."""
     for kind, arg in ops:
-        if kind == _RESTRICT:
+        if kind == RESTRICT:
             if name in arg:
                 return None
         else:
@@ -144,6 +166,7 @@ class _Splitter:
         self.skeletons = {}
         self.ids = {}  # label or signal name -> small int, for set tests
         self.label_ids = {}  # label -> (its id, the id it pairs with)
+        self.sets = {}  # see `intern`
 
     def __call__(self, term: Term):
         nodes, leaves, slots, emitted = [], [], [], set()
@@ -154,14 +177,14 @@ class _Splitter:
         while stack:
             item = stack.pop()
             if isinstance(item[0], int):
-                nodes.append(item + (len(leaves),) if item[0] == _EMIT
+                nodes.append(item + (len(leaves),) if item[0] == EMIT
                              else item)
                 continue
             term, path, chain, under_emit = item
             if isinstance(term, Par):
                 if outer is None:
                     outer = len(chain)
-                stack.append((_PAR,))
+                stack.append((PAR, path))
                 stack.append((term.right, path + (STEP_RIGHT,), chain,
                               under_emit))
                 stack.append((term.left, path + (STEP_LEFT,), chain,
@@ -169,13 +192,13 @@ class _Splitter:
             elif (isinstance(term, (Restrict, Relabel, SignalEmit))
                   and contains_par(term.body)):
                 if isinstance(term, Restrict):
-                    op, step = (_RESTRICT, term.names), STEP_RESTRICT
+                    op, step = (RESTRICT, term.names), STEP_RESTRICT
                     inner = chain + (op,)
                 elif isinstance(term, Relabel):
-                    op, step = (_RELABEL, term.relabelling), STEP_RELABEL
+                    op, step = (RELABEL, term.relabelling), STEP_RELABEL
                     inner = chain + (op,)
                 else:
-                    op = (_EMIT, term.signal, path, len(leaves))
+                    op = (EMIT, term.signal, path, len(leaves))
                     step, inner, under_emit = STEP_EMIT, chain, True
                     name = _lift_name(term.signal, chain[::-1])
                     if name is not None:
@@ -183,7 +206,7 @@ class _Splitter:
                 stack.append(op)
                 stack.append((term.body, path + (step,), inner, under_emit))
             else:
-                nodes.append((_LEAF, len(leaves)))
+                nodes.append((LEAF, len(leaves)))
                 leaves.append(term)
                 top = outer or 0  # a leaf without a Par above is the root
                 slots.append((path, chain[top:][::-1], chain[:top][::-1],
@@ -195,16 +218,20 @@ class _Splitter:
                 key, tuple(slots), frozenset(emitted), self)
         return skel, tuple(leaves)
 
-    def move(self, label, changes, parts, reshapes) -> tuple:
+    def move(self, label, changes, parts, reshapes, comps) -> tuple:
         """A non-tau move as the walk holds it: (label id, id of what it
-        synchronizes with, label, changes, participants, reshapes).  A
-        handshake pairs with its complement, a signal read with an
-        emission of its name."""
+        synchronizes with, label, changes, participants, reshapes,
+        components).  A handshake pairs with its complement, a signal
+        read with an emission of its name."""
         pair = self.label_ids.get(label)
         if pair is None:
             want = label.complement() if label.kind != SIGNAL else label.name
             pair = self.label_ids[label] = (self._id(label), self._id(want))
-        return pair + (label, changes, parts, reshapes)
+        return pair + (label, changes, parts, reshapes, comps)
+
+    def intern(self, items: frozenset) -> frozenset:
+        """One object per distinct participant or component set."""
+        return self.sets.setdefault(items, items)
 
     def emitter(self, name, address) -> tuple:
         return (self._id(name), name, address)
@@ -228,14 +255,15 @@ class _Skeleton:
 
     def __init__(self, nodes, slots, emitted, splitter: _Splitter):
         self.nodes = nodes
-        pars = [i for i, node in enumerate(nodes) if node[0] == _PAR]
+        self.shape = Shape(nodes, tuple(slot[0] for slot in slots))
+        pars = [i for i, node in enumerate(nodes) if node[0] == PAR]
         self.walk = nodes[:pars[-1] + 1] if pars else nodes
         self.has_par = bool(pars)
         # per slot: (address, Restrict/Relabel nodes between the leaf and
         # the topmost Par, those above the topmost Par, under a SignalEmit)
         self.slots = slots
         self.outer_relabels = tuple(op for op in slots[0][2]
-                                    if op[0] == _RELABEL)
+                                    if op[0] == RELABEL)
         self.emitted = emitted  # root names of the skeleton's own emissions
         self.splitter = splitter
         self.leaf_cache = [{} for _ in slots]
@@ -252,14 +280,14 @@ class _Skeleton:
         stack = []
         for node in self.nodes:
             kind = node[0]
-            if kind == _LEAF:
+            if kind == LEAF:
                 stack.append(leaves[node[1]])
-            elif kind == _PAR:
+            elif kind == PAR:
                 right = stack.pop()
                 stack[-1] = Par(stack[-1], right)
-            elif kind == _RESTRICT:
+            elif kind == RESTRICT:
                 stack[-1] = Restrict(stack[-1], node[1])
-            elif kind == _RELABEL:
+            elif kind == RELABEL:
                 stack[-1] = Relabel(stack[-1], node[1])
             elif not any(node[3] <= slot < node[4] for slot, _ in changes):
                 stack[-1] = SignalEmit(stack[-1], node[1])
@@ -280,17 +308,19 @@ class _Skeleton:
         offered ids, wanted ids, signal names seen at the root).
 
         A record is (label at the topmost Par, changes, participants,
-        signal partner, reshapes), where changes are (slot, target)
-        pairs and `reshapes` marks a target whose skeleton differs."""
+        signal partner, reshapes, components), where changes are (slot,
+        target) pairs, `reshapes` marks a target whose skeleton differs
+        and components is the set of slots that move."""
         cached = self.leaf_cache[slot].get(term)
         if cached is not None:
             return cached
         split, engine = self.splitter, self.splitter.engine
         path, inner, outer, under_emit = self.slots[slot]
+        comps = split.intern(frozenset((slot,)))
         records, handshakes, reads = [], [], []
         for d in engine.transitions(term):
-            parts = (frozenset(path + p for p in d.participants) if path
-                     else d.participants)
+            parts = split.intern(frozenset(path + p for p in d.participants)
+                                 if path else d.participants)
             partner = (None if d.signal_partner is None
                        else path + d.signal_partner)
             changes = ((slot, d.target),)
@@ -298,10 +328,11 @@ class _Skeleton:
             # without a Par the walk reads only the records
             if self.has_par and not d.label.is_tau:
                 (reads if d.label.kind == SIGNAL else handshakes).append(
-                    split.move(d.label, changes, parts, reshapes))
+                    split.move(d.label, changes, parts, reshapes, comps))
             top = _lift(d.label, inner)
             if top is not None and _lift(top, outer) is not None:
-                records.append((top, changes, parts, partner, reshapes))
+                records.append((top, changes, parts, partner, reshapes,
+                                comps))
         pairs = engine.emitters(term)
         names = frozenset(_lift_name(name, inner + outer)
                           for name, _ in pairs) - {None}
@@ -332,12 +363,12 @@ class _Skeleton:
         split = self.splitter
         for node in self.walk:
             kind = node[0]
-            if kind == _LEAF:
+            if kind == LEAF:
                 slot = node[1]
                 leaf = self._leaf(slot, leaves[slot])
                 out.extend(leaf[0])
                 stack.append(leaf[1:6])
-            elif kind == _PAR:
+            elif kind == PAR:
                 rhs, rrd, remit, roffer, rwant = stack.pop()
                 lhs, lrd, lemit, loffer, lwant = stack.pop()
                 left_hits = lwant & roffer
@@ -348,8 +379,10 @@ class _Skeleton:
                             by_id.setdefault(m[0], []).append(m)
                     for m in lhs:
                         for p in by_id.get(m[1], ()):
-                            out.append((TAU, m[3] + p[3], m[4] | p[4], None,
-                                        m[5] or p[5]))
+                            out.append((TAU, m[3] + p[3],
+                                        split.intern(m[4] | p[4]), None,
+                                        m[5] or p[5],
+                                        split.intern(m[6] | p[6])))
                 for readers, emitters, hits in (
                         (lrd, remit, left_hits), (rrd, lemit, rwant & loffer)):
                     if not hits:
@@ -358,16 +391,17 @@ class _Skeleton:
                         if m[1] in hits:
                             for e in emitters:
                                 if e[0] == m[1]:
-                                    out.append((TAU, m[3], m[4], e[2], m[5]))
+                                    out.append((TAU, m[3], m[4], e[2], m[5],
+                                                m[6]))
                 stack.append((lhs + rhs, lrd + rrd, lemit + remit,
                               loffer | roffer, lwant | rwant))
-            elif kind == _EMIT:
+            elif kind == EMIT:
                 hs, rd, emitters, offer, want = stack.pop()
                 e = split.emitter(node[1], node[2])
                 stack.append((hs, rd, [e] + emitters, offer | {e[0]}, want))
             else:
                 hs, rd, emitters, _, _ = stack.pop()
-                if kind == _RESTRICT:
+                if kind == RESTRICT:
                     hidden = node[1]
                     hs = [m for m in hs if m[2].name not in hidden]
                     rd = [m for m in rd if m[2].name not in hidden]
@@ -397,12 +431,13 @@ def encode_signals_as_transitions(lts: Lts) -> Lts:
         if label.kind == SIGNAL:
             label = Action(HANDSHAKE, label.name)
         new_transitions.append(Transition(t.src, label, t.tgt,
-                                          t.participants, t.signal_partner))
+                                          t.participants, t.signal_partner,
+                                          t.components))
     for sid, emitted in enumerate(lts.state_signals):
         for name in sorted(emitted, key=str):
             new_transitions.append(Transition(sid, Action(COHANDSHAKE, name), sid))
     return Lts(list(lts.states), lts.initial, new_transitions,
-               [frozenset() for _ in lts.states], lts.truncated)
+               [frozenset() for _ in lts.states], lts.truncated, lts.shapes)
 
 
 # -- serialization ----------------------------------------------------------

@@ -519,25 +519,6 @@ def subterm_at(term: Term, path: tuple) -> Term:
     return term
 
 
-def skeleton(term: Term):
-    """The parallel structure of a term, used to detect dynamic spawning.
-
-    A maximal parallel-free subtree collapses to a single leaf marker; the
-    restriction sets, relabellings and signal emissions above parallel
-    compositions are part of the skeleton because path decomposition
-    depends on them.
-    """
-    if isinstance(term, Par):
-        return (STEP_LEFT, skeleton(term.left), skeleton(term.right))
-    if isinstance(term, Restrict) and contains_par(term.body):
-        return (STEP_RESTRICT, term.names, skeleton(term.body))
-    if isinstance(term, Relabel) and contains_par(term.body):
-        return (STEP_RELABEL, term.relabelling, skeleton(term.body))
-    if isinstance(term, SignalEmit) and contains_par(term.body):
-        return (STEP_EMIT, term.signal, skeleton(term.body))
-    return "."
-
-
 def canonical(env: Environment, term: Term) -> Term:
     """Normal form used for state identity: indexed sums expanded and
     identifier aliases (equations whose body is again an identifier)

@@ -1,9 +1,9 @@
 """Safety and liveness verdicts for mutual-exclusion models.
 
-Safety is exhaustive reachability: no reachable (non-excluded) state may
-have two roles inside the critical section at once.  When exploration is
-truncated, a bad state inside the explored part is still a violation;
-finding none leaves the verdict unknown.
+Safety is exhaustive reachability: no state reachable without entering
+an excluded state may have two roles inside the critical section at
+once.  When exploration is truncated, a bad state inside the explored
+part is still a violation; finding none leaves the verdict unknown.
 
 Liveness ("every noncrit is eventually followed by crit") is checked per
 role by searching for a complete, just counterexample lasso whose cycle
@@ -15,8 +15,8 @@ removes constraints.  Hence if any cycle inside an SCC is just, the
 cycle that moves every component touched by the SCC is just too, and the
 per-SCC configuration (touched components moving, all others resting at
 their — necessarily constant — subterms) decides the existence question
-exactly.  Components are resolved per SCC, against the leaves of the
-SCC's own anchor state, so components spawned before the cycle count.
+exactly.  Components are the leaf slots of the SCC's own shape (every
+state of an SCC has one), so components spawned before the cycle count.
 Terminal violations (a maximal state with only blocking actions enabled
 while a role is stuck mid-protocol) are checked separately.  The search
 is exhaustive whenever exploration was not truncated.  Every witness
@@ -32,12 +32,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .lts import Lts, explore
-from .justness import (
-    Lasso, analyze_configuration, components, is_complete, is_just,
-)
+from .justness import Lasso, analyze_configuration, is_complete, is_just
 from .protocols import ProtocolModel
 from .sos import SosEngine
-from .terms import leaf_paths, skeleton, subterm_at
 from .syntax import action_str
 
 
@@ -138,9 +135,9 @@ def _path(lts: Lts, source: int, goals, allowed) -> Optional[list]:
 
 def check_safety(model: ProtocolModel,
                  max_states: int = 1_000_000) -> SafetyVerdict:
-    """A bad state inside the explored part is a real violation even when
-    exploration was truncated; otherwise a truncated search gives an
-    unknown verdict (`holds` None)."""
+    """A bad state reachable without entering an excluded state is a real
+    violation even when exploration was truncated; otherwise a truncated
+    search gives an unknown verdict (`holds` None)."""
     ws = _prepare(model, max_states)
     exhaustive = not ws.lts.truncated
     bad = set()
@@ -151,11 +148,11 @@ def check_safety(model: ProtocolModel,
         if len(inside) >= 2:
             bad.add(sid)
             bad_roles[sid] = tuple(inside)
-    if not bad:
+    stem = ws.stem(bad) if bad else None
+    if stem is None:
         return SafetyVerdict(True if exhaustive else None,
                              excluded_states=len(ws.excluded),
                              exhaustive=exhaustive)
-    stem = ws.stem(bad)
     target = (ws.lts.transitions[stem[-1]].tgt if stem else ws.lts.initial)
     return SafetyVerdict(False, Lasso(tuple(stem), ()), bad_roles[target],
                          len(ws.excluded), exhaustive)
@@ -238,14 +235,13 @@ def check_liveness(model: ProtocolModel,
     config_cache = {}
     unconfirmed = None  # role of the first witness that is_just rejected
 
-    def config_just(anchor_term, leaves, movers):
-        resting = tuple(
-            (leaf, subterm_at(anchor_term, leaf))
-            for leaf in leaves if leaf not in movers)
-        key = (skeleton(anchor_term), movers, resting)
+    def config_just(shape, leaves, movers):
+        resting = tuple(term for slot, term in enumerate(leaves)
+                        if slot not in movers)
+        key = (shape, movers, resting)
         if key not in config_cache:
             config_cache[key] = analyze_configuration(
-                ws.engine, env, anchor_term, movers, mode)
+                ws.engine, env, shape, leaves, movers, mode)
         return config_cache[key]
 
     for role in model.roles:
@@ -264,7 +260,6 @@ def check_liveness(model: ProtocolModel,
             if not edges:
                 continue
             anchor = min(comp_set)
-            anchor_term = lts.states[anchor]
             # the role must be stuck mid-protocol on this cycle
             noncrit_edges = [i for i in edges
                              if trans[i].label == role.noncrit]
@@ -272,11 +267,12 @@ def check_liveness(model: ProtocolModel,
                               if model.pending(lts.states[s], role)}
             if not noncrit_edges and not pending_states:
                 continue
-            # every state of the SCC has the anchor's parallel structure:
-            # a Par never disappears, so none can appear on a cycle either
-            leaves = leaf_paths(anchor_term)
-            touched = components(leaves, (trans[i] for i in edges))
-            verdict = config_just(anchor_term, leaves, touched)
+            # every state of the SCC has the anchor's shape: a Par never
+            # disappears, so none can appear on a cycle either
+            shape, leaves = lts.shapes[anchor]
+            touched = frozenset().union(*(trans[i].components
+                                          for i in edges))
+            verdict = config_just(shape, leaves, touched)
             if not verdict.just:
                 continue
             # prefer informative witnesses: cycles over dead ends, then
@@ -285,11 +281,12 @@ def check_liveness(model: ProtocolModel,
             other_crits = len({trans[i].label for i in edges
                                if any(trans[i].label == r.crit
                                       for r in model.roles if r is not role)})
-            role_rests = role.leaf not in touched
+            role_rests = role.leaf not in {shape.addresses[slot]
+                                           for slot in touched}
             score = (1, other_crits, role_rests)
             candidates.append((score, "cycle",
-                               (comp_set, edges, leaves, anchor,
-                                noncrit_edges, pending_states)))
+                               (comp_set, edges, anchor, noncrit_edges,
+                                pending_states)))
         # terminal violations: a maximal, only-blocking state reached
         # while the role is still mid-protocol
         for sid in ws.ok_states:
@@ -312,20 +309,19 @@ def check_liveness(model: ProtocolModel,
                     "violated", exhaustive=True, role=role.name,
                     counterexample=(lasso, verdict),
                     excluded_states=len(ws.excluded))
-            comp_set, edges, leaves, anchor, noncrit_edges, pending = payload
+            comp_set, edges, anchor, noncrit_edges, pending = payload
             # build a witness cycle covering every touched component
             required = []
-            covered = set()
+            covered = frozenset()
             if noncrit_edges and not pending:
                 required.append(noncrit_edges[0])
-                covered |= components(leaves, [trans[noncrit_edges[0]]])
+                covered = trans[noncrit_edges[0]].components
             elif pending:
                 anchor = min(pending)
             for i in edges:
-                extra = components(leaves, [trans[i]])
-                if extra - covered:
+                if trans[i].components - covered:
                     required.append(i)
-                    covered |= extra
+                    covered |= trans[i].components
             walk = _cycle_through(
                 lts, lambda i: allowed(i) and trans[i].tgt in comp_set,
                 anchor, required)

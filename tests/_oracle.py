@@ -29,7 +29,9 @@ and only meant for systems with a handful of actions.
 `naive_bisimilar` re-decides strong bisimilarity as a greatest fixpoint
 over the full relation, the reference for partition refinement.
 `term_explore` explores whole state terms, one SOS call per state, the
-reference for the skeleton explorer `ccss.lts.explore`.
+reference for the skeleton explorer `ccss.lts.explore`.  It resolves each
+transition's components by address prefix: the leaf above each
+participant.
 """
 
 from __future__ import annotations
@@ -272,7 +274,7 @@ def term_explore(env, root, max_states=1_000_000, engine=None):
 
     from ccss.lts import Lts, Transition
     from ccss.sos import SosEngine
-    from ccss.terms import canonical
+    from ccss.terms import canonical, leaf_paths
 
     engine = engine or SosEngine(env)
     start = canonical(env, root)
@@ -284,6 +286,7 @@ def term_explore(env, root, max_states=1_000_000, engine=None):
     queue = deque([0])
     while queue:
         sid = queue.popleft()
+        leaves = leaf_paths(states[sid])
         for d in engine.transitions(states[sid]):
             tgt = d.target
             tid = index.get(tgt)
@@ -296,6 +299,11 @@ def term_explore(env, root, max_states=1_000_000, engine=None):
                 states.append(tgt)
                 signals.append(engine.signals(tgt))
                 queue.append(tid)
+            components = frozenset(
+                next(slot for slot, leaf in enumerate(leaves)
+                     if address[:len(leaf)] == leaf)
+                for address in d.participants)
             transitions.append(Transition(sid, d.label, tid,
-                                          d.participants, d.signal_partner))
+                                          d.participants, d.signal_partner,
+                                          components))
     return Lts(states, 0, transitions, signals, truncated)

@@ -145,6 +145,31 @@ def test_truncated_safety_without_a_bad_state_is_unknown(capsys):
     assert blob["holds"] is None and blob["exhaustive"] is False
 
 
+# A reaches its critical section only through its overflow state, which
+# safety sets aside; C only makes the state space larger.
+OVERFLOW_ONLY = (
+    "A = noncritA.overflow.critA.exitA.A\n"
+    "B = noncritB.critB.exitB.B\n"
+    "C = c.c.c.c.0\n"
+    "system = A | B | C\n")
+
+
+@pytest.mark.parametrize("cap, code, holds", [
+    (None, 0, True),
+    (31, 3, None),  # the one bad state explored is behind an excluded one
+])
+def test_safety_ignores_bad_states_reachable_only_through_excluded_ones(
+        tmp_path, capsys, cap, code, holds):
+    path = tmp_path / "overflow.ccss"
+    path.write_text(OVERFLOW_ONLY)
+    extra = [] if cap is None else ["--max-states", str(cap)]
+    assert main(["verify", "--safety", str(path)] + extra) == code
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["holds"] is holds and blob["witness"] is None
+    assert blob["excludedStates"] > 0
+    assert blob.get("exhaustive", True) is (cap is None)
+
+
 @pytest.mark.parametrize("command, text", [
     ("parse", "system = " + "(" * 3000 + "0" + ")" * 3000 + "\n"),
     ("parse", "system = " + "a." * 5000 + "0\n"),

@@ -13,7 +13,7 @@ from ccss.justness import (
 from ccss.lts import explore
 from ccss.sos import SosEngine
 from ccss.syntax import parse_term
-from ccss.terms import Environment, leaf_paths
+from ccss.terms import Environment
 from ccss import protocols
 
 from _lassos import enumerate_lassos
@@ -128,6 +128,28 @@ def test_dynamic_parallelism_is_reported():
     assert not is_just(lts, env, Lasso((fork,), (work,))).just
 
 
+def test_justness_refuses_a_system_without_shapes():
+    """An imported system keeps no parallel structure to decompose."""
+    from ccss.lts import export_json, import_json
+    model = protocols.example2()
+    lts, rho = _reader_lasso(model)
+    with pytest.raises(ValueError, match="no state shapes"):
+        is_just(import_json(export_json(lts)), model.env, rho)
+
+
+@pytest.mark.parametrize("copies", [12, 13])
+def test_long_cycles_with_two_derivations_per_step_are_just(copies):
+    """Each step of `A | A` is the left or the right A doing a; choosing
+    both over the cycle moves both, whatever the cycle's length."""
+    env = Environment()
+    env.define(parse_term("A", signals=()).name, parse_term("a.A", signals=()))
+    lts = explore(env, parse_term("A | A", signals=()))
+    assert lts.num_states == 1 and len(lts.transitions) == 2
+    verdict = is_just(lts, env, Lasso((), (0,) * copies))
+    assert verdict.just
+    assert verdict.minimal_y == frozenset()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_suffix_closure_justness_is_stable_under_advance(seed):
@@ -159,15 +181,14 @@ def test_configuration_justness_is_monotone_in_the_mover_set(seed):
     from _randterms import ENV
     term = random_term(rng, depth=4, alphabet=("a", "b", "c"))
     engine = SosEngine(ENV)
-    from ccss.terms import canonical
-    state = canonical(ENV, term)
-    leaves = leaf_paths(state)
+    shape, leaves = explore(ENV, term, max_states=1, engine=engine).shapes[0]
     if len(leaves) < 2:
         return
-    chosen = frozenset(rng.sample(list(leaves), rng.randint(0, len(leaves) - 1)))
-    bigger = chosen | {rng.choice([l for l in leaves if l not in chosen])}
-    small = analyze_configuration(engine, ENV, state, chosen)
-    big = analyze_configuration(engine, ENV, state, bigger)
+    slots = range(len(leaves))
+    chosen = frozenset(rng.sample(slots, rng.randint(0, len(leaves) - 1)))
+    bigger = chosen | {rng.choice([s for s in slots if s not in chosen])}
+    small = analyze_configuration(engine, ENV, shape, leaves, chosen)
+    big = analyze_configuration(engine, ENV, shape, leaves, bigger)
     if small.just:
         assert big.just
         assert big.minimal_y <= small.minimal_y

@@ -10,7 +10,10 @@ from ccss.lts import (
     import_json,
 )
 from ccss.bisim import bisimilar
-from ccss.terms import Environment, NIL, Name, Par, Prefix, SignalEmit, act, coact, sig
+from ccss.terms import (
+    Environment, NIL, Name, Par, Prefix, SignalEmit, act, coact, leaf_paths,
+    sig, subterm_at,
+)
 from ccss.syntax import parse, parse_term, term_str
 from ccss import protocols
 
@@ -111,8 +114,9 @@ def test_reader_self_loop_example_sizes():
 # -- the skeleton explorer against the whole-term reference ----------------
 
 def assert_identical(env, root, max_states=1_000_000):
-    """Same states, transitions (participants and signal partners
-    included) and emissions, in the same order, truncated alike."""
+    """Same states, transitions (participants, signal partners and
+    components included) and emissions, in the same order, truncated
+    alike; and each state's shape holds its leaves and their addresses."""
     got = explore(env, root, max_states=max_states)
     want = term_explore(env, root, max_states=max_states)
     assert got.initial == want.initial
@@ -120,6 +124,9 @@ def assert_identical(env, root, max_states=1_000_000):
     assert got.states == want.states
     assert got.state_signals == want.state_signals
     assert got.transitions == want.transitions
+    for state, (shape, leaves) in zip(got.states, got.shapes, strict=True):
+        assert shape.addresses == leaf_paths(state)
+        assert leaves == tuple(subterm_at(state, p) for p in shape.addresses)
 
 
 def benchmark_catalog(monkeypatch):
