@@ -271,6 +271,11 @@ def main(argv=None) -> int:
         return _fail(f"{type(exc).__name__}: {exc}")
     except RecursionError:
         return _fail("input nested too deeply to process")
+    except BrokenPipeError:
+        # the reader stopped early (`ccss lts FILE | head`); point stdout
+        # at the null device so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from typing import Optional
 from .errors import DynamicParallelism
 from .terms import Environment, Term, SIGNAL
 from .sos import SosEngine
-from .lts import LEAF, PAR, RELABEL, RESTRICT, Lts, Shape
+from .lts import LEAF, PAR, RELABEL, RESTRICT, Lts, Shape, State
 from .syntax import action_str
 
 
@@ -123,16 +123,15 @@ class LeafProjection:
 # --------------------------------------------------------------------------
 # decomposition
 
-def _static_shape(lts: Lts, states) -> tuple:
-    """The (shape, leaves) of the first state, when all the states share
-    its shape."""
-    if lts.shapes is None:
+def _static_shape(lts: Lts, states) -> State:
+    """The first state, when all the states share its shape."""
+    first = lts.states[states[0]]
+    if not isinstance(first, State):
         raise ValueError("justness needs an explored system; this one "
                          "has no state shapes")
-    shape, leaves = lts.shapes[states[0]]
-    if any(lts.shapes[s][0] is not shape for s in states):
+    if any(lts.states[s].shape is not first.shape for s in states):
         raise DynamicParallelism("parallel structure changes along the path")
-    return shape, leaves
+    return first
 
 
 def decompose(lts: Lts, lasso: Lasso):
@@ -142,7 +141,7 @@ def decompose(lts: Lts, lasso: Lasso):
     contribute empty steps)."""
     anchor = lasso.validate(lts)
     shape, _ = _static_shape(lts, lasso.states(lts))
-    leaves = lts.shapes[anchor][1]
+    leaves = lts.states[anchor].leaves
     steps = [[] for _ in leaves]
     for pos, idx in enumerate(lasso.stem + lasso.cycle):
         for slot in lts.transitions[idx].components:
@@ -277,5 +276,5 @@ def is_complete(lts: Lts, env: Environment, lasso: Lasso,
                        for i in lts.outgoing(anchor))
         engine = engine or SosEngine(env)
         return all(env.is_blocking(d.label)
-                   for d in engine.transitions(lts.states[anchor]))
+                   for d in engine.transitions(lts.term(anchor)))
     return is_just(lts, env, lasso, mode, engine).just

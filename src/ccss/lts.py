@@ -1,10 +1,10 @@
 """Labelled transition systems: exploration, encoding, export and import.
 
-States are canonical terms; every derivation found by the semantics
-becomes its own transition entry, so a single (source, label, target)
-triple can occur several times with different provenance.  An explored
-system also keeps each state's parallel shape and leaf terms, and each
-transition the leaf slots it moves, for the justness analysis.
+An explored state is its parallel shape and its leaf terms (`State`);
+its canonical term is built on demand (`Lts.term`).  Every derivation
+found by the semantics becomes its own transition entry, so a single
+(source, label, target) triple can occur several times with different
+provenance; each records the leaf slots it moves, for justness.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .terms import (
     Action, COHANDSHAKE, Environment, HANDSHAKE, INTERNAL, Name, SIGNAL,
@@ -37,22 +37,52 @@ class Transition:
 @dataclass(frozen=True, eq=False)
 class Shape:
     """A state's parallel skeleton: its post-order nodes (see below) and
-    the address of each leaf slot.  Explored states with the same skeleton
-    share one object, so shapes compare by identity."""
+    its leaf slots by address, both ways.  Explored states with the same
+    skeleton share one object, so shapes compare by identity."""
 
     nodes: tuple
     addresses: tuple
+    slots: dict
+
+    def term(self, leaves, changes=()) -> Term:
+        """The term with these leaves; with `changes` ((slot, term)
+        pairs) applied, and every SignalEmit above a changed leaf dropped,
+        as taking any action under an emission forgets it."""
+        if changes:
+            leaves = list(leaves)
+            for slot, term in changes:
+                leaves[slot] = term
+        stack = []
+        for node in self.nodes:
+            kind = node[0]
+            if kind == LEAF:
+                stack.append(leaves[node[1]])
+            elif kind == PAR:
+                right = stack.pop()
+                stack[-1] = Par(stack[-1], right)
+            elif kind == RESTRICT:
+                stack[-1] = Restrict(stack[-1], node[1])
+            elif kind == RELABEL:
+                stack[-1] = Relabel(stack[-1], node[1])
+            elif not any(node[3] <= slot < node[4] for slot, _ in changes):
+                stack[-1] = SignalEmit(stack[-1], node[1])
+        return stack[0]
+
+
+class State(NamedTuple):
+    """An explored state: its shape and the terms at its leaf slots."""
+
+    shape: Shape
+    leaves: tuple
 
 
 @dataclass
 class Lts:
-    states: list  # index -> Term (or opaque key for imported systems)
+    states: list  # index -> State (or opaque key for imported systems)
     initial: int
     transitions: list  # of Transition
     state_signals: list  # index -> frozenset of Name
     truncated: bool = False
-    # index -> (Shape, tuple of leaf terms); None unless explored
-    shapes: Optional[list] = None
     _out: Optional[list] = None
 
     def outgoing(self, state: int) -> list:
@@ -70,6 +100,11 @@ class Lts:
     def num_states(self) -> int:
         return len(self.states)
 
+    def term(self, state: int):
+        """The state's term, or the key an imported system stored."""
+        s = self.states[state]
+        return s.shape.term(s.leaves) if isinstance(s, State) else s
+
 
 def explore(env: Environment, root: Term, max_states: int = 1_000_000,
             engine: Optional[SosEngine] = None) -> Lts:
@@ -77,27 +112,25 @@ def explore(env: Environment, root: Term, max_states: int = 1_000_000,
 
     Each state is held as its parallel skeleton and the tuple of its
     leaves; its derivations are exactly those of
-    `SosEngine.transitions` on the whole state term, in the same order,
-    and the state term itself is built only when the state is new."""
+    `SosEngine.transitions` on the whole state term, in the same order.
+    A term is built only for a move that reshapes the skeleton."""
     engine = engine or SosEngine(env)
     split = _Splitter(engine)
-    start = canonical(env, root)
-    skel, leaves = split(start)
+    skel, leaves = split(canonical(env, root))
     skel.index[leaves] = 0
     skeletons = [skel]
-    shapes = [(skel.shape, leaves)]
-    states = [start]
+    states = [State(skel.shape, leaves)]
     signals = [skel.signals(leaves)]
     transitions = []
     truncated = False
     queue = deque([0])
     while queue:
         sid = queue.popleft()
-        skel, leaves = skeletons[sid], shapes[sid][1]
+        skel, leaves = skeletons[sid], states[sid].leaves
         for label, changes, parts, partner, reshapes, comps in \
                 skel.derivations(leaves):
             if reshapes:
-                tskel, tleaves = split(skel.build(leaves, changes))
+                tskel, tleaves = split(skel.shape.term(leaves, changes))
             else:
                 tskel, tleaves = skel, leaves
                 for slot, term in changes:
@@ -110,13 +143,12 @@ def explore(env: Environment, root: Term, max_states: int = 1_000_000,
                 tid = len(states)
                 tskel.index[tleaves] = tid
                 skeletons.append(tskel)
-                shapes.append((tskel.shape, tleaves))
-                states.append(tskel.build(tleaves))
+                states.append(State(tskel.shape, tleaves))
                 signals.append(tskel.signals(tleaves))
                 queue.append(tid)
             transitions.append(Transition(sid, label, tid, parts, partner,
                                           comps))
-    return Lts(states, 0, transitions, signals, truncated, shapes)
+    return Lts(states, 0, transitions, signals, truncated)
 
 
 # -- parallel skeletons -----------------------------------------------------
@@ -254,8 +286,9 @@ class _Skeleton:
     states that have this skeleton (leaf tuple -> state id)."""
 
     def __init__(self, nodes, slots, emitted, splitter: _Splitter):
-        self.nodes = nodes
-        self.shape = Shape(nodes, tuple(slot[0] for slot in slots))
+        addresses = tuple(slot[0] for slot in slots)
+        self.shape = Shape(nodes, addresses,
+                           {a: i for i, a in enumerate(addresses)})
         pars = [i for i, node in enumerate(nodes) if node[0] == PAR]
         self.walk = nodes[:pars[-1] + 1] if pars else nodes
         self.has_par = bool(pars)
@@ -268,30 +301,6 @@ class _Skeleton:
         self.splitter = splitter
         self.leaf_cache = [{} for _ in slots]
         self.index = {}
-
-    def build(self, leaves, changes=()) -> Term:
-        """The term with these leaves; with `changes` ((slot, term)
-        pairs) applied, and every SignalEmit above a changed leaf dropped,
-        as taking any action under an emission forgets it."""
-        if changes:
-            leaves = list(leaves)
-            for slot, term in changes:
-                leaves[slot] = term
-        stack = []
-        for node in self.nodes:
-            kind = node[0]
-            if kind == LEAF:
-                stack.append(leaves[node[1]])
-            elif kind == PAR:
-                right = stack.pop()
-                stack[-1] = Par(stack[-1], right)
-            elif kind == RESTRICT:
-                stack[-1] = Restrict(stack[-1], node[1])
-            elif kind == RELABEL:
-                stack[-1] = Relabel(stack[-1], node[1])
-            elif not any(node[3] <= slot < node[4] for slot, _ in changes):
-                stack[-1] = SignalEmit(stack[-1], node[1])
-        return stack[0]
 
     def signals(self, leaves) -> frozenset:
         """The signal names the state emits."""
@@ -437,7 +446,7 @@ def encode_signals_as_transitions(lts: Lts) -> Lts:
         for name in sorted(emitted, key=str):
             new_transitions.append(Transition(sid, Action(COHANDSHAKE, name), sid))
     return Lts(list(lts.states), lts.initial, new_transitions,
-               [frozenset() for _ in lts.states], lts.truncated, lts.shapes)
+               [frozenset() for _ in lts.states], lts.truncated)
 
 
 # -- serialization ----------------------------------------------------------
@@ -468,9 +477,9 @@ def export_json(lts: Lts, state_str=str) -> str:
         "truncated": lts.truncated,
         "states": [
             {"id": i,
-             "term": state_str(s),
+             "term": state_str(lts.term(i)),
              "signals": [_name_json(n) for n in sorted(lts.state_signals[i], key=str)]}
-            for i, s in enumerate(lts.states)
+            for i in range(lts.num_states)
         ],
         "transitions": [
             {"src": t.src, "label": _label_json(t.label), "tgt": t.tgt,
@@ -507,12 +516,12 @@ def import_json(text: str) -> Lts:
 
 def export_dot(lts: Lts, state_str=str) -> str:
     lines = ["digraph lts {", "  rankdir=LR;", '  node [shape=circle];']
-    for i, s in enumerate(lts.states):
+    for i in range(lts.num_states):
         emitted = lts.state_signals[i]
         extra = ("\\n^" + ",".join(str(n) for n in sorted(emitted, key=str))
                  if emitted else "")
         shape = ' peripheries=2' if i == lts.initial else ""
-        lines.append(f'  s{i} [label="{_dot_escape(state_str(s))}{extra}"{shape}];')
+        lines.append(f'  s{i} [label="{_dot_escape(state_str(lts.term(i)))}{extra}"{shape}];')
     for t in lts.transitions:
         lines.append(f'  s{t.src} -> s{t.tgt} [label="{_dot_escape(str(t.label))}"];')
     lines.append("}")

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ParameterOutOfRange
+from .errors import DynamicParallelism, ParameterOutOfRange
 from .terms import (
     Action, Environment, Ident, Name, Term, act, leaf_paths, subterm_at,
 )
 from .syntax import SpecFile, parse
-from .lts import Lts, explore
+from .lts import Lts, State, explore
 from .sos import SosEngine
 
 FLAVORS = ("ccs", "ccss")
@@ -51,18 +51,31 @@ class ProtocolModel:
         """Justness mode matching the variable flavor."""
         return "ccss" if self.meta.get("flavor", "ccss") == "ccss" else "ccs"
 
-    def excluded(self, state_term: Term) -> bool:
+    def excluded(self, state: State) -> bool:
         """Whether the state is outside the intended model (overflow)."""
-        return any(
-            role.overflow_terms
-            and subterm_at(state_term, role.leaf) in role.overflow_terms
-            for role in self.roles)
+        return any(role.overflow_terms
+                   and _component(state, role) in role.overflow_terms
+                   for role in self.roles)
 
-    def in_critical(self, state_term: Term, role: Role) -> bool:
-        return subterm_at(state_term, role.leaf) in role.critical_terms
+    def in_critical(self, state: State, role: Role) -> bool:
+        return _component(state, role) in role.critical_terms
 
-    def pending(self, state_term: Term, role: Role) -> bool:
-        return subterm_at(state_term, role.leaf) in role.pending_terms
+    def pending(self, state: State, role: Role) -> bool:
+        return _component(state, role) in role.pending_terms
+
+
+def _component(state: State, role: Role) -> Term:
+    """The leaf at the role's address; once the role's component has
+    spawned, the subterm there."""
+    shape, leaves = state
+    if role.leaf in shape.slots:
+        return leaves[shape.slots[role.leaf]]
+    depth = len(role.leaf)
+    if not any(a[:depth] == role.leaf for a in shape.addresses):
+        raise DynamicParallelism(f"role {role.name}: no component at "
+                                 f"{'/'.join(role.leaf)} once the emission "
+                                 "above it is dropped")
+    return subterm_at(shape.term(leaves), role.leaf)
 
 
 # --------------------------------------------------------------------------
@@ -88,9 +101,9 @@ def _tag_role(name: str, lts: Lts, noncrit: Action, crit: Action,
             overflow.update((t.src, t.tgt))
     return Role(
         name, noncrit, crit, leaf,
-        frozenset(lts.states[s] for s in pending),
-        frozenset(lts.states[s] for s in critical),
-        frozenset(lts.states[s] for s in overflow))
+        frozenset(lts.term(s) for s in pending),
+        frozenset(lts.term(s) for s in critical),
+        frozenset(lts.term(s) for s in overflow))
 
 
 def _build(source: str, role_defs, meta) -> ProtocolModel:

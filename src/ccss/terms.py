@@ -8,7 +8,7 @@ may appear inside name parameters and guards until substituted away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import ArityMismatch, UnguardedRecursion, UnknownAgent
@@ -26,12 +26,13 @@ Atom = Union[int, str]  # integer indices or enum symbols like "true", "A"
 
 
 @_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     """An index variable reference inside a name parameter, plus offset."""
 
     var: str
     offset: int = 0
+    _h: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash((Var, self.var, self.offset)))
@@ -48,12 +49,13 @@ Param = Union[Atom, Var]
 
 
 @_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Name:
     """A (possibly indexed) name: base identifier plus atomic parameters."""
 
     base: str
     params: tuple = ()
+    _h: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash((Name, self.base, self.params)))
@@ -74,10 +76,11 @@ INTERNAL = "tau"
 
 
 @_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     kind: str
     name: Optional[Name] = None
+    _h: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash((Action, self.kind, self.name)))
@@ -128,11 +131,12 @@ def sig(base: str, *params: Param) -> Action:
 # guards on indexed-sum variables
 
 @_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cmp:
     op: str  # one of = != < <= > >=
     lhs: Param
     rhs: Param
+    _h: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash((Cmp, self.op, self.lhs, self.rhs)))
@@ -142,11 +146,12 @@ class Cmp:
 
 
 @_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolOp:
     op: str  # "and" | "or"
     left: "Guard"
     right: "Guard"
+    _h: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash((BoolOp, self.op, self.left, self.right)))
@@ -189,8 +194,10 @@ class Term:
 
 
 @_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nil(Term):
+    _h: int = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(Nil))
 
@@ -199,26 +206,28 @@ NIL = Nil()
 
 
 @_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prefix(Term):
     action: Action
     body: Term
+    _h: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash((Prefix, self.action, self.body)))
 
 
 @_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum(Term):
     branches: tuple  # of Term, length >= 2 when built via mk_sum
+    _h: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash((Sum,) + self.branches))
 
 
 @_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexedSum(Term):
     """A finite guarded choice: sum var in lo..hi [when guard] . body."""
 
@@ -227,6 +236,7 @@ class IndexedSum(Term):
     hi: int
     guard: Optional[Guard]
     body: Term
+    _h: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -236,32 +246,35 @@ class IndexedSum(Term):
 
 
 @_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Par(Term):
     left: Term
     right: Term
+    _h: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash((Par, self.left, self.right)))
 
 
 @_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Restrict(Term):
     body: Term
     names: frozenset  # of Name (handshake names and signals)
+    _h: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash((Restrict, self.body, self.names)))
 
 
 @_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relabelling:
     """Finite relabelling; handshake and signal maps with disjoint domains."""
 
     handshake_map: tuple  # sorted tuple of (Name, Name) pairs, old -> new
     signal_map: tuple
+    _h: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -290,29 +303,32 @@ class Relabelling:
 
 
 @_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relabel(Term):
     body: Term
     relabelling: Relabelling
+    _h: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash((Relabel, self.body, self.relabelling)))
 
 
 @_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ident(Term):
     name: Name
+    _h: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash((Ident, self.name)))
 
 
 @_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignalEmit(Term):
     body: Term
     signal: Name
+    _h: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash((SignalEmit, self.body, self.signal)))
@@ -327,14 +343,6 @@ def mk_sum(branches) -> Term:
     if len(branches) == 1:
         return branches[0]
     return Sum(branches)
-
-
-def mk_seq(actions, tail: Term) -> Term:
-    """Prefix chain a1.a2....tail."""
-    term = tail
-    for a in reversed(list(actions)):
-        term = Prefix(a, term)
-    return term
 
 
 # --------------------------------------------------------------------------

@@ -143,8 +143,8 @@ def check_safety(model: ProtocolModel,
     bad = set()
     bad_roles = {}
     for sid in ws.ok_states:
-        term = ws.lts.states[sid]
-        inside = [r.name for r in model.roles if model.in_critical(term, r)]
+        state = ws.lts.states[sid]
+        inside = [r.name for r in model.roles if model.in_critical(state, r)]
         if len(inside) >= 2:
             bad.add(sid)
             bad_roles[sid] = tuple(inside)
@@ -269,7 +269,7 @@ def check_liveness(model: ProtocolModel,
                 continue
             # every state of the SCC has the anchor's shape: a Par never
             # disappears, so none can appear on a cycle either
-            shape, leaves = lts.shapes[anchor]
+            shape, leaves = lts.states[anchor]
             touched = frozenset().union(*(trans[i].components
                                           for i in edges))
             verdict = config_just(shape, leaves, touched)
@@ -290,8 +290,7 @@ def check_liveness(model: ProtocolModel,
         # terminal violations: a maximal, only-blocking state reached
         # while the role is still mid-protocol
         for sid in ws.ok_states:
-            term = lts.states[sid]
-            if not model.pending(term, role):
+            if not model.pending(lts.states[sid], role):
                 continue
             if any(not env.is_blocking(trans[i].label)
                    for i in lts.outgoing(sid)):
@@ -354,14 +353,14 @@ def classify_path(model: ProtocolModel, lts: Lts, lasso: Lasso,
     mode = model.mode
     verdict = is_just(lts, model.env, lasso, mode, engine)
     complete = is_complete(lts, model.env, lasso, mode, engine)
-    anchor_term = lts.states[lasso.anchor(lts)]
+    anchor = lts.states[lasso.anchor(lts)]
     cycle_labels = [lts.transitions[i].label for i in lasso.cycle]
     live_ok = True
     broken = []
     for role in model.roles:
         crit_in_cycle = role.crit in cycle_labels
         noncrit_in_cycle = role.noncrit in cycle_labels
-        pending = model.pending(anchor_term, role)
+        pending = model.pending(anchor, role)
         if (noncrit_in_cycle or pending) and not crit_in_cycle:
             live_ok = False
             broken.append(role.name)

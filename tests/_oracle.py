@@ -213,7 +213,7 @@ def oracle_is_just(lts, env, lasso, mode="ccss", engine=None,
     from ccss.sos import SosEngine
     engine = engine or SosEngine(env)
     anchor = lasso.validate(lts)
-    anchor_term = lts.states[anchor]
+    anchor_term = lts.term(anchor)
 
     def config(movers):
         if cache is not None:

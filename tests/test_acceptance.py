@@ -338,8 +338,8 @@ def test_criterion_9_every_emitted_witness_replays():
         lasso.validate(lts)
         for idx in lasso.stem + lasso.cycle:
             t = lts.transitions[idx]
-            assert any(d.label == t.label and d.target == lts.states[t.tgt]
-                       for d in engine.transitions(lts.states[t.src])), \
+            assert any(d.label == t.label and d.target == lts.term(t.tgt)
+                       for d in engine.transitions(lts.term(t.src))), \
                 f"transition {idx} does not replay from the rules"
         replayed += 1
     assert replayed == len(witnesses) == 3

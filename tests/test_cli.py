@@ -1,10 +1,16 @@
 """Command-line interface: exit codes, determinism, output formats."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from ccss.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -181,3 +187,36 @@ def test_too_deeply_nested_input_is_a_usage_error(tmp_path, capsys,
     path.write_text(text)
     assert main([command, str(path)]) == 2
     assert "nested too deeply" in capsys.readouterr().err
+
+
+EMISSION_ABOVE_ROLES = """\
+signals { s }
+blocking { noncritA, noncritB }
+A = noncritA.critA.A
+B = noncritB.critB.B
+system = (A | B) ^ s
+"""
+
+
+@pytest.mark.parametrize("flag", ["--safety", "--liveness"])
+def test_a_role_whose_address_vanishes_is_a_usage_error(tmp_path, capsys,
+                                                        flag):
+    """The emission above both roles drops on the first move, and with it
+    the roles' addresses e/L and e/R."""
+    path = tmp_path / "emit.ccss"
+    path.write_text(EMISSION_ABOVE_ROLES)
+    assert main(["verify", flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: DynamicParallelism: role A")
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ccss.cli", "lts",
+         str(ROOT / "models" / "bakery2-ccss.ccss")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.stdout.read(100)
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""

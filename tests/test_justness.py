@@ -181,7 +181,7 @@ def test_configuration_justness_is_monotone_in_the_mover_set(seed):
     from _randterms import ENV
     term = random_term(rng, depth=4, alphabet=("a", "b", "c"))
     engine = SosEngine(ENV)
-    shape, leaves = explore(ENV, term, max_states=1, engine=engine).shapes[0]
+    shape, leaves = explore(ENV, term, max_states=1, engine=engine).states[0]
     if len(leaves) < 2:
         return
     slots = range(len(leaves))
@@ -238,5 +238,5 @@ def test_finite_path_completeness_matches_the_whole_term_derivations():
                     stems[t.tgt] = stems[t.src] + (i,)
             for state, stem in stems.items():
                 want = all(ENV.is_blocking(d.label)
-                           for d in engine.transitions(lts.states[state]))
+                           for d in engine.transitions(lts.term(state)))
                 assert is_complete(lts, ENV, Lasso(stem, ())) == want

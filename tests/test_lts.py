@@ -121,12 +121,13 @@ def assert_identical(env, root, max_states=1_000_000):
     want = term_explore(env, root, max_states=max_states)
     assert got.initial == want.initial
     assert got.truncated == want.truncated
-    assert got.states == want.states
+    terms = [got.term(i) for i in range(got.num_states)]
+    assert terms == want.states
     assert got.state_signals == want.state_signals
     assert got.transitions == want.transitions
-    for state, (shape, leaves) in zip(got.states, got.shapes, strict=True):
-        assert shape.addresses == leaf_paths(state)
-        assert leaves == tuple(subterm_at(state, p) for p in shape.addresses)
+    for term, (shape, leaves) in zip(terms, got.states, strict=True):
+        assert shape.addresses == leaf_paths(term)
+        assert leaves == tuple(subterm_at(term, p) for p in shape.addresses)
 
 
 def benchmark_catalog(monkeypatch):

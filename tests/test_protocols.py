@@ -1,11 +1,17 @@
 """Bundled protocol models: structure, role tagging, round trips."""
 
+import pathlib
+
 import pytest
 
 from ccss.lts import explore
 from ccss.syntax import parse
-from ccss.terms import validate
+from ccss.terms import subterm_at, validate
 from ccss import protocols
+
+from test_lts import benchmark_catalog
+
+MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 
 
 ALL_MODELS = [
@@ -139,3 +145,35 @@ def test_role_phase_tracking_follows_transitions():
     assert crit_states
     assert all(model.in_critical(lts.states[s], role_a) for s in crit_states)
     assert not model.in_critical(lts.states[lts.initial], role_a)
+
+
+SPAWNING_ROLE = """\
+blocking { noncritA, noncritB }
+A = noncritA.(critA.exitA.0 | tau.0)
+B = noncritB.critB.exitB.B
+system = A | B
+"""
+
+
+def test_role_predicates_agree_with_the_subterm_of_the_whole_state(
+        monkeypatch):
+    """Each predicate reads the role's leaf slot, or, once the role's
+    component has spawned, the subterm at its address; on every state
+    both must give what the whole state term holds there."""
+    models = [protocols.roles_from_file(parse(path.read_bytes()))
+              for path in sorted(MODELS.glob("*.ccss"))]
+    models += benchmark_catalog(monkeypatch)
+    models.append(protocols.roles_from_file(parse(SPAWNING_ROLE)))
+    spawned = 0
+    for model in models:
+        lts = explore(model.env, model.root)
+        for i, state in enumerate(lts.states):
+            at = {r: subterm_at(lts.term(i), r.leaf) for r in model.roles}
+            assert model.excluded(state) == any(
+                at[r] in r.overflow_terms for r in model.roles)
+            for r in model.roles:
+                assert model.in_critical(state, r) == (at[r] in
+                                                       r.critical_terms)
+                assert model.pending(state, r) == (at[r] in r.pending_terms)
+                spawned += r.leaf not in state.shape.slots
+    assert spawned

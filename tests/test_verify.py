@@ -23,9 +23,9 @@ def replay(model, lts, lasso):
     engine = SosEngine(model.env)
     for idx in lasso.stem + lasso.cycle:
         t = lts.transitions[idx]
-        source = lts.states[t.src]
+        source = lts.term(t.src)
         matches = [d for d in engine.transitions(source)
-                   if d.label == t.label and d.target == lts.states[t.tgt]]
+                   if d.label == t.label and d.target == lts.term(t.tgt)]
         assert matches, f"transition {idx} does not replay"
 
 
