@@ -2,8 +2,14 @@
 
 States of a system with signals carry an emission set; the equivalence
 refines by those sets first, so bisimilar states always emit exactly the
-same signals.  The checker is partition refinement by transition
-signatures; the tests compare it with a naive fixpoint oracle.
+same signals.  The checker is round-based partition refinement by
+transition signatures (Kanellakis-Smolka): each round signs again only
+the blocks holding a predecessor of a state that changed block in the
+round before, and a query about two states stops at the round that
+separates them.  The rounds are kept, and the evidence for a distinction
+is read from them.  The tests compare the refinement with the reference
+that signs every state every round, and the verdict with a naive
+fixpoint oracle.
 """
 
 from __future__ import annotations
@@ -44,36 +50,65 @@ def _disjoint_union(lts_a: Lts, lts_b: Lts):
     return out, signals, shift
 
 
-def _refine(out, signals):
-    """Signature-based partition refinement.  Returns the final block id
-    per state and the per-round history (for evidence extraction).
+def _refine(out, signals, a=None, b=None):
+    """Round-based partition refinement.  Returns the final block id per
+    state and one snapshot of the block ids per round (for evidence).
 
-    A state's signature is its block followed by the sorted set of its
-    moves, each coded as label id * n + target block: a tuple of ints,
-    which hashes in C and which the garbage collector stops tracking, so
-    refinement does not make it collect the whole heap over and over."""
+    Round 0 groups the states by emission set.  In each later round a
+    state's signature is the set of its moves, each coded as label id * n
+    + target block, read from the previous round's ids; a block splits
+    into its groups of equal signatures.  Only blocks holding a
+    predecessor of a state whose block id changed in the previous round
+    can split, so only those are signed again (round 1 signs all).  A
+    split keeps the old id for its first group, so a state's id changes
+    exactly when it leaves its block.  The rounds are those of signing
+    every state every round, up to the names of the blocks.  Given `a`
+    and `b`, the refinement stops at the round that separates them.
+
+    A signature is a tuple of ints, which hashes in C and which the
+    garbage collector stops tracking, so refinement does not make it
+    collect the whole heap over and over."""
     n = len(out)
-    blocks = {}
-    block_of = []
-    for s in range(n):
-        key = signals[s]
-        bid = blocks.setdefault(key, len(blocks))
-        block_of.append(bid)
+    ids = {}
+    block_of = [ids.setdefault(key, len(ids)) for key in signals]
+    members = [[] for _ in ids]
+    for s, bid in enumerate(block_of):
+        members[bid].append(s)
+    history = [list(block_of)]
     label_ids = {}
     moves = [[(label_ids.setdefault(label, len(label_ids)) * n, tgt)
               for label, tgt in out[s]] for s in range(n)]
-    history = [list(block_of)]
-    while True:
-        sig_ids = {}
-        new = [0] * n
-        for s in range(n):
-            sig = (block_of[s], *sorted(
-                {code + block_of[tgt] for code, tgt in moves[s]}))
-            new[s] = sig_ids.setdefault(sig, len(sig_ids))
-        if new == block_of:
-            return block_of, history
-        block_of = new
+    preds = [[] for _ in range(n)]
+    for s in range(n):
+        for _, tgt in out[s]:
+            preds[tgt].append(s)
+    touched = range(len(members))
+    while a is None or block_of[a] == block_of[b]:
+        splits = []
+        for bid in touched:
+            if len(members[bid]) == 1:
+                continue
+            groups = {}
+            for s in members[bid]:
+                sig = tuple(sorted(
+                    {code + block_of[tgt] for code, tgt in moves[s]}))
+                groups.setdefault(sig, []).append(s)
+            if len(groups) > 1:
+                splits.append((bid, list(groups.values())))
+        if not splits:
+            break
+        moved = []
+        for bid, (first, *rest) in splits:
+            members[bid] = first
+            for group in rest:
+                new = len(members)
+                members.append(group)
+                for s in group:
+                    block_of[s] = new
+                moved.extend(group)
         history.append(list(block_of))
+        touched = {block_of[p] for s in moved for p in preds[s]}
+    return block_of, history
 
 
 def _explain(out, signals, a, b, block_history):
@@ -128,8 +163,8 @@ def _unmatched_move(out, prev_blocks, a, b):
 def bisimilar(lts_a: Lts, a: int, lts_b: Lts, b: int) -> BisimResult:
     """Decide strong bisimilarity of state a in lts_a and b in lts_b."""
     out, signals, shift = _disjoint_union(lts_a, lts_b)
-    final, history = _refine(out, signals)
     b += shift
+    final, history = _refine(out, signals, a, b)
     if final[a] == final[b]:
         return BisimResult(True)
     return BisimResult(False, _explain(out, signals, a, b, history))

@@ -48,8 +48,11 @@ def _prefix_derivation(d: Derivation, step: str, target: Term, label=None) -> De
 
 
 class SosEngine:
-    """Transition derivations, emitted signals and emitter addresses,
-    memoized per term under a fixed environment."""
+    """Transition derivations, emitted signals and emitter addresses
+    under a fixed environment, memoized per term without parallel
+    structure (`contains_par` false): the leaves the explorer composes.
+    A term with a visible `Par` is derived from its memoized parts each
+    time it is asked for, and nothing of it is kept."""
 
     def __init__(self, env: Environment):
         self.env = env
@@ -66,7 +69,9 @@ class SosEngine:
         """(signal name, emitter address) pairs, one per emission site."""
         cached = self._emitters.get(term)
         if cached is None:
-            cached = self._emitters[term] = self._compute_emitters(term, ())
+            cached = self._compute_emitters(term, ())
+            if not T.contains_par(term):
+                self._emitters[term] = cached
         return cached
 
     def _compute_emitters(self, term: Term, stack: tuple) -> tuple:
@@ -158,7 +163,9 @@ class SosEngine:
     def _compute_memo(self, term: Term, stack: tuple) -> tuple:
         cached = self._trans.get(term)
         if cached is None:
-            cached = self._trans[term] = self._compute(term, stack)
+            cached = self._compute(term, stack)
+            if not T.contains_par(term):
+                self._trans[term] = cached
         return cached
 
     def _par(self, term: Par, stack: tuple) -> tuple:

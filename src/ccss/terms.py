@@ -423,15 +423,17 @@ def indexed_branches(term: IndexedSum) -> tuple:
 class Environment:
     """Defining equations plus the signal and blocking classifications.
 
-    Equations are stored per (base, arity); parameters in a left-hand side
-    may be pattern variables, bound by matching at resolve time.  Blocking
-    is classified per base name (both polarities of a handshake name block
-    or neither does); tau is always non-blocking.
+    Each equation is one (Name, body) pair, listed in `equations` under
+    its (base, arity) and in `order` in declaration order; parameters in
+    a left-hand side may be pattern variables, bound by matching at
+    resolve time.  Blocking is classified per base name (both polarities
+    of a handshake name block or neither does); tau is always
+    non-blocking.
     """
 
     def __init__(self, equations=(), signals=(), blocking=(), max_unfold=10_000):
         self.equations = {}
-        self.order = []  # (Name, Term) in declaration order, for printing
+        self.order = []  # for printing
         self.declared_signals = frozenset(signals)
         self.blocking = frozenset(blocking)
         self.max_unfold = max_unfold
@@ -439,9 +441,10 @@ class Environment:
             self.define(name, body)
 
     def define(self, name: Name, body: Term):
+        equation = (name, body)
         self.equations.setdefault((name.base, len(name.params)), []).append(
-            (name.params, body))
-        self.order.append((name, body))
+            equation)
+        self.order.append(equation)
 
     def is_signal_base(self, base: str) -> bool:
         return base in self.declared_signals
@@ -458,8 +461,8 @@ class Environment:
             if any(base == name.base for base, _ in self.equations):
                 raise ArityMismatch(f"{name}: no equation with {len(name.params)} parameters")
             raise UnknownAgent(str(name))
-        for pattern, body in candidates:
-            binding = _match_params(pattern, name.params)
+        for lhs, body in candidates:
+            binding = _match_params(lhs.params, name.params)
             if binding is not None:
                 return substitute(body, binding)
         raise UnknownAgent(f"{name}: no equation matches these parameters")
@@ -591,8 +594,12 @@ class ValidationReport:
 
 def validate(env: Environment, root: Term) -> ValidationReport:
     """Well-formedness checks: resolvable identifiers, the blocking rules
-    for restriction and relabelling, declared signals, and disjointness of
-    the signal and handshake alphabets."""
+    for restriction and relabelling, declared signals, disjointness of
+    the signal and handshake alphabets, and guarded recursion among the
+    parameterless equations the root reaches.  A parameterised equation
+    may be guarded for some arguments and not for others, so unguarded
+    recursion through one is left to the SOS engine, which raises
+    `UnguardedRecursion` when it meets it."""
     out = []
     seen = set()
 
@@ -647,4 +654,55 @@ def validate(env: Environment, root: Term) -> ValidationReport:
                 walk(body, f"equation {term.name.base}")
 
     walk(root, "system")
+    cycle = _unguarded_cycle(env, sorted(
+        base for base, arity in seen
+        if arity == 0 and (base, 0) in env.equations))
+    if cycle:
+        out.append(Violation("UnguardedRecursion", " -> ".join(cycle)))
     return ValidationReport(out)
+
+
+def _unguarded_calls(body: Term) -> list:
+    """Bases of the parameterless identifiers that occur in `body` outside
+    every prefix, left to right."""
+    calls, stack = [], [body]
+    while stack:
+        term = stack.pop()
+        if isinstance(term, Ident):
+            if not term.name.params:
+                calls.append(term.name.base)
+        elif isinstance(term, Sum):
+            stack.extend(reversed(term.branches))
+        elif isinstance(term, IndexedSum):
+            stack.extend(reversed(indexed_branches(term)))
+        elif isinstance(term, Par):
+            stack += (term.right, term.left)
+        elif isinstance(term, (Restrict, Relabel, SignalEmit)):
+            stack.append(term.body)
+    return calls
+
+
+def _unguarded_cycle(env: Environment, bases) -> list:
+    """The first cycle of unguarded calls among the parameterless
+    equations of `bases`, as the bases along it with the first repeated
+    at the end, or an empty list.  Each base is read through the
+    equation `Environment.resolve` picks for it: its first."""
+    calls = {base: [c for c in _unguarded_calls(env.equations[(base, 0)][0][1])
+                    if (c, 0) in env.equations]
+             for base in bases}
+    done = set()
+    for start in bases:
+        if start in done:
+            continue
+        path, pending = [start], [iter(calls[start])]
+        while pending:
+            nxt = next(pending[-1], None)
+            if nxt is None:
+                done.add(path.pop())
+                pending.pop()
+            elif nxt in path:
+                return path[path.index(nxt):] + [nxt]
+            elif nxt not in done:
+                path.append(nxt)
+                pending.append(iter(calls[nxt]))
+    return []

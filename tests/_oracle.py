@@ -28,6 +28,9 @@ and only meant for systems with a handful of actions.
 
 `naive_bisimilar` re-decides strong bisimilarity as a greatest fixpoint
 over the full relation, the reference for partition refinement.
+`oracle_refine` signs every state in every round, the reference for the
+rounds of `ccss.bisim._refine`, which signs only the blocks that may
+split.
 `term_explore` explores whole state terms, one SOS call per state, the
 reference for the skeleton explorer `ccss.lts.explore`.  It resolves each
 transition's components by address prefix: the leaf above each
@@ -264,6 +267,37 @@ def naive_bisimilar(lts_a, a, lts_b, b):
                     related[p][q] = False
                     changed = True
     return related[a][b + shift]
+
+
+def oracle_refine(out, signals):
+    """Signature-based partition refinement that signs every state every
+    round.  Returns the final block id per state and the per-round
+    history, with blocks numbered in order of first appearance.
+
+    A state's signature is its block followed by the sorted set of its
+    moves, each coded as label id * n + target block."""
+    n = len(out)
+    blocks = {}
+    block_of = []
+    for s in range(n):
+        key = signals[s]
+        bid = blocks.setdefault(key, len(blocks))
+        block_of.append(bid)
+    label_ids = {}
+    moves = [[(label_ids.setdefault(label, len(label_ids)) * n, tgt)
+              for label, tgt in out[s]] for s in range(n)]
+    history = [list(block_of)]
+    while True:
+        sig_ids = {}
+        new = [0] * n
+        for s in range(n):
+            sig = (block_of[s], *sorted(
+                {code + block_of[tgt] for code, tgt in moves[s]}))
+            new[s] = sig_ids.setdefault(sig, len(sig_ids))
+        if new == block_of:
+            return block_of, history
+        block_of = new
+        history.append(list(block_of))
 
 
 def term_explore(env, root, max_states=1_000_000, engine=None):

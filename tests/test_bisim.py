@@ -2,14 +2,19 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccss.bisim import bisimilar, equivalence_classes
-from ccss.lts import explore
+from ccss import protocols
+from ccss.bisim import (
+    BisimResult, _disjoint_union, _explain, _refine, bisimilar,
+    equivalence_classes,
+)
+from ccss.lts import Lts, Transition, explore
 from ccss.syntax import parse_term
-from ccss.terms import Par, Sum
+from ccss.terms import HANDSHAKE, Action, Name, Par, Sum
 
-from _oracle import naive_bisimilar
+from _oracle import naive_bisimilar, oracle_refine
 from _randterms import ENV, SIGNALS, random_term
 
 
@@ -87,3 +92,106 @@ def test_bisimilarity_is_reflexive_and_respects_par_swap(seed):
     assert same.equivalent
     swapped, _, _ = _bisim(Par(p, q), Par(q, p))
     assert swapped.equivalent
+
+
+# -- the refinement against the reference that signs every state --------
+
+def _renamed(blocks):
+    """Block ids renumbered in order of first appearance."""
+    names = {}
+    return [names.setdefault(b, len(names)) for b in blocks]
+
+
+def _oracle_result(out, signals, a, b):
+    final, history = oracle_refine(out, signals)
+    if final[a] == final[b]:
+        return BisimResult(True)
+    return BisimResult(False, _explain(out, signals, a, b, history))
+
+
+def _oracle_classes(lts):
+    out = [[] for _ in range(lts.num_states)]
+    for t in lts.transitions:
+        out[t.src].append((t.label, t.tgt))
+    final, _ = oracle_refine(out, list(lts.state_signals))
+    groups = {}
+    for s, bid in enumerate(final):
+        groups.setdefault(bid, []).append(s)
+    return list(groups.values())
+
+
+def assert_refines_like_the_oracle(lts_a, lts_b, pairs):
+    """Every round of the full refinement is the reference's round up to
+    renaming; a query stops at the first round that separates its pair
+    and gives the reference's result and evidence."""
+    out, signals, shift = _disjoint_union(lts_a, lts_b)
+    want_final, want = oracle_refine(out, signals)
+    final, got = _refine(out, signals)
+    assert len(got) == len(want)
+    assert [_renamed(r) for r in got] == [_renamed(r) for r in want]
+    assert _renamed(final) == _renamed(want_final)
+    for a, b in pairs:
+        _, early = _refine(out, signals, a, b + shift)
+        split = next((k for k, r in enumerate(want)
+                      if r[a] != r[b + shift]), len(want) - 1)
+        assert [_renamed(r) for r in early] == [
+            _renamed(r) for r in want[:split + 1]]
+        assert bisimilar(lts_a, a, lts_b, b) == _oracle_result(
+            out, signals, a, b + shift)
+    assert equivalence_classes(lts_a) == _oracle_classes(lts_a)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_refinement_rounds_match_the_reference_on_random_terms(seed):
+    rng = random.Random(seed)
+    depth = rng.choice((3, 4))
+    a = explore(ENV, random_term(rng, depth=depth), max_states=5000)
+    b = explore(ENV, random_term(rng, depth=depth), max_states=5000)
+    pairs = [(a.initial, b.initial)] + [
+        (rng.randrange(a.num_states), rng.randrange(b.num_states))
+        for _ in range(3)]
+    assert_refines_like_the_oracle(a, b, pairs)
+
+
+def _copy(rng, lts, kind):
+    """The system with states and transitions shuffled; `fresh` also
+    relabels one transition to an action used nowhere, `relabelled` to
+    another label the system uses."""
+    perm = list(range(lts.num_states))
+    rng.shuffle(perm)
+    states, signals = [None] * len(perm), [None] * len(perm)
+    for old, new in enumerate(perm):
+        states[new] = lts.states[old]
+        signals[new] = lts.state_signals[old]
+    trans = [Transition(perm[t.src], t.label, perm[t.tgt], t.participants,
+                        t.signal_partner) for t in lts.transitions]
+    rng.shuffle(trans)
+    if kind != "shuffled":
+        k = rng.randrange(len(trans))
+        t = trans[k]
+        others = sorted({u.label for u in trans} - {t.label}, key=str)
+        label = (Action(HANDSHAKE, Name("fresh", ())) if kind == "fresh"
+                 else rng.choice(others))
+        trans[k] = Transition(t.src, label, t.tgt, t.participants,
+                              t.signal_partner)
+    return Lts(states, perm[lts.initial], trans, signals, lts.truncated)
+
+
+@pytest.mark.parametrize("kind", ["shuffled", "fresh", "relabelled"])
+@pytest.mark.parametrize("maker", [
+    lambda: protocols.filter_lock(2, "ccss"),
+    lambda: protocols.filter_lock(2, "ccs"),
+    lambda: protocols.peterson2("ccss"),
+    lambda: protocols.peterson2("ccs"),
+], ids=["filter2-ccss", "filter2-ccs", "peterson2-ccss", "peterson2-ccs"])
+def test_refinement_rounds_match_the_reference_on_model_copies(maker, kind):
+    model = maker()
+    lts = explore(model.env, model.root)
+    for seed in range(3):
+        rng = random.Random(seed)
+        copy = _copy(rng, lts, kind)
+        pairs = [(lts.initial, copy.initial)] + [
+            (rng.randrange(lts.num_states), rng.randrange(copy.num_states))
+            for _ in range(5)]
+        assert_refines_like_the_oracle(lts, copy, pairs)

@@ -189,6 +189,24 @@ def test_too_deeply_nested_input_is_a_usage_error(tmp_path, capsys,
     assert "nested too deeply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "X = X\nsystem = X\n",
+    "X = Y + a.X\nY = (X | b.0) \\ {b}\nsystem = c.X\n",
+])
+def test_unguarded_recursion_is_a_usage_error_for_parse_as_for_lts(
+        tmp_path, capsys, text):
+    path = tmp_path / "unguarded.ccss"
+    path.write_text(text)
+    for command in ("parse", "lts"):
+        assert main([command, str(path)]) == 2
+        assert "UnguardedRecursion" in capsys.readouterr().err
+
+
+def test_every_bundled_model_parses(capsys):
+    for path in sorted((ROOT / "models").glob("*.ccss")):
+        assert main(["parse", str(path)]) == 0, path.name
+
+
 EMISSION_ABOVE_ROLES = """\
 signals { s }
 blocking { noncritA, noncritB }

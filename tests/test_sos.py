@@ -1,14 +1,24 @@
 """Operational semantics: transitions, synchronization, signal emission."""
 
+import pathlib
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccss.errors import UnguardedRecursion
+from ccss.lts import explore
 from ccss.sos import SosEngine
 from ccss.terms import (
     Environment, Ident, NIL, Name, Par, Prefix, Relabel, Relabelling,
-    Restrict, SignalEmit, Sum, TAU, act, coact, sig,
+    Restrict, SignalEmit, Sum, TAU, act, coact, contains_par, sig,
 )
-from ccss.syntax import parse_term
+from ccss.syntax import parse, parse_term
+
+import _randterms
+
+MODELS = sorted((pathlib.Path(__file__).resolve().parents[1] / "models")
+                .glob("*.ccss"))
 
 ENV = Environment(signals=("s", "t"))
 
@@ -117,3 +127,32 @@ def test_parsed_term_agrees_with_constructed_term():
                      frozenset([Name("a", ())]))
     assert parsed == built
     assert labels(parsed) == labels(built) == ["tau"]
+
+
+def assert_memo_holds_leaves_only(env, root, samples=60):
+    """Explore, then derive whole state terms on the same engine: the
+    memo keeps no term with a Par, and a warm engine answers exactly as
+    a cold one."""
+    engine = SosEngine(env)
+    lts = explore(env, root, engine=engine)
+    step = max(1, lts.num_states // samples)
+    for i in range(0, lts.num_states, step):
+        whole = lts.term(i)
+        warm = engine.transitions(whole), engine.emitters(whole)
+        cold = SosEngine(env)
+        assert warm == (cold.transitions(whole), cold.emitters(whole))
+    assert not any(contains_par(t) for t in engine._trans)
+    assert not any(contains_par(t) for t in engine._emitters)
+
+
+@pytest.mark.parametrize("path", MODELS, ids=[p.name for p in MODELS])
+def test_the_memo_keeps_leaves_only_on_the_bundled_models(path):
+    spec = parse(path.read_bytes())
+    assert_memo_holds_leaves_only(spec.env, spec.root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_the_memo_keeps_leaves_only_on_random_terms(seed):
+    root = _randterms.random_term(random.Random(seed), depth=4)
+    assert_memo_holds_leaves_only(_randterms.ENV, root)

@@ -71,6 +71,14 @@ def test_environment_arity_and_unknown_agent_errors():
         env.resolve(Name("B", ()))
 
 
+def test_environment_lists_each_equation_once_in_both_tables():
+    env = Environment([(Name("A", ()), NIL), (Name("B", (1,)), NIL),
+                       (Name("B", (Var("n", 0),)), Ident(Name("A", ())))])
+    assert [eq for eqs in env.equations.values() for eq in eqs] == env.order
+    keyed = {id(eq) for eqs in env.equations.values() for eq in eqs}
+    assert keyed == {id(eq) for eq in env.order}
+
+
 def test_blocking_classification_ignores_polarity_and_tau():
     env = Environment(blocking=("a",))
     assert env.is_blocking(act("a"))
@@ -120,6 +128,26 @@ def test_validate_flags_relabelling_into_blocking():
     f = Relabelling.make(handshake=[(Name("a", ()), Name("b", ()))])
     report = validate(env, Relabel(Prefix(act("a"), NIL), f))
     assert any(v.kind == "RelabelIntoBlocking" for v in report.violations)
+
+
+def test_validate_flags_unguarded_recursion():
+    x, y = Ident(Name("X", ())), Ident(Name("Y", ()))
+    env = Environment()
+    env.define(Name("X", ()), Sum((y, Prefix(act("a"), x))))
+    env.define(Name("Y", ()), Restrict(Par(x, NIL), frozenset()))
+    report = validate(env, Prefix(act("c"), x))
+    assert [str(v) for v in report.violations] == [
+        "UnguardedRecursion: X -> Y -> X"]
+
+
+def test_validate_leaves_guarded_and_parameterised_recursion_alone():
+    n = Var("n", 0)
+    env = Environment()
+    env.define(Name("G", ()), Prefix(act("a"), Ident(Name("G", ()))))
+    env.define(Name("P", (n,)), Ident(Name("P", (n,))))  # the SOS decides
+    env.define(Name("U", ()), Ident(Name("U", ())))  # never reached
+    assert validate(env, Par(Ident(Name("G", ())),
+                             Ident(Name("P", (1,))))).ok
 
 
 def test_validate_accepts_a_well_formed_system():
