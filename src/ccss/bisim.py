@@ -3,13 +3,15 @@
 States of a system with signals carry an emission set; the equivalence
 refines by those sets first, so bisimilar states always emit exactly the
 same signals.  The checker is round-based partition refinement by
-transition signatures (Kanellakis-Smolka): each round signs again only
-the blocks holding a predecessor of a state that changed block in the
-round before, and a query about two states stops at the round that
-separates them.  The rounds are kept, and the evidence for a distinction
-is read from them.  The tests compare the refinement with the reference
-that signs every state every round, and the verdict with a naive
-fixpoint oracle.
+transition signatures (Kanellakis-Smolka) over the systems' moves coded
+as ints, read in one pass over their transitions.  Each round signs again
+only the predecessors of the states that changed block in the round
+before (every other state keeps the signature its block shared), and a
+query about two states stops at the round that separates them.  The
+rounds are kept, and the evidence for a distinction is read from the
+last two of them and the two states' own transitions.  The tests compare
+the refinement with the reference that signs every state every round,
+and the verdict with a naive fixpoint oracle.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from .lts import Lts
 
 @dataclass(frozen=True)
 class Distinction:
-    """Evidence that two states differ: after matching `trace`, one side
-    can take `action` (or emits `signal`) and the other cannot answer."""
+    """Evidence that two states differ: either their emission sets differ
+    (`trace` is empty), or one side takes the label in `trace` into a
+    class the other side cannot reach with that label."""
 
-    trace: tuple  # of labels leading to the mismatching pair
+    trace: tuple  # () or (label,)
     reason: str
 
 
@@ -38,144 +41,153 @@ class BisimResult:
         return self.equivalent
 
 
-def _disjoint_union(lts_a: Lts, lts_b: Lts):
-    """Merge two systems into one state list; b's ids are shifted."""
-    shift = lts_a.num_states
-    out = [[] for _ in range(shift + lts_b.num_states)]
-    for t in lts_a.transitions:
-        out[t.src].append((t.label, t.tgt))
-    for t in lts_b.transitions:
-        out[t.src + shift].append((t.label, t.tgt + shift))
-    signals = list(lts_a.state_signals) + list(lts_b.state_signals)
-    return out, signals, shift
+def _refinement_input(*systems: Lts):
+    """The systems as one state list, each system's ids shifted past the
+    ones before it: per state its moves, as (label id * n, target) pairs
+    of ints, its predecessors (one per transition into it) and its
+    emission set.  The moves hold no label objects, so the garbage
+    collector stops tracking them at its first young collection instead
+    of moving them into the oldest generation."""
+    n = sum(lts.num_states for lts in systems)
+    moves = [[] for _ in range(n)]
+    preds = [[] for _ in range(n)]
+    label_ids = {}
+    shift = 0
+    for lts in systems:
+        for t in lts.transitions:
+            src, tgt = t.src + shift, t.tgt + shift
+            code = label_ids.get(t.label)
+            if code is None:
+                code = label_ids[t.label] = len(label_ids) * n
+            moves[src].append((code, tgt))
+            preds[tgt].append(src)
+        shift += lts.num_states
+    signals = [e for lts in systems for e in lts.state_signals]
+    return moves, preds, signals
 
 
-def _refine(out, signals, a=None, b=None):
+def _refine(moves, preds, signals, a=None, b=None):
     """Round-based partition refinement.  Returns the final block id per
     state and one snapshot of the block ids per round (for evidence).
 
     Round 0 groups the states by emission set.  In each later round a
     state's signature is the set of its moves, each coded as label id * n
     + target block, read from the previous round's ids; a block splits
-    into its groups of equal signatures.  Only blocks holding a
-    predecessor of a state whose block id changed in the previous round
-    can split, so only those are signed again (round 1 signs all).  A
-    split keeps the old id for its first group, so a state's id changes
-    exactly when it leaves its block.  The rounds are those of signing
-    every state every round, up to the names of the blocks.  Given `a`
-    and `b`, the refinement stops at the round that separates them.
+    into its groups of equal signatures.  Round 1 signs every state.  A
+    split keeps the old id for its largest group (Hopcroft's rule), so a
+    state's id changes exactly when it leaves its block, into a new
+    block, and as few states as possible do.  So after round 1 only a
+    predecessor of a state that moved in the previous round has a new
+    signature, one with a move into a new block; only those are signed
+    again.  The other members of their block keep the signature the
+    whole block shared, and stay together, apart from the signed ones.
+    The rounds are those of signing every state every round, up to the
+    names of the blocks.  Given `a` and `b`, the refinement stops at the
+    round that separates them.
 
-    A signature is a tuple of ints, which hashes in C and which the
-    garbage collector stops tracking, so refinement does not make it
-    collect the whole heap over and over."""
-    n = len(out)
+    A signature is a frozenset of ints, which hashes and compares in C;
+    it lives only while its block is signed."""
     ids = {}
     block_of = [ids.setdefault(key, len(ids)) for key in signals]
     members = [[] for _ in ids]
     for s, bid in enumerate(block_of):
         members[bid].append(s)
     history = [list(block_of)]
-    label_ids = {}
-    moves = [[(label_ids.setdefault(label, len(label_ids)) * n, tgt)
-              for label, tgt in out[s]] for s in range(n)]
-    preds = [[] for _ in range(n)]
-    for s in range(n):
-        for _, tgt in out[s]:
-            preds[tgt].append(s)
-    touched = range(len(members))
+    touched = set()  # the states signed again; empty in round 1
+    signed = dict(enumerate(members))
     while a is None or block_of[a] == block_of[b]:
         splits = []
-        for bid in touched:
-            if len(members[bid]) == 1:
+        for bid, subset in signed.items():
+            block = members[bid]
+            if len(block) == 1:
                 continue
             groups = {}
-            for s in members[bid]:
-                sig = tuple(sorted(
-                    {code + block_of[tgt] for code, tgt in moves[s]}))
+            for s in subset:
+                sig = frozenset(
+                    {code + block_of[tgt] for code, tgt in moves[s]})
                 groups.setdefault(sig, []).append(s)
-            if len(groups) > 1:
-                splits.append((bid, list(groups.values())))
+            groups = list(groups.values())
+            if len(subset) < len(block):
+                # the members not signed again keep the signature they
+                # shared, which has no move into a new block
+                groups.append([s for s in block if s not in touched])
+            elif len(groups) == 1:
+                continue
+            splits.append((bid, groups))
         if not splits:
             break
         moved = []
-        for bid, (first, *rest) in splits:
-            members[bid] = first
-            for group in rest:
+        for bid, groups in splits:
+            groups.sort(key=len, reverse=True)
+            members[bid] = groups[0]
+            for group in groups[1:]:
                 new = len(members)
                 members.append(group)
                 for s in group:
                     block_of[s] = new
                 moved.extend(group)
         history.append(list(block_of))
-        touched = {block_of[p] for s in moved for p in preds[s]}
+        touched = {p for s in moved for p in preds[s]}
+        signed = {}
+        for p in touched:
+            signed.setdefault(block_of[p], []).append(p)
     return block_of, history
 
 
-def _explain(out, signals, a, b, block_history):
-    """A shortest reason why a and b were split, replayed through the
-    refinement rounds from the round where they first diverge."""
-    # find the first round in which a and b differ
-    round_no = next(i for i, blocks in enumerate(block_history)
-                    if blocks[a] != blocks[b])
-    trace = []
-    while round_no > 0:
-        prev = block_history[round_no - 1]
-        # some move from a cannot be matched into the same prev-block,
-        # or vice versa; follow one such move and recurse a round down
-        step = _unmatched_move(out, prev, a, b)
-        if step is None:
-            step = _unmatched_move(out, prev, b, a)
-            a, b = b, a
-        if step is None:  # split caused deeper; follow any matched pair
-            for label, ta in out[a]:
-                for lb, tb in out[b]:
-                    if lb == label and prev[ta] == prev[tb] \
-                            and block_history[round_no][ta] != block_history[round_no][tb]:
-                        trace.append(label)
-                        a, b = ta, tb
-                        break
-                else:
-                    continue
-                break
-            else:
-                break
-            continue
-        label, target = step
-        trace.append(label)
-        return Distinction(tuple(trace),
-                           f"one side offers {label} into a class "
-                           f"the other cannot reach")
-    if signals[a] != signals[b]:
-        only = signals[a] ^ signals[b]
+def _explain(lts_a: Lts, a: int, lts_b: Lts, b: int, history):
+    """Why state a of lts_a and state b of lts_b are not bisimilar, read
+    from the refinement rounds over both systems (b's ids shifted by
+    lts_a's size).  In the first round that separates the two states
+    either their emission sets differ (round 0), or one of them has a
+    move with a label into a block of the round before that the other
+    cannot match with a move of that label into the same block.  The
+    evidence names that signal, or that one label: its trace is empty
+    or holds the label alone."""
+    shift = lts_a.num_states
+    first = next(k for k, blocks in enumerate(history)
+                 if blocks[a] != blocks[b + shift])
+    if first == 0:
+        only = lts_a.state_signals[a] ^ lts_b.state_signals[b]
         name = sorted(map(str, only))[0]
-        return Distinction(tuple(trace), f"emission of {name} differs")
-    return Distinction(tuple(trace), "no matching move")
+        return Distinction((), f"emission of {name} differs")
+    prev = history[first - 1]
+    moves_a = _moves(lts_a, a, prev, 0)
+    moves_b = _moves(lts_b, b, prev, shift)
+    label = _unmatched(moves_a, moves_b)
+    if label is None:
+        label = _unmatched(moves_b, moves_a)
+    return Distinction((label,), f"one side offers {label} into a class "
+                                 f"the other cannot reach")
 
 
-def _unmatched_move(out, prev_blocks, a, b):
-    for label, ta in out[a]:
-        if not any(lb == label and prev_blocks[tb] == prev_blocks[ta]
-                   for lb, tb in out[b]):
-            return label, ta
-    return None
+def _moves(lts: Lts, state: int, blocks, shift: int):
+    """The state's moves as (label, target block) pairs, in index order."""
+    moves = []
+    for i in lts.outgoing(state):
+        t = lts.transitions[i]
+        moves.append((t.label, blocks[t.tgt + shift]))
+    return moves
+
+
+def _unmatched(moves, answers):
+    """The label of the first move no answer matches in label and block."""
+    answers = set(answers)
+    return next((label for label, block in moves
+                 if (label, block) not in answers), None)
 
 
 def bisimilar(lts_a: Lts, a: int, lts_b: Lts, b: int) -> BisimResult:
     """Decide strong bisimilarity of state a in lts_a and b in lts_b."""
-    out, signals, shift = _disjoint_union(lts_a, lts_b)
-    b += shift
-    final, history = _refine(out, signals, a, b)
-    if final[a] == final[b]:
+    shifted = b + lts_a.num_states
+    final, history = _refine(*_refinement_input(lts_a, lts_b), a, shifted)
+    if final[a] == final[shifted]:
         return BisimResult(True)
-    return BisimResult(False, _explain(out, signals, a, b, history))
+    return BisimResult(False, _explain(lts_a, a, lts_b, b, history))
 
 
 def equivalence_classes(lts: Lts):
     """Blocks of bisimilar states of a single system."""
-    out = [[] for _ in range(lts.num_states)]
-    for t in lts.transitions:
-        out[t.src].append((t.label, t.tgt))
-    final, _ = _refine(out, list(lts.state_signals))
+    final, _ = _refine(*_refinement_input(lts))
     groups = {}
     for s, bid in enumerate(final):
         groups.setdefault(bid, []).append(s)

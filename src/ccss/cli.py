@@ -71,6 +71,15 @@ def cmd_bisim(args) -> int:
     lhs, rhs = _load(args.file1), _load(args.file2)
     lts1 = explore(lhs.env, lhs.root, max_states=_max_states(args))
     lts2 = explore(rhs.env, rhs.root, max_states=_max_states(args))
+    truncated = [f for f, lts in ((args.file1, lts1), (args.file2, lts2))
+                 if lts.truncated]
+    if truncated:
+        # a missing state can make or break any match: no verdict
+        for path in truncated:
+            print(f"warning: exploration of {path} truncated at the state "
+                  f"limit", file=sys.stderr)
+        print("unknown")
+        return EXIT_UNKNOWN
     result = bisimilar(lts1, lts1.initial, lts2, lts2.initial)
     if result.equivalent:
         print("bisimilar")

@@ -29,8 +29,9 @@ and only meant for systems with a handful of actions.
 `naive_bisimilar` re-decides strong bisimilarity as a greatest fixpoint
 over the full relation, the reference for partition refinement.
 `oracle_refine` signs every state in every round, the reference for the
-rounds of `ccss.bisim._refine`, which signs only the blocks that may
-split.
+rounds of `ccss.bisim._refine`, which signs again only the predecessors
+of states that changed block.  Both work on `_disjoint_union`, two
+systems merged into one state list of (label, target) moves.
 `term_explore` explores whole state terms, one SOS call per state, the
 reference for the skeleton explorer `ccss.lts.explore`.  It resolves each
 transition's components by address prefix: the leaf above each
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 from itertools import product
 
-from ccss.bisim import _disjoint_union
 from ccss.terms import (
     Par, Relabel, Restrict, SignalEmit, contains_par,
     STEP_LEFT, STEP_RIGHT, STEP_RESTRICT, STEP_RELABEL, STEP_EMIT,
@@ -243,6 +243,19 @@ def oracle_is_just(lts, env, lasso, mode="ccss", engine=None,
         if config(movers):
             return True
     return False
+
+
+def _disjoint_union(lts_a, lts_b):
+    """Merge two systems into one state list; b's ids are shifted.  Per
+    state the list of its (label, target) moves, and its emission set."""
+    shift = lts_a.num_states
+    out = [[] for _ in range(shift + lts_b.num_states)]
+    for t in lts_a.transitions:
+        out[t.src].append((t.label, t.tgt))
+    for t in lts_b.transitions:
+        out[t.src + shift].append((t.label, t.tgt + shift))
+    signals = list(lts_a.state_signals) + list(lts_b.state_signals)
+    return out, signals, shift
 
 
 def naive_bisimilar(lts_a, a, lts_b, b):

@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from ccss import protocols
 from ccss.bisim import (
-    BisimResult, _disjoint_union, _explain, _refine, bisimilar,
+    BisimResult, _explain, _refine, _refinement_input, bisimilar,
     equivalence_classes,
 )
-from ccss.lts import Lts, Transition, explore
+from ccss.lts import Lts, Transition, explore, export_json, import_json
 from ccss.syntax import parse_term
 from ccss.terms import HANDSHAKE, Action, Name, Par, Sum
 
-from _oracle import naive_bisimilar, oracle_refine
+from _oracle import _disjoint_union, naive_bisimilar, oracle_refine
 from _randterms import ENV, SIGNALS, random_term
 
 
@@ -102,11 +102,12 @@ def _renamed(blocks):
     return [names.setdefault(b, len(names)) for b in blocks]
 
 
-def _oracle_result(out, signals, a, b):
+def _oracle_result(lts_a, a, lts_b, b):
+    out, signals, shift = _disjoint_union(lts_a, lts_b)
     final, history = oracle_refine(out, signals)
-    if final[a] == final[b]:
+    if final[a] == final[b + shift]:
         return BisimResult(True)
-    return BisimResult(False, _explain(out, signals, a, b, history))
+    return BisimResult(False, _explain(lts_a, a, lts_b, b, history))
 
 
 def _oracle_classes(lts):
@@ -120,24 +121,50 @@ def _oracle_classes(lts):
     return list(groups.values())
 
 
+def assert_encodes_the_union(lts_a, lts_b):
+    """The refinement's int input is the reference's union of the two
+    systems: per state the same moves in the same order, with one code
+    (a multiple of the state count) per label, and one predecessor entry
+    per transition into the state."""
+    out, signals, _ = _disjoint_union(lts_a, lts_b)
+    moves, preds, own_signals = _refinement_input(lts_a, lts_b)
+    n = len(out)
+    assert own_signals == signals
+    assert len(moves) == len(preds) == n
+    code_of = {}
+    for s in range(n):
+        assert [t for _, t in moves[s]] == [t for _, t in out[s]]
+        for (label, _), (code, _) in zip(out[s], moves[s]):
+            assert code % n == 0
+            assert code_of.setdefault(label, code) == code
+    assert len(set(code_of.values())) == len(code_of)
+    want_preds = [[] for _ in range(n)]
+    for s in range(n):
+        for _, t in out[s]:
+            want_preds[t].append(s)
+    assert [sorted(p) for p in preds] == want_preds
+    return moves, preds, own_signals
+
+
 def assert_refines_like_the_oracle(lts_a, lts_b, pairs):
     """Every round of the full refinement is the reference's round up to
     renaming; a query stops at the first round that separates its pair
     and gives the reference's result and evidence."""
     out, signals, shift = _disjoint_union(lts_a, lts_b)
     want_final, want = oracle_refine(out, signals)
-    final, got = _refine(out, signals)
+    given = assert_encodes_the_union(lts_a, lts_b)
+    final, got = _refine(*given)
     assert len(got) == len(want)
     assert [_renamed(r) for r in got] == [_renamed(r) for r in want]
     assert _renamed(final) == _renamed(want_final)
     for a, b in pairs:
-        _, early = _refine(out, signals, a, b + shift)
+        _, early = _refine(*given, a, b + shift)
         split = next((k for k, r in enumerate(want)
                       if r[a] != r[b + shift]), len(want) - 1)
         assert [_renamed(r) for r in early] == [
             _renamed(r) for r in want[:split + 1]]
         assert bisimilar(lts_a, a, lts_b, b) == _oracle_result(
-            out, signals, a, b + shift)
+            lts_a, a, lts_b, b)
     assert equivalence_classes(lts_a) == _oracle_classes(lts_a)
 
 
@@ -195,3 +222,36 @@ def test_refinement_rounds_match_the_reference_on_model_copies(maker, kind):
             (rng.randrange(lts.num_states), rng.randrange(copy.num_states))
             for _ in range(5)]
         assert_refines_like_the_oracle(lts, copy, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_imported_systems_give_the_reference_result(seed):
+    """States of an imported system are opaque strings; the verdict and
+    evidence are those of the reference, and of the explored systems."""
+    rng = random.Random(seed)
+    explored = [explore(ENV, random_term(rng, depth=3), max_states=5000)
+                for _ in range(2)]
+    lts_a, lts_b = (import_json(export_json(lts)) for lts in explored)
+    assert all(isinstance(s, str) for s in lts_a.states + lts_b.states)
+    pairs = [(lts_a.initial, lts_b.initial)] + [
+        (rng.randrange(lts_a.num_states), rng.randrange(lts_b.num_states))
+        for _ in range(3)]
+    for a, b in pairs:
+        result = bisimilar(lts_a, a, lts_b, b)
+        assert result == _oracle_result(lts_a, a, lts_b, b)
+        assert result == bisimilar(explored[0], a, explored[1], b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_two_states_of_one_system_give_the_reference_result(seed):
+    rng = random.Random(seed)
+    lts = explore(ENV, random_term(rng, depth=4), max_states=5000)
+    class_of = {s: k for k, block in enumerate(equivalence_classes(lts))
+                for s in block}
+    for _ in range(5):
+        p, q = rng.randrange(lts.num_states), rng.randrange(lts.num_states)
+        result = bisimilar(lts, p, lts, q)
+        assert result == _oracle_result(lts, p, lts, q)
+        assert result.equivalent == (class_of[p] == class_of[q])

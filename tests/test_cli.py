@@ -71,6 +71,20 @@ def test_bisim_exit_codes(tmp_path, example_file, capsys):
     assert "not bisimilar" in capsys.readouterr().out
 
 
+def test_bisim_on_a_truncated_exploration_is_unknown(tmp_path, capsys):
+    one = tmp_path / "one.ccss"
+    one.write_text("A = a.A\nsystem = A\n")
+    two = tmp_path / "two.ccss"
+    two.write_text("A = a.B\nB = a.A\nsystem = A\n")
+    assert main(["bisim", str(one), str(two)]) == 0
+    capsys.readouterr()
+    assert main(["bisim", str(one), str(two), "--max-states", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out.strip() == "unknown"
+    assert f"warning: exploration of {two} truncated" in err
+    assert str(one) not in err
+
+
 def test_just_verdict_on_the_reader_loop(example_file, capsys):
     assert main(["lts", example_file]) == 0
     blob = json.loads(capsys.readouterr().out)
