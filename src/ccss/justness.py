@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DynamicParallelism
-from .terms import Environment, Term, SIGNAL
+from .terms import Environment, SIGNAL
 from .sos import SosEngine
 from .lts import LEAF, PAR, RELABEL, RESTRICT, Lts, Shape, State
 from .syntax import action_str
@@ -106,22 +106,6 @@ class JustnessVerdict:
             "witness": self.witness.to_json() if self.witness else None,
         }
 
-    @property
-    def a_enabled(self) -> frozenset:
-        """Actions contained in every Y for which the path is Y-just."""
-        return self.minimal_y if self.just else frozenset()
-
-
-@dataclass(frozen=True)
-class LeafProjection:
-    leaf: tuple  # component address
-    finite: bool
-    steps: tuple  # positions (within stem+cycle) where this leaf moves
-    resting_term: Optional[Term] = None  # final subterm, when finite
-
-
-# --------------------------------------------------------------------------
-# decomposition
 
 def _static_shape(lts: Lts, states) -> State:
     """The first state, when all the states share its shape."""
@@ -132,37 +116,6 @@ def _static_shape(lts: Lts, states) -> State:
     if any(lts.states[s].shape is not first.shape for s in states):
         raise DynamicParallelism("parallel structure changes along the path")
     return first
-
-
-def decompose(lts: Lts, lasso: Lasso):
-    """Per-leaf projections of the lasso.  Leaves that take part in no
-    cycle transition have finite projections and carry their resting
-    subterm (the cycle transitions they appear in as signal-read partner
-    contribute empty steps)."""
-    anchor = lasso.validate(lts)
-    shape, _ = _static_shape(lts, lasso.states(lts))
-    leaves = lts.states[anchor].leaves
-    steps = [[] for _ in leaves]
-    for pos, idx in enumerate(lasso.stem + lasso.cycle):
-        for slot in lts.transitions[idx].components:
-            steps[slot].append(pos)
-    cycle_start = len(lasso.stem)
-    out = []
-    for slot, address in enumerate(shape.addresses):
-        finite = not any(pos >= cycle_start for pos in steps[slot])
-        out.append(LeafProjection(address, finite, tuple(steps[slot]),
-                                  leaves[slot] if finite else None))
-    return out
-
-
-def minimal_signalling_set(projection: LeafProjection,
-                           engine: SosEngine) -> frozenset:
-    """Least upper bound on the signals the projection keeps emitting:
-    the emission set of the resting term for finite projections, empty
-    for infinite ones (no clause constrains a moving component)."""
-    if projection.finite:
-        return engine.signals(projection.resting_term)
-    return frozenset()
 
 
 # --------------------------------------------------------------------------

@@ -199,28 +199,16 @@ def example2() -> ProtocolModel:
 # --------------------------------------------------------------------------
 # two-process mutual exclusion with a turn variable
 
-def _bool_var_ccs(base: str, values=("true", "false")) -> list:
-    """Handshake variable agents: accept any write, offer the current
-    value for reading."""
-    lines = []
-    for v in values:
-        branches = [f"assign_{base}_{w}.{_var_id(base, w)}" for w in values]
-        branches.append(f"'noti_{base}_{v}.{_var_id(base, v)}")
-        lines.append(f"{_var_id(base, v)} = " + " + ".join(branches))
-    return lines
-
-
-def _bool_var_ccss(base: str, values=("true", "false")) -> list:
-    lines = []
-    for v in values:
-        branches = [f"assign_{base}_{w}.{_var_id(base, w)}" for w in values]
-        lines.append(f"{_var_id(base, v)} = ("
-                     + " + ".join(branches) + f") ^ noti_{base}_{v}")
-    return lines
-
-
-def _var_id(base: str, v) -> str:
-    return f"{base[0].upper()}{base[1:]}_{v}"
+def _variable(agent: str, name: str, values, flavor: str) -> list:
+    """Equations of a shared variable: agent `{agent}_{v}` holds value v,
+    accepts any write `assign_{name}_{w}` and offers its value for reading,
+    by handshake `'noti_{name}_{v}` (ccs) or as the signal `noti_{name}_{v}`
+    (ccss)."""
+    writes = " + ".join(f"assign_{name}_{w}.{agent}_{w}" for w in values)
+    if flavor == "ccss":
+        return [f"{agent}_{v} = ({writes}) ^ noti_{name}_{v}" for v in values]
+    return [f"{agent}_{v} = {writes} + 'noti_{name}_{v}.{agent}_{v}"
+            for v in values]
 
 
 def peterson2(flavor: str = "ccss") -> ProtocolModel:
@@ -244,8 +232,10 @@ def peterson2(flavor: str = "ccss") -> ProtocolModel:
             f"{me} = noncrit{me}.'assign_ready{me}_true.'assign_turn_{turn_other}"
             f".(noti_ready{other}_false.{exit_cs}"
             f" + noti_turn_{turn_me}.{exit_cs})")
-    var = _bool_var_ccss if flavor == "ccss" else _bool_var_ccs
-    lines += var("readyA") + var("readyB") + var("turn", ("A", "B"))
+    for agent, name, values in (("ReadyA", "readyA", ("true", "false")),
+                                ("ReadyB", "readyB", ("true", "false")),
+                                ("Turn", "turn", ("A", "B"))):
+        lines += _variable(agent, name, values, flavor)
     lines.append(
         "system = (A | B | ReadyA_false | ReadyB_false | Turn_A) \\ {"
         + ", ".join(internal) + "}")
@@ -298,23 +288,9 @@ def filter_lock(n: int, flavor: str = "ccss", max_n: int = 4) -> ProtocolModel:
                 lines.append(f"K[{i}]_{j}_{k} = " + " + ".join(reads))
         lines.append(f"C[{i}] = crit[{i}].'assign_room[{i}]_0.P[{i}]")
     for i in procs:
-        writes = [f"assign_room[{i}]_{w}.Room[{i}]_{w}" for w in rooms]
-        for v in rooms:
-            if flavor == "ccss":
-                lines.append(f"Room[{i}]_{v} = (" + " + ".join(writes)
-                             + f") ^ noti_room[{i}]_{v}")
-            else:
-                lines.append(f"Room[{i}]_{v} = " + " + ".join(
-                    writes + [f"'noti_room[{i}]_{v}.Room[{i}]_{v}"]))
+        lines += _variable(f"Room[{i}]", f"room[{i}]", rooms, flavor)
     for j in range(1, n):
-        writes = [f"assign_last[{j}]_{w}.Last[{j}]_{w}" for w in procs]
-        for v in procs:
-            if flavor == "ccss":
-                lines.append(f"Last[{j}]_{v} = (" + " + ".join(writes)
-                             + f") ^ noti_last[{j}]_{v}")
-            else:
-                lines.append(f"Last[{j}]_{v} = " + " + ".join(
-                    writes + [f"'noti_last[{j}]_{v}.Last[{j}]_{v}"]))
+        lines += _variable(f"Last[{j}]", f"last[{j}]", procs, flavor)
     components = ([f"P[{i}]" for i in procs]
                   + [f"Room[{i}]_0" for i in procs]
                   + [f"Last[{j}]_1" for j in range(1, n)])
@@ -386,22 +362,8 @@ def bakery(n: int = 2, ticket_bound: int = 4,
                          f".'assign_number[{i}]_0.P[{i}]")
         lines.append(f"OV[{i}] = 0")
     for i in procs:
-        ch_writes = [f"assign_choosing[{i}]_{w}.Ch[{i}]_{w}" for w in (0, 1)]
-        num_writes = [f"assign_number[{i}]_{w}.Num[{i}]_{w}" for w in tickets]
-        for v in (0, 1):
-            if flavor == "ccss":
-                lines.append(f"Ch[{i}]_{v} = (" + " + ".join(ch_writes)
-                             + f") ^ noti_choosing[{i}]_{v}")
-            else:
-                lines.append(f"Ch[{i}]_{v} = " + " + ".join(
-                    ch_writes + [f"'noti_choosing[{i}]_{v}.Ch[{i}]_{v}"]))
-        for v in tickets:
-            if flavor == "ccss":
-                lines.append(f"Num[{i}]_{v} = (" + " + ".join(num_writes)
-                             + f") ^ noti_number[{i}]_{v}")
-            else:
-                lines.append(f"Num[{i}]_{v} = " + " + ".join(
-                    num_writes + [f"'noti_number[{i}]_{v}.Num[{i}]_{v}"]))
+        lines += _variable(f"Ch[{i}]", f"choosing[{i}]", (0, 1), flavor)
+        lines += _variable(f"Num[{i}]", f"number[{i}]", tickets, flavor)
     components = ([f"P[{i}]" for i in procs]
                   + [f"Ch[{i}]_0" for i in procs]
                   + [f"Num[{i}]_0" for i in procs])

@@ -20,7 +20,7 @@ from typing import Optional
 from .errors import UnguardedRecursion
 from . import terms as T
 from .terms import (
-    Action, Environment, Name, Term, TAU,
+    Action, Environment, Name, Term, TAU, MAX_UNFOLD,
     Nil, Prefix, Sum, IndexedSum, Par, Restrict, Relabel, Ident, SignalEmit,
     STEP_LEFT, STEP_RIGHT, STEP_RESTRICT, STEP_RELABEL, STEP_EMIT,
 )
@@ -105,7 +105,7 @@ class SosEngine:
         if isinstance(term, Ident):
             if term in stack:
                 raise UnguardedRecursion(str(term.name))
-            if len(stack) >= self.env.max_unfold:
+            if len(stack) >= MAX_UNFOLD:
                 raise UnguardedRecursion(str(term.name))
             return self._compute_emitters(self.env.resolve(term.name), stack + (term,))
         return ()  # Nil, Prefix
@@ -151,7 +151,7 @@ class SosEngine:
         if isinstance(term, Ident):
             if term in stack:
                 raise UnguardedRecursion(str(term.name))
-            if len(stack) >= env.max_unfold:
+            if len(stack) >= MAX_UNFOLD:
                 raise UnguardedRecursion(str(term.name))
             return self._compute_memo(env.resolve(term.name), stack + (term,))
         if isinstance(term, SignalEmit):

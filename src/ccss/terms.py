@@ -420,6 +420,10 @@ def indexed_branches(term: IndexedSum) -> tuple:
 # --------------------------------------------------------------------------
 # environments of defining equations
 
+# longest chain of identifier unfoldings before recursion counts as unguarded
+MAX_UNFOLD = 10_000
+
+
 class Environment:
     """Defining equations plus the signal and blocking classifications.
 
@@ -431,12 +435,11 @@ class Environment:
     non-blocking.
     """
 
-    def __init__(self, equations=(), signals=(), blocking=(), max_unfold=10_000):
+    def __init__(self, equations=(), signals=(), blocking=()):
         self.equations = {}
         self.order = []  # for printing
         self.declared_signals = frozenset(signals)
         self.blocking = frozenset(blocking)
-        self.max_unfold = max_unfold
         for name, body in equations:
             self.define(name, body)
 
@@ -552,7 +555,7 @@ def canonical(env: Environment, term: Term) -> Term:
     if isinstance(term, Ident):
         seen = {term.name}
         current = term
-        for _ in range(env.max_unfold):
+        for _ in range(MAX_UNFOLD):
             if not current.name.concrete:
                 return current
             body = env.resolve(current.name)

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .lts import Lts, explore
+# is_complete is not called here; perfbench/spans.py traces verify.is_complete
 from .justness import Lasso, analyze_configuration, is_complete, is_just
 from .protocols import ProtocolModel
 from .sos import SosEngine
-from .syntax import action_str
 
 
 @dataclass
@@ -341,35 +341,3 @@ def check_liveness(model: ProtocolModel,
                                excluded_states=len(ws.excluded))
     return LivenessVerdict("holds", exhaustive=True,
                            excluded_states=len(ws.excluded))
-
-
-# --------------------------------------------------------------------------
-
-def classify_path(model: ProtocolModel, lts: Lts, lasso: Lasso,
-                  engine: Optional[SosEngine] = None) -> dict:
-    """Bundle completeness, justness and the per-role noncrit-to-crit
-    check for a concrete lasso."""
-    engine = engine or SosEngine(model.env)
-    mode = model.mode
-    verdict = is_just(lts, model.env, lasso, mode, engine)
-    complete = is_complete(lts, model.env, lasso, mode, engine)
-    anchor = lts.states[lasso.anchor(lts)]
-    cycle_labels = [lts.transitions[i].label for i in lasso.cycle]
-    live_ok = True
-    broken = []
-    for role in model.roles:
-        crit_in_cycle = role.crit in cycle_labels
-        noncrit_in_cycle = role.noncrit in cycle_labels
-        pending = model.pending(anchor, role)
-        if (noncrit_in_cycle or pending) and not crit_in_cycle:
-            live_ok = False
-            broken.append(role.name)
-    return {
-        "complete": complete,
-        "just": verdict.just,
-        "minimalY": (sorted(action_str(a) for a in verdict.minimal_y)
-                     if verdict.minimal_y is not None else None),
-        "witness": verdict.witness.to_json() if verdict.witness else None,
-        "livenessOk": live_ok,
-        "brokenRoles": broken,
-    }

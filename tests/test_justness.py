@@ -1,19 +1,15 @@
-"""Justness analysis: decomposition, verdicts, and their invariants."""
+"""Justness analysis: verdicts and their invariants."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccss.errors import DynamicParallelism
-from ccss.justness import (
-    Lasso, analyze_configuration, decompose, is_complete, is_just,
-    minimal_signalling_set,
-)
+from ccss.justness import Lasso, analyze_configuration, is_complete, is_just
 from ccss.lts import explore
 from ccss.sos import SosEngine
 from ccss.syntax import parse_term
-from ccss.terms import Environment
+from ccss.terms import Environment, Ident, Name, subterm_at
 from ccss import protocols
 
 from _lassos import enumerate_lassos
@@ -48,24 +44,18 @@ def test_reader_loop_is_unjust_with_signal_variable():
 def test_decompose_splits_by_component():
     model = protocols.example2()
     lts, rho = _reader_lasso(model)
-    projections = decompose(lts, rho)
-    finite = {p.leaf: p for p in projections if p.finite}
-    moving = [p for p in projections if not p.finite]
+    shape, leaves = lts.states[lts.initial]
+    (loop,) = rho.cycle
+    moving = lts.transitions[loop].components
     assert len(moving) == 1  # only the reader moves
-    assert len(finite) == 2  # variable and writer rest
+    (reader,) = moving
+    assert subterm_at(model.root, shape.addresses[reader]) == Ident(Name("R"))
+    resting = [leaves[slot] for slot in range(len(leaves))
+               if slot not in moving]
+    assert len(resting) == 2  # variable and writer rest
     engine = SosEngine(model.env)
-    emitted = {str(n) for p in finite.values()
-               for n in minimal_signalling_set(p, engine)}
+    emitted = {str(n) for term in resting for n in engine.signals(term)}
     assert emitted == {"noti_x_true"}  # the variable keeps emitting its value
-
-
-def test_moving_components_have_empty_signalling_set():
-    model = protocols.example2()
-    lts, rho = _reader_lasso(model)
-    engine = SosEngine(model.env)
-    for p in decompose(lts, rho):
-        if not p.finite:
-            assert minimal_signalling_set(p, engine) == frozenset()
 
 
 def test_terminal_lasso_justness_matches_enabled_actions():
@@ -91,7 +81,7 @@ def test_verdict_minimal_y_contains_only_blocking_actions():
     assert all(model.env.is_blocking(a) for a in verdict.minimal_y)
 
 
-def test_a_enabled_reports_forced_bound_members():
+def test_minimal_y_reports_forced_bound_members():
     env = Environment(blocking=("a", "b"))
     lts = explore(env, parse_term("a.0 | b.b.0", signals=()))
     loops = [i for i, t in enumerate(lts.transitions)]
@@ -105,7 +95,7 @@ def test_a_enabled_reports_forced_bound_members():
         state = lts.transitions[i].tgt
     verdict = is_just(lts, env, Lasso(tuple(path), ()))
     assert verdict.just
-    assert {str(a) for a in verdict.a_enabled} == {"a"}
+    assert {str(a) for a in verdict.minimal_y} == {"a"}
 
 
 def test_dynamic_parallelism_is_reported():
@@ -120,11 +110,8 @@ def test_dynamic_parallelism_is_reported():
     (work,) = [i for i, t in enumerate(lts.transitions)
                if str(t.label) == "work" and t.src == t.tgt
                and t.src == lts.transitions[fork].tgt]
-    # the stem crosses a fork: the full run has no constant component tree,
-    # so a per-component decomposition is refused ...
-    with pytest.raises(DynamicParallelism):
-        decompose(lts, Lasso((fork,), (work,)))
-    # ... but the justness verdict only needs the tail and still works
+    # the stem crosses a fork, so the full run has no constant component
+    # tree, but the justness verdict only needs the tail and still works
     assert not is_just(lts, env, Lasso((fork,), (work,))).just
 
 

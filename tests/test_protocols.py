@@ -177,3 +177,15 @@ def test_role_predicates_agree_with_the_subterm_of_the_whole_state(
                 assert model.pending(state, r) == (at[r] in r.pending_terms)
                 spawned += r.leaf not in state.shape.slots
     assert spawned
+
+
+def test_generator_roles_match_the_roles_inferred_from_their_source(
+        monkeypatch):
+    """The golden verdicts pin roles inferred from `.ccss` files; the
+    benchmark verifies the generators' own role tables.  Both must tag
+    the same roles."""
+    models = benchmark_catalog(monkeypatch)
+    models += [protocols.example1(), protocols.example2()]
+    for model in models:
+        inferred = protocols.roles_from_file(parse(model.source))
+        assert inferred.roles == model.roles, model.meta

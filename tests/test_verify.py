@@ -1,6 +1,7 @@
 """Safety/liveness verification and counterexample quality."""
 
 import json
+import pathlib
 import random
 from collections import deque
 
@@ -11,7 +12,7 @@ from ccss.justness import JustnessVerdict, is_complete, is_just
 from ccss.lts import explore
 from ccss.sos import SosEngine
 from ccss.terms import Name, act
-from ccss.verify import _path, check_liveness, check_safety, classify_path
+from ccss.verify import _path, check_liveness, check_safety
 from ccss import protocols, verify
 from ccss.protocols import _build
 
@@ -95,16 +96,23 @@ def test_bakery_safety_skips_overflow_states():
     assert verdict.excluded_states > 0
 
 
-def test_classify_path_summarizes_a_lasso():
+def test_liveness_counterexample_is_a_complete_just_run_starving_its_role():
     model = protocols.peterson2("ccs")
     lts = explore(model.env, model.root)
     verdict = check_liveness(model)
     lasso, _ = verdict.counterexample
-    info = classify_path(model, lts, lasso)
-    assert info["just"] and info["complete"]
-    assert not info["livenessOk"]
-    assert verdict.role in info["brokenRoles"]
-    assert info["minimalY"] == []
+    justness = is_just(lts, model.env, lasso, mode=model.mode)
+    assert justness.just
+    assert is_complete(lts, model.env, lasso, mode=model.mode)
+    assert justness.minimal_y == frozenset()
+    # a role is starved when it has left its noncritical section (in the
+    # cycle or at its start) but the cycle never enters its critical one
+    anchor = lts.states[lasso.anchor(lts)]
+    labels = {lts.transitions[i].label for i in lasso.cycle}
+    starved = [r.name for r in model.roles
+               if (r.noncrit in labels or model.pending(anchor, r))
+               and r.crit not in labels]
+    assert verdict.role in starved
 
 
 def test_liveness_verdicts_serialize_to_json():
@@ -229,3 +237,20 @@ def test_path_is_a_shortest_allowed_path_to_a_goal():
                 at = t.tgt
             assert at in goals
     assert found and missing  # both outcomes are exercised
+
+
+def test_every_traced_function_exists_on_each_owner(monkeypatch):
+    """The benchmark's tracer replaces each traced function on every module
+    that holds it; a name one of them no longer holds would fail the
+    benchmark, so it fails here first."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import spans
+    for name, owners, _ in spans._targets():
+        first_owner, first_attr = owners[0]
+        original = vars(first_owner).get(first_attr)
+        assert callable(original), f"{name}: no {first_attr}"
+        for owner, attr in owners:
+            assert vars(owner).get(attr) is original, (
+                f"{name}: {owner.__name__}.{attr} is not "
+                f"{first_owner.__name__}.{first_attr}")
