@@ -2,8 +2,9 @@
 
 Subcommands: parse, lts, bisim, just, verify, gen, step.  Exit codes:
 0 success / property holds, 1 property violated (or systems inequivalent),
-2 usage or input error, 3 verdict unknown.  The CCSS_MAX_STATES
-environment variable caps state-space exploration (default 1000000).
+2 usage or input error, 3 verdict unknown.  --max-states, or else the
+CCSS_MAX_STATES environment variable, caps state-space exploration
+(default 1000000); either must be a positive integer.
 """
 
 from __future__ import annotations
@@ -26,10 +27,25 @@ from .verify import check_safety, check_liveness
 EXIT_OK, EXIT_VIOLATED, EXIT_USAGE, EXIT_UNKNOWN = 0, 1, 2, 3
 
 
+def _state_cap(text: str) -> int:
+    """A state cap, from --max-states or CCSS_MAX_STATES."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"not a positive integer: {text!r}")
+    return value
+
+
 def _max_states(args) -> int:
-    if getattr(args, "max_states", None):
+    if args.max_states is not None:
         return args.max_states
-    return int(os.environ.get("CCSS_MAX_STATES", "1000000"))
+    try:
+        return _state_cap(os.environ.get("CCSS_MAX_STATES", "1000000"))
+    except argparse.ArgumentTypeError as exc:
+        raise CcssError(f"CCSS_MAX_STATES: {exc}") from None
 
 
 def _load(path: str):
@@ -213,34 +229,39 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Process-calculus toolkit with signal emission: "
                     "explore, compare and verify .ccss models.")
     sub = top.add_subparsers(dest="command", required=True)
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--max-states", type=_state_cap,
+                        help="cap on explored states (default: "
+                             "CCSS_MAX_STATES, else 1000000)")
 
     p = sub.add_parser("parse", help="validate and pretty-print a file")
     p.add_argument("file")
     p.set_defaults(func=cmd_parse)
 
-    p = sub.add_parser("lts", help="explore the state space")
+    p = sub.add_parser("lts", parents=[capped],
+                       help="explore the state space")
     p.add_argument("file")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--dot", action="store_true")
     fmt.add_argument("--json", action="store_true")
-    p.add_argument("--max-states", type=int)
     p.set_defaults(func=cmd_lts)
 
-    p = sub.add_parser("bisim", help="compare two systems")
+    p = sub.add_parser("bisim", parents=[capped],
+                       help="compare two systems")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--max-states", type=int)
     p.set_defaults(func=cmd_bisim)
 
-    p = sub.add_parser("just", help="justness verdict for a lasso")
+    p = sub.add_parser("just", parents=[capped],
+                       help="justness verdict for a lasso")
     p.add_argument("file")
     p.add_argument("--lasso", required=True,
                    metavar="STEM;CYCLE",
                    help="comma-separated transition indices, e.g. '0,2;5,6'")
-    p.add_argument("--max-states", type=int)
     p.set_defaults(func=cmd_just)
 
-    p = sub.add_parser("verify", help="safety / liveness verdict")
+    p = sub.add_parser("verify", parents=[capped],
+                       help="safety / liveness verdict")
     what = p.add_mutually_exclusive_group(required=True)
     what.add_argument("--safety", action="store_true")
     what.add_argument("--liveness", action="store_true")
@@ -249,7 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavor", choices=protocols.FLAVORS, default="ccss")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--ticket-bound", type=int, default=4)
-    p.add_argument("--max-states", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="emit a bundled model as .ccss text")
@@ -274,17 +294,19 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        return _fail(str(exc))
     except CcssError as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
     except RecursionError:
         return _fail("input nested too deeply to process")
+    except UnicodeDecodeError as exc:
+        return _fail(f"input is not UTF-8: {exc}")
     except BrokenPipeError:
         # the reader stopped early (`ccss lts FILE | head`); point stdout
         # at the null device so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    except OSError as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

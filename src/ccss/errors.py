@@ -31,7 +31,9 @@ class ScopeError(CcssError):
 
 
 class DynamicParallelism(CcssError):
-    """The parallel structure of the system changed along a path."""
+    """A role's component is missing from a state's parallel structure
+    (an emission above it was dropped, say).  No cycle changes a state's
+    structure, so justness never raises it."""
 
 
 class ParameterOutOfRange(CcssError):

@@ -3,7 +3,7 @@
 A lasso (stem + cycle of transition indices) finitely presents an
 ultimately periodic path; an empty cycle presents a finite maximal path.
 Justness is decided by decomposing the path over the static parallel
-structure of its states, the shape the explorer recorded for each: each
+structure of its cycle, the shape the explorer recorded for its states: each
 leaf slot either moves in some cycle transition (its projection is
 infinite) or rests at a fixed subterm (its projection is finite).  A
 bottom-up pass over the shape's nodes computes, per node, the minimal set
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DynamicParallelism
 from .terms import Environment, SIGNAL
 from .sos import SosEngine
 from .lts import LEAF, PAR, RELABEL, RESTRICT, Lts, Shape, State
@@ -42,8 +41,12 @@ class Lasso:
     def terminal(self) -> bool:
         return not self.cycle
 
-    def validate(self, lts: Lts, start: Optional[int] = None):
-        at = lts.initial if start is None else start
+    def validate(self, lts: Lts) -> int:
+        """Check that the lasso is a path of the system; return its anchor."""
+        at = lts.initial
+        for i in self.stem + self.cycle:
+            if not 0 <= i < len(lts.transitions):
+                raise ValueError(f"no transition {i}")
         for i in self.stem:
             t = lts.transitions[i]
             if t.src != at:
@@ -73,13 +76,6 @@ class Lasso:
             return Lasso((), self.cycle[1:] + self.cycle[:1])
         return self
 
-    def states(self, lts: Lts):
-        """All states visited, stem then cycle, starting at the initial."""
-        out = [lts.initial]
-        for i in self.stem + self.cycle:
-            out.append(lts.transitions[i].tgt)
-        return out
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -105,17 +101,6 @@ class JustnessVerdict:
                          if self.minimal_y is not None else None),
             "witness": self.witness.to_json() if self.witness else None,
         }
-
-
-def _static_shape(lts: Lts, states) -> State:
-    """The first state, when all the states share its shape."""
-    first = lts.states[states[0]]
-    if not isinstance(first, State):
-        raise ValueError("justness needs an explored system; this one "
-                         "has no state shapes")
-    if any(lts.states[s].shape is not first.shape for s in states):
-        raise DynamicParallelism("parallel structure changes along the path")
-    return first
 
 
 # --------------------------------------------------------------------------
@@ -194,13 +179,19 @@ def _alternatives(lts: Lts, idx: int):
 
 def is_just(lts: Lts, env: Environment, lasso: Lasso, mode: str = "ccss",
             engine: Optional[SosEngine] = None) -> JustnessVerdict:
-    """Decide justness of the path presented by the lasso.  When a cycle
+    """Decide justness of the path presented by the lasso from one state,
+    the anchor where its cycle starts.  Every cycle state has the anchor's
+    shape (a Par never disappears, and a node above a Par appears only
+    with a new Par, so a cycle neither adds nor drops a node), and a slot
+    that no cycle transition moves keeps its leaf.  When a cycle
     transition admits several derivations, the path is just if some
     choice of derivations is: every distinct set of moving slots is
     tried, in the order an enumeration of the choices first meets it."""
     engine = engine or SosEngine(env)
-    lasso.validate(lts)
-    shape, leaves = _static_shape(lts, lasso.states(lts)[len(lasso.stem):])
+    state = lts.states[lasso.validate(lts)]
+    if not isinstance(state, State):
+        raise ValueError("an imported system has no state shapes")
+    shape, leaves = state
     mover_sets = [frozenset()]
     for i in lasso.cycle:
         mover_sets = list(dict.fromkeys(

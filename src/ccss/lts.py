@@ -118,17 +118,17 @@ def explore(env: Environment, root: Term, max_states: int = 1_000_000,
     split = _Splitter(engine)
     skel, leaves = split(canonical(env, root))
     skel.index[leaves] = 0
-    skeletons = [skel]
     states = [State(skel.shape, leaves)]
-    signals = [skel.signals(leaves)]
+    signals = []  # filled as states are expanded, which is in id order
     transitions = []
     truncated = False
-    queue = deque([0])
+    queue = deque([(0, skel)])
     while queue:
-        sid = queue.popleft()
-        skel, leaves = skeletons[sid], states[sid].leaves
-        for label, changes, parts, partner, reshapes, comps in \
-                skel.derivations(leaves):
+        sid, skel = queue.popleft()
+        leaves = states[sid].leaves
+        emitted, derivations = skel.derivations(leaves)
+        signals.append(emitted)
+        for label, changes, parts, partner, reshapes, comps in derivations:
             if reshapes:
                 tskel, tleaves = split(skel.shape.term(leaves, changes))
             else:
@@ -142,10 +142,8 @@ def explore(env: Environment, root: Term, max_states: int = 1_000_000,
                     continue
                 tid = len(states)
                 tskel.index[tleaves] = tid
-                skeletons.append(tskel)
                 states.append(State(tskel.shape, tleaves))
-                signals.append(tskel.signals(tleaves))
-                queue.append(tid)
+                queue.append((tid, tskel))
             transitions.append(Transition(sid, label, tid, parts, partner,
                                           comps))
     return Lts(states, 0, transitions, signals, truncated)
@@ -302,15 +300,6 @@ class _Skeleton:
         self.leaf_cache = [{} for _ in slots]
         self.index = {}
 
-    def signals(self, leaves) -> frozenset:
-        """The signal names the state emits."""
-        out = self.emitted
-        for slot, term in enumerate(leaves):
-            names = self._leaf(slot, term)[-1]
-            if names:
-                out = out | names
-        return out
-
     def _leaf(self, slot, term) -> tuple:
         """What the walk needs of one leaf: (records of its derivations
         seen at the root, handshake moves, signal-read moves, emitters,
@@ -352,10 +341,11 @@ class _Skeleton:
             *_keys(handshakes, reads, emitters), names)
         return cached
 
-    def derivations(self, leaves) -> list:
-        """The derivations of the state with these leaves as records, in
-        the order and with the duplicates `SosEngine.transitions` gives
-        for the whole state term.
+    def derivations(self, leaves) -> tuple:
+        """The signal names the state with these leaves emits, and its
+        derivations as records, in the order and with the duplicates
+        `SosEngine.transitions` gives for the whole state term; one walk
+        reads each leaf once for both.
 
         The walk follows `SosEngine._par`: at each Par, the left side's
         derivations, the right side's, handshakes, then left reading
@@ -363,8 +353,9 @@ class _Skeleton:
         once, at the topmost Par: removing them at inner Pars as well
         changes neither which derivations are kept nor their order."""
         if not self.has_par:
-            # one leaf, the whole term: its derivations, duplicates kept
-            return self._leaf(0, leaves[0])[0]
+            leaf = self._leaf(0, leaves[0])  # the whole term: keep duplicates
+            return leaf[6], leaf[0]
+        emitted = self.emitted
         out = []
         # per subtree: (handshake moves, signal-read moves, emitters,
         # offered ids, wanted ids), labels and names as seen at its root
@@ -375,6 +366,8 @@ class _Skeleton:
             if kind == LEAF:
                 slot = node[1]
                 leaf = self._leaf(slot, leaves[slot])
+                if leaf[6]:
+                    emitted = emitted | leaf[6]
                 out.extend(leaf[0])
                 stack.append(leaf[1:6])
             elif kind == PAR:
@@ -425,7 +418,7 @@ class _Skeleton:
         out = list(dict.fromkeys(out))
         if self.outer_relabels:
             out = [(_lift(r[0], self.outer_relabels),) + r[1:] for r in out]
-        return out
+        return emitted, out
 
 
 def encode_signals_as_transitions(lts: Lts) -> Lts:

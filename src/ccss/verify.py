@@ -86,7 +86,6 @@ class LivenessVerdict:
 
 @dataclass
 class _Workspace:
-    model: ProtocolModel
     engine: SosEngine
     lts: Lts
     ok_states: list  # state ids that are not excluded
@@ -105,7 +104,7 @@ def _prepare(model: ProtocolModel, max_states: int) -> _Workspace:
                   engine=engine)
     excluded = {i for i, s in enumerate(lts.states) if model.excluded(s)}
     ok = [i for i in range(lts.num_states) if i not in excluded]
-    return _Workspace(model, engine, lts, ok, excluded)
+    return _Workspace(engine, lts, ok, excluded)
 
 
 def _path(lts: Lts, source: int, goals, allowed) -> Optional[list]:
@@ -232,17 +231,7 @@ def check_liveness(model: ProtocolModel,
     env = model.env
     lts = ws.lts
     trans = lts.transitions
-    config_cache = {}
     unconfirmed = None  # role of the first witness that is_just rejected
-
-    def config_just(shape, leaves, movers):
-        resting = tuple(term for slot, term in enumerate(leaves)
-                        if slot not in movers)
-        key = (shape, movers, resting)
-        if key not in config_cache:
-            config_cache[key] = analyze_configuration(
-                ws.engine, env, shape, leaves, movers, mode)
-        return config_cache[key]
 
     for role in model.roles:
         candidates = []  # (score, kind, payload); cycles preferred
@@ -272,7 +261,8 @@ def check_liveness(model: ProtocolModel,
             shape, leaves = lts.states[anchor]
             touched = frozenset().union(*(trans[i].components
                                           for i in edges))
-            verdict = config_just(shape, leaves, touched)
+            verdict = analyze_configuration(ws.engine, env, shape, leaves,
+                                            touched, mode)
             if not verdict.just:
                 continue
             # prefer informative witnesses: cycles over dead ends, then

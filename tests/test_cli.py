@@ -243,12 +243,61 @@ def test_a_role_whose_address_vanishes_is_a_usage_error(tmp_path, capsys,
 
 
 def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "ccss.cli", "lts",
-         str(ROOT / "models" / "bakery2-ccss.ccss")],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    assert proc.stdout.read(100)
-    proc.stdout.close()
-    assert proc.wait(timeout=120) == 0
-    assert proc.stderr.read() == b""
+    with subprocess.Popen(
+            [sys.executable, "-m", "ccss.cli", "lts",
+             str(ROOT / "models" / "bakery2-ccss.ccss")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")}) as proc:
+        assert proc.stdout.read(100)
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == b""
+
+
+@pytest.mark.parametrize("argv, make", [
+    (["parse", "{dir}"], None),
+    (["parse", "{path}"], b"system = a.0 \xff\n"),
+    (["gen", "--model", "peterson2", "-o", "{dir}"], None),
+], ids=["directory", "not-utf-8", "gen-into-a-directory"])
+def test_unreadable_input_or_output_is_a_usage_error(tmp_path, capsys, argv,
+                                                     make):
+    path = tmp_path / "bad.ccss"
+    if make is not None:
+        path.write_bytes(make)
+    argv = [a.format(dir=tmp_path, path=path) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["lts", "{file}"], ["bisim", "{file}", "{file}"],
+    ["just", "{file}", "--lasso", ";"], ["verify", "--safety", "{file}"],
+], ids=["lts", "bisim", "just", "verify"])
+@pytest.mark.parametrize("cap", ["0", "-1", "abc", "2.5"])
+def test_max_states_must_be_a_positive_integer(example_file, capsys,
+                                               command, cap):
+    argv = [a.format(file=example_file) for a in command]
+    assert main(argv + ["--max-states", cap]) == 2
+    assert "--max-states: not a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3", "abc", ""])
+def test_a_bad_state_cap_in_the_environment_is_a_usage_error(
+        example_file, capsys, monkeypatch, cap):
+    monkeypatch.setenv("CCSS_MAX_STATES", cap)
+    assert main(["lts", example_file]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: CcssError: CCSS_MAX_STATES: not a positive integer")
+    # the option overrides the environment
+    assert main(["lts", example_file, "--max-states", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["truncated"] is True
+
+
+@pytest.mark.parametrize("spec", ["-1", "0,-1;", "1;", ";5"])
+def test_a_lasso_index_outside_the_transitions_is_a_bad_lasso(
+        tmp_path, capsys, spec):
+    path = tmp_path / "one.ccss"
+    path.write_text("system = a.0\n")
+    assert main(["just", str(path), f"--lasso={spec}"]) == 2
+    assert "bad lasso spec" in capsys.readouterr().err

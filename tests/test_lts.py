@@ -15,6 +15,7 @@ from ccss.terms import (
     sig, subterm_at,
 )
 from ccss.syntax import parse, parse_term, term_str
+from ccss.verify import _sccs
 from ccss import protocols
 
 import _oracle
@@ -184,3 +185,43 @@ def test_explore_matches_the_term_explorer_on_edge_cases(source):
     spec = parse(source)
     for cap in (1_000, 1, 2, 3):
         assert_identical(spec.env, spec.root, cap)
+
+
+# -- no cycle changes a state's shape ---------------------------------------
+
+def sccs_with_one_shape(lts):
+    """The strongly connected components of the system, after checking
+    that each one's states share one `Shape` (justness reads a cycle's
+    shape and resting leaves from one of its states)."""
+    comps = _sccs(lambda s: [lts.transitions[i].tgt for i in lts.outgoing(s)],
+                  range(lts.num_states))
+    for comp in comps:
+        assert len({lts.states[s].shape for s in comp}) == 1, comp
+    return comps
+
+
+def test_every_cycle_keeps_its_shape_on_bundled_models(monkeypatch):
+    sources = {path.read_text() for path in (ROOT / "models").glob("*.ccss")}
+    sources |= {model.source for model in benchmark_catalog(monkeypatch)}
+    for source in sorted(sources):
+        spec = parse(source)
+        sccs_with_one_shape(explore(spec.env, spec.root))
+
+
+@pytest.mark.parametrize("source, cap, shapes", [
+    # the emission above the A's drops when one moves; S reads it meanwhile
+    ("signals { s }\nA = a.A2\nA2 = b.A\nS = s.S2\nS2 = c.S\n"
+     "system = ((A | A) ^ s) | S\n", 1_000, 2),
+    # every fork spawns a Par (capped: the system grows without bound)
+    ("P = fork.(P | W)\nW = work.W2\nW2 = rest.W\nsystem = P\n", 60, 9),
+    # a restriction and a relabelling above a Par, and one beside it
+    ("A = a.A2\nA2 = b.A\nsystem = ((A | 'a.A) \\ {a})[c/b] | A\n",
+     1_000, 1),
+])
+def test_every_cycle_keeps_its_shape_on_hand_written_systems(source, cap,
+                                                            shapes):
+    spec = parse(source)
+    lts = explore(spec.env, spec.root, max_states=cap)
+    comps = sccs_with_one_shape(lts)
+    assert any(len(comp) > 1 for comp in comps)
+    assert len({state.shape for state in lts.states}) == shapes
