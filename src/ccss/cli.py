@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .errors import CcssError
+from .errors import CcssError, ParameterOutOfRange
 from .terms import validate
 from .syntax import parse, spec_str, term_str, action_str
 from .sos import SosEngine
@@ -77,9 +77,9 @@ def cmd_lts(args) -> int:
         print("warning: exploration truncated at the state limit",
               file=sys.stderr)
     if args.dot:
-        print(export_dot(lts, state_str=term_str))
+        print(export_dot(lts))
     else:
-        print(export_json(lts, state_str=term_str))
+        print(export_json(lts))
     return EXIT_OK
 
 
@@ -120,7 +120,9 @@ def cmd_just(args) -> int:
     except (ValueError, IndexError) as exc:
         return _fail(f"bad lasso spec: {exc}")
     verdict = is_just(lts, spec.env, lasso, engine=engine)
-    complete = is_complete(lts, spec.env, lasso, engine=engine)
+    # an infinite path is complete exactly when it is just
+    complete = (is_complete(lts, spec.env, lasso, engine=engine)
+                if lasso.terminal else verdict.just)
     print(json.dumps({**verdict.to_json(), "complete": complete}, indent=2))
     return EXIT_OK
 
@@ -136,12 +138,16 @@ _MAKERS = {
     "bakery": lambda args: protocols.bakery(args.n, args.ticket_bound,
                                             args.flavor),
 }
+_TWO_PROCESS = ("example1", "example2", "peterson2")  # no N to choose
 
 
 def _get_model(args):
     if args.model:
         if args.model not in _MAKERS:
             raise CcssError(f"unknown model {args.model!r}")
+        if args.model in _TWO_PROCESS and args.n != 2:
+            raise ParameterOutOfRange(
+                f"{args.model} has two processes, not --n {args.n}")
         return _MAKERS[args.model](args)
     if not args.file:
         raise CcssError("need a FILE or --model")

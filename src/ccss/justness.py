@@ -24,7 +24,7 @@ from typing import Optional
 
 from .terms import Environment, SIGNAL
 from .sos import SosEngine
-from .lts import LEAF, PAR, RELABEL, RESTRICT, Lts, Shape, State
+from .lts import LEAF, PAR, RELABEL, RESTRICT, Lts, Shape
 from .syntax import action_str
 
 
@@ -188,10 +188,7 @@ def is_just(lts: Lts, env: Environment, lasso: Lasso, mode: str = "ccss",
     choice of derivations is: every distinct set of moving slots is
     tried, in the order an enumeration of the choices first meets it."""
     engine = engine or SosEngine(env)
-    state = lts.states[lasso.validate(lts)]
-    if not isinstance(state, State):
-        raise ValueError("an imported system has no state shapes")
-    shape, leaves = state
+    shape, leaves = lts.states[lasso.validate(lts)]
     mover_sets = [frozenset()]
     for i in lasso.cycle:
         mover_sets = list(dict.fromkeys(

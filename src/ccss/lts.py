@@ -1,4 +1,4 @@
-"""Labelled transition systems: exploration, encoding, export and import.
+"""Labelled transition systems: exploration, encoding and export.
 
 An explored state is its parallel shape and its leaf terms (`State`);
 its canonical term is built on demand (`Lts.term`).  Every derivation
@@ -20,6 +20,7 @@ from .terms import (
     STEP_LEFT, STEP_RIGHT, STEP_RESTRICT, STEP_RELABEL, STEP_EMIT,
 )
 from .sos import SosEngine
+from .syntax import term_str
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ class State(NamedTuple):
 
 @dataclass
 class Lts:
-    states: list  # index -> State (or opaque key for imported systems)
+    states: list  # index -> State
     initial: int
     transitions: list  # of Transition
     state_signals: list  # index -> frozenset of Name
@@ -100,10 +101,10 @@ class Lts:
     def num_states(self) -> int:
         return len(self.states)
 
-    def term(self, state: int):
-        """The state's term, or the key an imported system stored."""
-        s = self.states[state]
-        return s.shape.term(s.leaves) if isinstance(s, State) else s
+    def term(self, state: int) -> Term:
+        """The state's whole term, built from its shape and leaves."""
+        shape, leaves = self.states[state]
+        return shape.term(leaves)
 
 
 def explore(env: Environment, root: Term, max_states: int = 1_000_000,
@@ -448,29 +449,19 @@ def _name_json(name: Name) -> dict:
     return {"base": name.base, "params": list(name.params)}
 
 
-def _name_from_json(obj: dict) -> Name:
-    return Name(obj["base"], tuple(obj["params"]))
-
-
 def _label_json(action: Action) -> dict:
     if action.is_tau:
         return {"kind": INTERNAL}
     return {"kind": action.kind, **_name_json(action.name)}
 
 
-def _label_from_json(obj: dict) -> Action:
-    if obj["kind"] == INTERNAL:
-        return TAU
-    return Action(obj["kind"], Name(obj["base"], tuple(obj["params"])))
-
-
-def export_json(lts: Lts, state_str=str) -> str:
+def export_json(lts: Lts) -> str:
     data = {
         "initial": lts.initial,
         "truncated": lts.truncated,
         "states": [
             {"id": i,
-             "term": state_str(lts.term(i)),
+             "term": term_str(lts.term(i)),
              "signals": [_name_json(n) for n in sorted(lts.state_signals[i], key=str)]}
             for i in range(lts.num_states)
         ],
@@ -485,36 +476,14 @@ def export_json(lts: Lts, state_str=str) -> str:
     return json.dumps(data, indent=2)
 
 
-def import_json(text: str) -> Lts:
-    """Rebuild an LTS from its JSON export.  States become opaque string
-    keys; the result supports comparison and justness-free queries but not
-    re-exploration."""
-    data = json.loads(text)
-    states = []
-    signals = []
-    for s in sorted(data["states"], key=lambda s: s["id"]):
-        states.append(s["term"])
-        signals.append(frozenset(_name_from_json(n) for n in s.get("signals", ())))
-    transitions = [
-        Transition(t["src"], _label_from_json(t["label"]), t["tgt"],
-                   frozenset(tuple(p.split("/")) if p else ()
-                             for p in t.get("participants", ())),
-                   tuple(t["signalPartner"].split("/"))
-                   if t.get("signalPartner") is not None else None)
-        for t in data["transitions"]
-    ]
-    return Lts(states, data.get("initial", 0), transitions, signals,
-               data.get("truncated", False))
-
-
-def export_dot(lts: Lts, state_str=str) -> str:
+def export_dot(lts: Lts) -> str:
     lines = ["digraph lts {", "  rankdir=LR;", '  node [shape=circle];']
     for i in range(lts.num_states):
         emitted = lts.state_signals[i]
         extra = ("\\n^" + ",".join(str(n) for n in sorted(emitted, key=str))
                  if emitted else "")
         shape = ' peripheries=2' if i == lts.initial else ""
-        lines.append(f'  s{i} [label="{_dot_escape(state_str(lts.term(i)))}{extra}"{shape}];')
+        lines.append(f'  s{i} [label="{_dot_escape(term_str(lts.term(i)))}{extra}"{shape}];')
     for t in lts.transitions:
         lines.append(f'  s{t.src} -> s{t.tgt} [label="{_dot_escape(str(t.label))}"];')
     lines.append("}")

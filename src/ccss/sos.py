@@ -20,7 +20,7 @@ from typing import Optional
 from .errors import UnguardedRecursion
 from . import terms as T
 from .terms import (
-    Action, Environment, Name, Term, TAU, MAX_UNFOLD,
+    Action, Environment, Term, TAU, MAX_UNFOLD,
     Nil, Prefix, Sum, IndexedSum, Par, Restrict, Relabel, Ident, SignalEmit,
     STEP_LEFT, STEP_RIGHT, STEP_RESTRICT, STEP_RELABEL, STEP_EMIT,
 )
@@ -48,129 +48,92 @@ def _prefix_derivation(d: Derivation, step: str, target: Term, label=None) -> De
 
 
 class SosEngine:
-    """Transition derivations, emitted signals and emitter addresses
-    under a fixed environment, memoized per term without parallel
-    structure (`contains_par` false): the leaves the explorer composes.
-    A term with a visible `Par` is derived from its memoized parts each
-    time it is asked for, and nothing of it is kept."""
+    """Transition derivations, emitters and emitted signal names under a
+    fixed environment, all three from one recursive walk over the term.
+    The walk's results are memoized per term without parallel structure
+    (`contains_par` false): the leaves the explorer composes.  A term
+    with a visible `Par` is derived from its memoized parts each time it
+    is asked for, and nothing of it is kept."""
 
     def __init__(self, env: Environment):
         self.env = env
-        self._trans = {}
-        self._emitters = {}
+        self._memo = {}  # term -> (derivations, emitters, signal names)
 
-    # -- emitted signals ---------------------------------------------------
-
-    def signals(self, term: Term) -> frozenset:
-        """The set of signal names the term currently emits."""
-        return frozenset(n for n, _ in self.emitters(term))
+    def transitions(self, term: Term) -> tuple:
+        return self._entry(term, ())[0]
 
     def emitters(self, term: Term) -> tuple:
         """(signal name, emitter address) pairs, one per emission site."""
-        cached = self._emitters.get(term)
-        if cached is None:
-            cached = self._compute_emitters(term, ())
+        return self._entry(term, ())[1]
+
+    def signals(self, term: Term) -> frozenset:
+        """The set of signal names the term currently emits."""
+        return self._entry(term, ())[2]
+
+    def _entry(self, term: Term, stack: tuple) -> tuple:
+        entry = self._memo.get(term)
+        if entry is None:
+            derivations, emitters = self._derive(term, stack)
+            entry = (derivations, emitters,
+                     frozenset(n for n, _ in emitters))
             if not T.contains_par(term):
-                self._emitters[term] = cached
-        return cached
+                self._memo[term] = entry
+        return entry
 
-    def _compute_emitters(self, term: Term, stack: tuple) -> tuple:
-        if isinstance(term, SignalEmit):
-            inner = tuple((n, (STEP_EMIT,) + p)
-                          for n, p in self._compute_emitters(term.body, stack))
-            return ((term.signal, ()),) + inner
-        if isinstance(term, Sum):
-            out = []
-            for b in term.branches:
-                out.extend(self._compute_emitters(b, stack))
-            return tuple(out)
-        if isinstance(term, IndexedSum):
-            out = []
-            for b in T.indexed_branches(term):
-                out.extend(self._compute_emitters(b, stack))
-            return tuple(out)
-        if isinstance(term, Par):
-            return (tuple((n, (STEP_LEFT,) + p)
-                          for n, p in self._compute_emitters(term.left, stack))
-                    + tuple((n, (STEP_RIGHT,) + p)
-                            for n, p in self._compute_emitters(term.right, stack)))
-        if isinstance(term, Restrict):
-            return tuple((n, (STEP_RESTRICT,) + p)
-                         for n, p in self._compute_emitters(term.body, stack)
-                         if n not in term.names)
-        if isinstance(term, Relabel):
-            f = term.relabelling
-            return tuple((f.apply_name(n, True), (STEP_RELABEL,) + p)
-                         for n, p in self._compute_emitters(term.body, stack))
-        if isinstance(term, Ident):
-            if term in stack:
-                raise UnguardedRecursion(str(term.name))
-            if len(stack) >= MAX_UNFOLD:
-                raise UnguardedRecursion(str(term.name))
-            return self._compute_emitters(self.env.resolve(term.name), stack + (term,))
-        return ()  # Nil, Prefix
-
-    # -- transitions -------------------------------------------------------
-
-    def transitions(self, term: Term) -> tuple:
-        return self._compute_memo(term, ())
-
-    def _compute(self, term: Term, stack: tuple) -> tuple:
-        env = self.env
+    def _derive(self, term: Term, stack: tuple) -> tuple:
+        """(derivations, emitters) of the term; `stack` holds the
+        identifiers unfolded on the way down, to catch unguarded
+        recursion."""
         if isinstance(term, Nil):
-            return ()
+            return (), ()
         if isinstance(term, Prefix):
-            return (Derivation(term.action, T.canonical(env, term.body),
-                               frozenset({()})),)
-        if isinstance(term, Sum):
-            out = []
-            for b in term.branches:
-                out.extend(self._compute_memo(b, stack))
-            return _dedup(out)
-        if isinstance(term, IndexedSum):
-            out = []
-            for b in T.indexed_branches(term):
-                out.extend(self._compute_memo(b, stack))
-            return _dedup(out)
+            return (Derivation(term.action, T.canonical(self.env, term.body),
+                               frozenset({()})),), ()
+        if isinstance(term, (Sum, IndexedSum)):
+            branches = (term.branches if isinstance(term, Sum)
+                        else T.indexed_branches(term))
+            derivations, emitters = [], []
+            for b in branches:
+                ds, es, _ = self._entry(b, stack)
+                derivations.extend(ds)
+                emitters.extend(es)
+            return _dedup(derivations), tuple(emitters)
         if isinstance(term, Par):
             return self._par(term, stack)
+        if isinstance(term, Ident):
+            if term in stack or len(stack) >= MAX_UNFOLD:
+                raise UnguardedRecursion(str(term.name))
+            return self._entry(self.env.resolve(term.name),
+                               stack + (term,))[:2]
         if isinstance(term, Restrict):
-            out = []
-            for d in self._compute_memo(term.body, stack):
-                if not d.label.is_tau and d.label.name in term.names:
-                    continue
-                out.append(_prefix_derivation(
-                    d, STEP_RESTRICT, Restrict(d.target, term.names)))
-            return tuple(out)
+            derivations, emitters, _ = self._entry(term.body, stack)
+            return (tuple(_prefix_derivation(d, STEP_RESTRICT,
+                                             Restrict(d.target, term.names))
+                          for d in derivations
+                          if d.label.is_tau or d.label.name not in term.names),
+                    tuple((n, (STEP_RESTRICT,) + p) for n, p in emitters
+                          if n not in term.names))
         if isinstance(term, Relabel):
             f = term.relabelling
-            return tuple(
-                _prefix_derivation(d, STEP_RELABEL, Relabel(d.target, f),
-                                   label=f.apply(d.label))
-                for d in self._compute_memo(term.body, stack))
-        if isinstance(term, Ident):
-            if term in stack:
-                raise UnguardedRecursion(str(term.name))
-            if len(stack) >= MAX_UNFOLD:
-                raise UnguardedRecursion(str(term.name))
-            return self._compute_memo(env.resolve(term.name), stack + (term,))
+            derivations, emitters, _ = self._entry(term.body, stack)
+            return (tuple(_prefix_derivation(d, STEP_RELABEL,
+                                             Relabel(d.target, f),
+                                             label=f.apply(d.label))
+                          for d in derivations),
+                    tuple((f.apply_name(n, True), (STEP_RELABEL,) + p)
+                          for n, p in emitters))
         if isinstance(term, SignalEmit):
+            derivations, emitters, _ = self._entry(term.body, stack)
             # taking any action forgets the emission
-            return tuple(_prefix_derivation(d, STEP_EMIT, d.target)
-                         for d in self._compute_memo(term.body, stack))
+            return (tuple(_prefix_derivation(d, STEP_EMIT, d.target)
+                          for d in derivations),
+                    ((term.signal, ()),) + tuple((n, (STEP_EMIT,) + p)
+                                                 for n, p in emitters))
         raise TypeError(f"not a term: {term!r}")
 
-    def _compute_memo(self, term: Term, stack: tuple) -> tuple:
-        cached = self._trans.get(term)
-        if cached is None:
-            cached = self._compute(term, stack)
-            if not T.contains_par(term):
-                self._trans[term] = cached
-        return cached
-
     def _par(self, term: Par, stack: tuple) -> tuple:
-        left = self._compute_memo(term.left, stack)
-        right = self._compute_memo(term.right, stack)
+        left, left_emit, _ = self._entry(term.left, stack)
+        right, right_emit, _ = self._entry(term.right, stack)
         out = []
         # interleaving
         for d in left:
@@ -192,8 +155,6 @@ class SosEngine:
                     _prefix_paths(dl.participants, STEP_LEFT)
                     | _prefix_paths(dr.participants, STEP_RIGHT)))
         # signal reading: reader moves, emitter stays put
-        left_emit = self.emitters(term.left)
-        right_emit = self.emitters(term.right)
         for dl in left:
             if dl.label.is_signal:
                 for name, addr in right_emit:
@@ -210,7 +171,9 @@ class SosEngine:
                             TAU, Par(term.left, dr.target),
                             _prefix_paths(dr.participants, STEP_RIGHT),
                             signal_partner=(STEP_LEFT,) + addr))
-        return _dedup(out)
+        return _dedup(out), (
+            tuple((n, (STEP_LEFT,) + p) for n, p in left_emit)
+            + tuple((n, (STEP_RIGHT,) + p) for n, p in right_emit))
 
 
 def _dedup(derivations) -> tuple:

@@ -449,9 +449,6 @@ class Environment:
             equation)
         self.order.append(equation)
 
-    def is_signal_base(self, base: str) -> bool:
-        return base in self.declared_signals
-
     def is_blocking(self, action: Action) -> bool:
         if action.is_tau:
             return False

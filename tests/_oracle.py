@@ -97,7 +97,7 @@ def _universes(engine, term):
         signals.update(engine.signals(node))
         if isinstance(node, Restrict):
             signals.update(n for n in node.names
-                           if engine.env.is_signal_base(n.base))
+                           if n.base in engine.env.declared_signals)
     for a in tuple(actions):
         if a.is_handshake:
             actions.add(a.complement())

@@ -85,15 +85,55 @@ def test_bisim_on_a_truncated_exploration_is_unknown(tmp_path, capsys):
     assert str(one) not in err
 
 
-def test_just_verdict_on_the_reader_loop(example_file, capsys):
+def _reader_loop(example_file, capsys) -> int:
+    """The index of the initial state's self-loop in `ccss lts`."""
     assert main(["lts", example_file]) == 0
     blob = json.loads(capsys.readouterr().out)
     (loop,) = [i for i, t in enumerate(blob["transitions"])
                if t["src"] == t["tgt"] == blob["initial"]]
+    return loop
+
+
+def test_just_verdict_on_the_reader_loop(example_file, capsys):
+    loop = _reader_loop(example_file, capsys)
     assert main(["just", example_file, "--lasso", f";{loop}"]) == 0
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["just"] is False
     assert verdict["complete"] is False
+
+
+def test_just_decides_justness_once_for_a_cycle(example_file, capsys,
+                                                monkeypatch):
+    import ccss.cli
+    import ccss.justness
+    calls = []
+    is_just = ccss.justness.is_just
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return is_just(*args, **kwargs)
+
+    monkeypatch.setattr(ccss.justness, "is_just", counted)
+    monkeypatch.setattr(ccss.cli, "is_just", counted)
+    loop = _reader_loop(example_file, capsys)
+    assert main(["just", example_file, "--lasso", f";{loop}"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["verify --safety", "verify --liveness",
+                                     "gen"])
+@pytest.mark.parametrize("model", ["example1", "example2", "peterson2"])
+def test_n_other_than_two_is_refused_for_a_two_process_model(capsys, command,
+                                                             model):
+    for n in ("5", "1", "0"):
+        assert main([*command.split(), "--model", model, "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and f"--n {n}" in line
+    assert main([*command.split(), "--model", model, "--n", "2"]) in (0, 1)
+    capsys.readouterr()
 
 
 def test_verify_exit_codes_follow_the_verdict(capsys):

@@ -115,15 +115,6 @@ def test_dynamic_parallelism_is_reported():
     assert not is_just(lts, env, Lasso((fork,), (work,))).just
 
 
-def test_justness_refuses_a_system_without_shapes():
-    """An imported system keeps no parallel structure to decompose."""
-    from ccss.lts import export_json, import_json
-    model = protocols.example2()
-    lts, rho = _reader_lasso(model)
-    with pytest.raises(ValueError, match="no state shapes"):
-        is_just(import_json(export_json(lts)), model.env, rho)
-
-
 @pytest.mark.parametrize("copies", [12, 13])
 def test_long_cycles_with_two_derivations_per_step_are_just(copies):
     """Each step of `A | A` is the left or the right A doing a; choosing

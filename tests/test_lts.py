@@ -7,7 +7,6 @@ import pytest
 
 from ccss.lts import (
     Lts, encode_signals_as_transitions, explore, export_dot, export_json,
-    import_json,
 )
 from ccss.bisim import bisimilar
 from ccss.terms import (
@@ -57,18 +56,20 @@ def test_state_signals_recorded_per_state():
 def test_json_round_trip_preserves_structure():
     model = protocols.example2()
     lts = explore(model.env, model.root)
-    back = import_json(export_json(lts, state_str=term_str))
-    assert back.num_states == lts.num_states
-    assert back.initial == lts.initial
-    assert [(t.src, str(t.label), t.tgt) for t in back.transitions] == \
-           [(t.src, str(t.label), t.tgt) for t in lts.transitions]
-    assert back.state_signals == lts.state_signals
+    data = json.loads(export_json(lts))
+    assert [s["term"] for s in data["states"]] == \
+           [term_str(lts.term(i)) for i in range(lts.num_states)]
+    assert data["initial"] == lts.initial
+    assert [(t["src"], t["tgt"]) for t in data["transitions"]] == \
+           [(t.src, t.tgt) for t in lts.transitions]
+    assert [len(s["signals"]) for s in data["states"]] == \
+           [len(emitted) for emitted in lts.state_signals]
 
 
 def test_json_export_is_deterministic():
     model = protocols.example2()
-    a = export_json(explore(model.env, model.root), state_str=term_str)
-    b = export_json(explore(model.env, model.root), state_str=term_str)
+    a = export_json(explore(model.env, model.root))
+    b = export_json(explore(model.env, model.root))
     assert a == b
     json.loads(a)  # well-formed
 
@@ -76,7 +77,7 @@ def test_json_export_is_deterministic():
 def test_dot_export_mentions_every_transition():
     term = parse_term("a.0 | 'a.0", signals=())
     lts = explore(Environment(), term)
-    dot = export_dot(lts, state_str=term_str)
+    dot = export_dot(lts)
     assert dot.startswith("digraph")
     assert dot.count("->") == len(lts.transitions)
 

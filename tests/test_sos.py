@@ -114,6 +114,24 @@ def test_identifier_unfolds_through_equations():
     assert d.target == Ident(Name("A", ()))
 
 
+def test_one_walk_answers_transitions_emitters_and_signals(monkeypatch):
+    spec = parse("signals { s }\nA = (a.0) ^ s\nsystem = A\n")
+    resolved = []
+    resolve = Environment.resolve
+    monkeypatch.setattr(Environment, "resolve",
+                        lambda env, name: resolved.append(name)
+                        or resolve(env, name))
+    engine = SosEngine(spec.env)
+    term = Ident(Name("A", ()))
+    (d,) = engine.transitions(term)
+    ((name, address),) = engine.emitters(term)
+    signals = engine.signals(term)
+    assert (str(d.label), name, address) == ("a", Name("s", ()), ())
+    assert signals == frozenset([Name("s", ())])
+    assert resolved == [Name("A", ())]
+    assert engine.signals(term) is signals
+
+
 def test_unguarded_recursion_is_detected():
     env = Environment()
     env.define(Name("A", ()), Par(Ident(Name("A", ())), NIL))
@@ -141,8 +159,7 @@ def assert_memo_holds_leaves_only(env, root, samples=60):
         warm = engine.transitions(whole), engine.emitters(whole)
         cold = SosEngine(env)
         assert warm == (cold.transitions(whole), cold.emitters(whole))
-    assert not any(contains_par(t) for t in engine._trans)
-    assert not any(contains_par(t) for t in engine._emitters)
+    assert not any(contains_par(t) for t in engine._memo)
 
 
 @pytest.mark.parametrize("path", MODELS, ids=[p.name for p in MODELS])
