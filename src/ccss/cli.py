@@ -131,27 +131,43 @@ def cmd_just(args) -> int:
 # verification
 
 _MAKERS = {
-    "example1": lambda args: protocols.example1(),
-    "example2": lambda args: protocols.example2(),
-    "peterson2": lambda args: protocols.peterson2(args.flavor),
-    "filter": lambda args: protocols.filter_lock(args.n, args.flavor),
-    "bakery": lambda args: protocols.bakery(args.n, args.ticket_bound,
-                                            args.flavor),
+    "example1": lambda n, flavor, bound: protocols.example1(),
+    "example2": lambda n, flavor, bound: protocols.example2(),
+    "peterson2": lambda n, flavor, bound: protocols.peterson2(flavor),
+    "filter": lambda n, flavor, bound: protocols.filter_lock(n, flavor),
+    "bakery": lambda n, flavor, bound: protocols.bakery(n, bound, flavor),
 }
 _TWO_PROCESS = ("example1", "example2", "peterson2")  # no N to choose
+_ONE_FLAVOR = ("example1", "example2")  # handshakes, signals
 
 
 def _get_model(args):
-    if args.model:
-        if args.model not in _MAKERS:
-            raise CcssError(f"unknown model {args.model!r}")
-        if args.model in _TWO_PROCESS and args.n != 2:
-            raise ParameterOutOfRange(
-                f"{args.model} has two processes, not --n {args.n}")
-        return _MAKERS[args.model](args)
-    if not args.file:
-        raise CcssError("need a FILE or --model")
-    return protocols.roles_from_file(_load(args.file))
+    """The model of --model, or of FILE with its roles inferred.  An
+    option the model does not take is an error, never ignored."""
+    given = [option for option, value in (
+        ("--flavor", args.flavor), ("--n", args.n),
+        ("--ticket-bound", args.ticket_bound)) if value is not None]
+    if not args.model:
+        if not args.file:
+            raise CcssError("need a FILE or --model")
+        if given:
+            raise CcssError(f"{given[0]} needs --model, not a FILE")
+        return protocols.roles_from_file(_load(args.file))
+    if args.model not in _MAKERS:
+        raise CcssError(f"unknown model {args.model!r}")
+    if args.file:
+        raise CcssError("give a FILE or --model, not both")
+    if args.model in _TWO_PROCESS and args.n not in (None, 2):
+        raise ParameterOutOfRange(
+            f"{args.model} has two processes, not --n {args.n}")
+    if args.model in _ONE_FLAVOR and args.flavor is not None:
+        raise ParameterOutOfRange(f"{args.model} has one flavor, not "
+                                  f"--flavor {args.flavor}")
+    if args.model != "bakery" and args.ticket_bound is not None:
+        raise ParameterOutOfRange(f"{args.model} has no --ticket-bound")
+    return _MAKERS[args.model](
+        2 if args.n is None else args.n, args.flavor or "ccss",
+        4 if args.ticket_bound is None else args.ticket_bound)
 
 
 def cmd_verify(args) -> int:
@@ -239,6 +255,12 @@ def _build_parser() -> argparse.ArgumentParser:
     capped.add_argument("--max-states", type=_state_cap,
                         help="cap on explored states (default: "
                              "CCSS_MAX_STATES, else 1000000)")
+    # None unless given: `_get_model` refuses one the model does not
+    # take, and fills in the defaults
+    modelled = argparse.ArgumentParser(add_help=False)
+    modelled.add_argument("--flavor", choices=protocols.FLAVORS)
+    modelled.add_argument("--n", type=int)
+    modelled.add_argument("--ticket-bound", type=int)
 
     p = sub.add_parser("parse", help="validate and pretty-print a file")
     p.add_argument("file")
@@ -266,23 +288,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated transition indices, e.g. '0,2;5,6'")
     p.set_defaults(func=cmd_just)
 
-    p = sub.add_parser("verify", parents=[capped],
+    p = sub.add_parser("verify", parents=[capped, modelled],
                        help="safety / liveness verdict")
     what = p.add_mutually_exclusive_group(required=True)
     what.add_argument("--safety", action="store_true")
     what.add_argument("--liveness", action="store_true")
     p.add_argument("file", nargs="?")
     p.add_argument("--model", choices=sorted(_MAKERS))
-    p.add_argument("--flavor", choices=protocols.FLAVORS, default="ccss")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--ticket-bound", type=int, default=4)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("gen", help="emit a bundled model as .ccss text")
+    p = sub.add_parser("gen", parents=[modelled],
+                       help="emit a bundled model as .ccss text")
     p.add_argument("--model", choices=sorted(_MAKERS), required=True)
-    p.add_argument("--flavor", choices=protocols.FLAVORS, default="ccss")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--ticket-bound", type=int, default=4)
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_gen, file=None)
 

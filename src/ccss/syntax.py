@@ -12,11 +12,16 @@ Binding strength, strongest first: restriction / relabelling / signalling,
 prefixing, parallel composition, choice.  Output actions are written with
 a leading apostrophe ('a); whether a plain name is a handshake or a signal
 read is decided by the `signals` declaration.  `#` starts a line comment.
+
+The tokenizer is one regex `findall`: each token is a plain string, and
+the end of input is "".  Line and column are worked out only when an
+error is raised, from the token's index.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ScopeError
@@ -29,42 +34,15 @@ from .terms import (
 KEYWORDS = {"sum", "in", "when", "tau", "signals", "blocking", "range",
             "system", "and", "or"}
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<nl>\n)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<op>\.\.|!=|<=|>=|[-.'+|\\{}\[\]()^/,=<>_])
-""", re.VERBOSE)
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "int" | "ident" | "op" | "eof"
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str):
-    tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - line_start + 1)
-        kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-        elif kind not in ("ws", "comment"):
-            tokens.append(Token(kind, m.group(), line, pos - line_start + 1))
-        pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
-    return tokens
+_OPS = frozenset({"..", "!=", "<=", ">=", *"-.'+|\\{}[]()^/,=<>_"})
+# whitespace and comments match outside the group, so `findall` gives ""
+# for them; the last alternative takes any other character, an error
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]+|\#[^\n]*|(\d+|[A-Za-z][A-Za-z0-9_]*|"
+    + "|".join(map(re.escape,
+                   sorted(_OPS, key=lambda op: (-len(op), op))))
+    + "|.)")
+_LETTERS = frozenset(string.ascii_letters)
 
 
 @dataclass
@@ -76,7 +54,20 @@ class SpecFile:
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = list(filter(None, _TOKEN_RE.findall(text)))
+        self.offsets = None  # each token's start, found on the first error
+        # a token is an int if it starts with a digit, an identifier if
+        # with a letter, else an operator; `idents` leaves out keywords
+        distinct = set(self.tokens)
+        self.idents = {tok for tok in distinct if tok[0] in _LETTERS}
+        bad = [tok for tok in distinct - self.idents - _OPS
+               if not tok[0].isdecimal()]
+        if bad:
+            self.i = min(map(self.tokens.index, bad))
+            self.error(f"unexpected character {self.tokens[self.i]!r}")
+        self.idents -= KEYWORDS
+        self.tokens.append("")  # the end of input
         self.i = 0
         self.signals = set()
         self.blocking = set()
@@ -89,49 +80,57 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.i]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.text == text and tok.kind in ("op", "ident")
+        return self.tokens[self.i] == text
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
+        if self.tokens[self.i] == text:
             self.i += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
-            raise ParseError(f"expected {text!r}, found {tok.text!r}",
-                             tok.line, tok.col)
-        return self.next()
+    def expect(self, text: str):
+        tok = self.tokens[self.i]
+        if tok != text:
+            self.error(f"expected {text!r}, found {tok!r}")
+        self.i += 1
 
-    def expect_ident(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text in KEYWORDS:
-            raise ParseError(f"expected identifier, found {tok.text!r}",
-                             tok.line, tok.col)
-        return self.next()
+    def expect_ident(self) -> str:
+        tok = self.tokens[self.i]
+        if tok not in self.idents:
+            self.error(f"expected identifier, found {tok!r}")
+        self.i += 1
+        return tok
 
     def _shared(self, item):
         return self.shared.setdefault(item, item)
 
+    def position(self, index: int):
+        """(line, column) of the token at `index`, or of the end of input
+        after the last token."""
+        if self.offsets is None:
+            self.offsets = [m.start() for m in _TOKEN_RE.finditer(self.text)
+                            if m.lastindex]
+        pos = (self.offsets[index] if index < len(self.offsets)
+               else len(self.text))
+        return (self.text.count("\n", 0, pos) + 1,
+                pos - self.text.rfind("\n", 0, pos))
+
     def error(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise ParseError(message, *self.position(self.i))
 
     # -- file structure ------------------------------------------------------
 
     def parse_file(self) -> SpecFile:
-        while self.peek().kind != "eof":
+        while self.peek():
             self.declaration()
         if self.root is None:
             self.error("missing `system = <process>` declaration")
@@ -144,7 +143,7 @@ class _Parser:
         elif self.accept("blocking"):
             self.blocking |= self.ident_set()
         elif self.accept("range"):
-            name = self.expect_ident().text
+            name = self.expect_ident()
             self.expect("=")
             lo = self.int_literal()
             self.expect("..")
@@ -157,7 +156,7 @@ class _Parser:
             self.root = self.proc(frozenset())
         else:
             tok = self.peek()
-            if tok.kind != "ident":
+            if tok not in self.idents and tok not in KEYWORDS:
                 self.error("expected a declaration")
             name, scope = self.equation_lhs()
             self.expect("=")
@@ -168,22 +167,22 @@ class _Parser:
         self.expect("{")
         names = set()
         if not self.at("}"):
-            names.add(self.expect_ident().text)
+            names.add(self.expect_ident())
             while self.accept(","):
-                names.add(self.expect_ident().text)
+                names.add(self.expect_ident())
         self.expect("}")
         return names
 
     def int_literal(self) -> int:
         neg = self.accept("-")
         tok = self.peek()
-        if tok.kind != "int":
+        if not tok.isdecimal():
             self.error("expected an integer")
-        self.next()
-        return -int(tok.text) if neg else int(tok.text)
+        self.i += 1
+        return -int(tok) if neg else int(tok)
 
     def equation_lhs(self):
-        base = self.expect_ident().text
+        base = self.expect_ident()
         params = []
         scope = set()
         if self.at("["):
@@ -196,7 +195,7 @@ class _Parser:
 
     def proc(self, scope) -> Term:
         if self.accept("sum"):
-            var = self.expect_ident().text
+            var = self.expect_ident()
             self.expect("in")
             lo, hi = self.range_expr()
             guard = None
@@ -216,11 +215,12 @@ class _Parser:
 
     def range_expr(self):
         tok = self.peek()
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
-            self.next()
-            if tok.text not in self.ranges:
-                raise ScopeError(f"unknown range {tok.text!r} at line {tok.line}")
-            return self.ranges[tok.text]
+        if tok in self.idents:
+            self.i += 1
+            if tok not in self.ranges:
+                raise ScopeError(f"unknown range {tok!r} at line "
+                                 f"{self.position(self.i - 1)[0]}")
+            return self.ranges[tok]
         lo = self.int_literal()
         self.expect("..")
         hi = self.int_literal()
@@ -233,49 +233,46 @@ class _Parser:
         return term
 
     def prefixed(self, scope) -> Term:
+        """Actions, each followed by '.', then a postfixed atom.  An
+        identifier's name is parsed once, as an action or as the atom."""
         actions = []
         while True:
-            action = self.try_action(scope)
-            if action is None:
+            tok = self.peek()
+            if tok == "tau" and self.tokens[self.i + 1] == ".":
+                self.i += 2
+                actions.append(TAU)
+            elif self.accept("'"):
+                name = self.name(scope)
+                self.expect(".")
+                if name.base in self.signals:
+                    self.error(f"signal {name.base} has no output action")
+                actions.append(self._shared(Action(COHANDSHAKE, name)))
+            elif tok in self.idents:
+                # "A[1]" is an indexed identifier, but "A[b/a]" is a
+                # relabelling of A: read parameters, back off on failure
+                start = self.i
+                try:
+                    name = self.name(scope)
+                except (ParseError, ScopeError):
+                    self.i = start + 1
+                    name = self._shared(Name(tok))
+                else:
+                    if self.accept("."):
+                        kind = (SIGNAL if name.base in self.signals
+                                else HANDSHAKE)
+                        actions.append(self._shared(Action(kind, name)))
+                        continue
+                term = self._shared(Ident(name))
                 break
-            actions.append(action)
-        term = self.postfixed(scope)
+            else:
+                term = self.atom(scope)
+                break
+        term = self.postfixed(term, scope)
         for a in reversed(actions):
             term = Prefix(a, term)
         return term
 
-    def try_action(self, scope):
-        """An action followed by '.', or None (position restored)."""
-        start = self.i
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "tau":
-            self.next()
-            if self.accept("."):
-                return TAU
-            self.i = start
-            return None
-        if self.at("'"):
-            self.next()
-            name = self.name(scope)
-            self.expect(".")
-            if name.base in self.signals:
-                self.error(f"signal {name.base} has no output action")
-            return self._shared(Action(COHANDSHAKE, name))
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
-            try:
-                name = self.name(scope)
-            except (ParseError, ScopeError):
-                self.i = start
-                return None
-            if self.accept("."):
-                kind = SIGNAL if name.base in self.signals else HANDSHAKE
-                return self._shared(Action(kind, name))
-            self.i = start
-            return None
-        return None
-
-    def postfixed(self, scope) -> Term:
-        term = self.atom(scope)
+    def postfixed(self, term, scope) -> Term:
         while True:
             if self.accept("\\"):
                 term = Restrict(term, frozenset(self.name_set(scope)))
@@ -287,24 +284,13 @@ class _Parser:
                 return term
 
     def atom(self, scope) -> Term:
-        tok = self.peek()
-        if tok.kind == "int" and tok.text == "0":
-            self.next()
+        """NIL or a parenthesised process; `prefixed` reads identifiers."""
+        if self.accept("0"):
             return NIL
         if self.accept("("):
             term = self.proc(scope)
             self.expect(")")
             return term
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
-            # "A[1]" is an indexed identifier, but "A[b/a]" is a relabelling
-            # of A: try to read parameters and back off if that fails.
-            start = self.i
-            try:
-                return self._shared(Ident(self.name(scope)))
-            except (ParseError, ScopeError):
-                self.i = start
-                return self._shared(Ident(self._shared(
-                    Name(self.expect_ident().text))))
         self.error("expected a process")
 
     def name_set(self, scope):
@@ -337,7 +323,7 @@ class _Parser:
     # -- names, parameters and guards -----------------------------------------
 
     def name(self, scope) -> Name:
-        base = self.expect_ident().text
+        base = self.expect_ident()
         params = []
         if self.at("["):
             params.append(self.param_bracketed(scope))
@@ -358,19 +344,19 @@ class _Parser:
             self.expect(")")
             return value
         tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            return int(tok.text)
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
-            return self.variable(self.next(), scope, binding_ok)
+        if tok.isdecimal():
+            self.i += 1
+            return int(tok)
+        if tok in self.idents:
+            return self.variable(scope, binding_ok)
         self.error("expected a parameter")
 
     def intexpr(self, scope, binding_ok=None):
         tok = self.peek()
-        if tok.kind == "int" or self.at("-"):
+        if tok.isdecimal() or tok == "-":
             return self.int_literal()
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
-            var = self.variable(self.next(), scope, binding_ok)
+        if tok in self.idents:
+            var = self.variable(scope, binding_ok)
             if self.accept("+"):
                 return Var(var.var, self.int_literal())
             if self.accept("-"):
@@ -378,14 +364,15 @@ class _Parser:
             return var
         self.error("expected an index expression")
 
-    def variable(self, tok: Token, scope, binding_ok) -> Var:
+    def variable(self, scope, binding_ok) -> Var:
+        """The index variable at the next token."""
+        tok = self.next()
         if binding_ok is not None:
-            binding_ok.add(tok.text)
-            return Var(tok.text)
-        if tok.text not in scope:
-            raise ScopeError(
-                f"unbound index variable {tok.text!r} at line {tok.line}")
-        return Var(tok.text)
+            binding_ok.add(tok)
+        elif tok not in scope:
+            raise ScopeError(f"unbound index variable {tok!r} at line "
+                             f"{self.position(self.i - 1)[0]}")
+        return Var(tok)
 
     def guard(self, scope):
         left = self.guard_conj(scope)
@@ -426,9 +413,8 @@ def parse_term(text, signals=(), ranges=None, scope=frozenset()) -> Term:
     p.signals = set(signals)
     p.ranges = dict(ranges or {})
     term = p.proc(frozenset(scope))
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    if p.peek():
+        p.error(f"trailing input {p.peek()!r}")
     return term
 
 

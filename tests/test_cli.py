@@ -136,6 +136,47 @@ def test_n_other_than_two_is_refused_for_a_two_process_model(capsys, command,
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    "verify --safety --model peterson2 --ticket-bound 9",
+    "verify --liveness --model filter --ticket-bound 4",
+    "gen --model example1 --ticket-bound 4",
+    "gen --model example1 --flavor ccss",
+    "gen --model example1 --flavor ccs",
+    "verify --safety --model example2 --flavor ccss",
+    "verify --safety models/example1.ccss --flavor ccs",
+    "verify --liveness models/example1.ccss --n 2",
+    "verify --liveness models/example1.ccss --ticket-bound 4",
+    "verify --safety --model peterson2 models/example1.ccss",
+])
+def test_an_option_the_model_does_not_take_is_refused(capsys, argv):
+    argv = argv.replace("models/", f"{ROOT / 'models'}/")
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    option = next((word for word in argv.split()
+                   if word in ("--flavor", "--n", "--ticket-bound")),
+                  "FILE or --model")
+    assert line.startswith("error:") and option in line
+
+
+@pytest.mark.parametrize("model,explicit", [
+    ("peterson2", "--flavor ccss"),
+    ("filter", "--flavor ccss --n 2"),
+    ("bakery", "--flavor ccss --n 2 --ticket-bound 4"),
+    ("example1", ""),
+    ("example2", ""),
+])
+def test_model_options_default_to_ccss_two_processes_and_bound_four(
+        capsys, model, explicit):
+    assert main(["gen", "--model", model, *explicit.split()]) == 0
+    want = capsys.readouterr().out
+    assert main(["gen", "--model", model]) == 0
+    assert capsys.readouterr().out == want
+    assert main(["verify", "--safety", "--model", model]) == 0
+    capsys.readouterr()
+
+
 def test_verify_exit_codes_follow_the_verdict(capsys):
     assert main(["verify", "--safety", "--model", "peterson2"]) == 0
     capsys.readouterr()

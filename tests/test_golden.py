@@ -9,11 +9,16 @@ counterexample's transition indices or to its minimal Y shows up here.
 keyed by the two file names.  `golden/cli.json` holds, per model file,
 the exit code and the SHA-256 of the standard output of `ccss lts`,
 `ccss lts --dot` and `ccss step` fed the fixed input `STEP_SCRIPT`.
-After a deliberate change, rewrite all three files with
-`PYTHONPATH=src python tests/test_golden.py` and review the diff.
+`golden/parse.json` holds, per model file and generated catalog source,
+the SHA-256 of a structural dump of `parse(source)` and the number of
+distinct `Name`, `Action` and `Ident` objects in it, which shows that
+the parser shares them.  After a deliberate change, rewrite all four
+files with `PYTHONPATH=src python tests/test_golden.py` and review the
+diff.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -22,13 +27,15 @@ import sys
 
 from ccss import protocols
 from ccss.cli import main
-from ccss.syntax import parse
+from ccss.syntax import parse, spec_str
+from ccss.terms import Action, Ident, Name
 from ccss.verify import check_liveness, check_safety
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "verdicts.json"
 GOLDEN_BISIM = ROOT / "tests" / "golden" / "bisim.json"
 GOLDEN_CLI = ROOT / "tests" / "golden" / "cli.json"
+GOLDEN_PARSE = ROOT / "tests" / "golden" / "parse.json"
 MODELS = sorted((ROOT / "models").glob("*.ccss"))
 # moves, an emission query, undo, an index out of range, then quit
 STEP_SCRIPT = "0\n1\nsignals\n2\nundo\n0\n9\nquit\n"
@@ -76,6 +83,57 @@ def cli_outputs() -> dict:
     return out
 
 
+def parse_sources() -> dict:
+    """Every bundled model file and generated catalog source, by name."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in MODELS}
+    sources["example1"] = protocols.example1().source
+    sources["example2"] = protocols.example2().source
+    for flavor in protocols.FLAVORS:
+        sources[f"peterson2 {flavor}"] = protocols.peterson2(flavor).source
+        for n in (2, 3, 4):
+            sources[f"filter_lock {n} {flavor}"] = protocols.filter_lock(
+                n, flavor).source
+        for n, bound in ((2, 2), (2, 4), (3, 3)):
+            sources[f"bakery {n} {bound} {flavor}"] = protocols.bakery(
+                n, bound, flavor).source
+    return sources
+
+
+def _dump(item, seen):
+    """A parsed item as nested lists of plain values: a dataclass as its
+    class name and compared fields, a set sorted, so that the dump does
+    not depend on PYTHONHASHSEED.  Every dataclass met goes into
+    `seen`, by id."""
+    if dataclasses.is_dataclass(item):
+        seen[id(item)] = item
+        return [type(item).__name__] + [
+            _dump(getattr(item, f.name), seen)
+            for f in dataclasses.fields(item) if f.compare]
+    if isinstance(item, (set, frozenset)):
+        return sorted((_dump(x, seen) for x in item), key=json.dumps)
+    if isinstance(item, (tuple, list)):
+        return [_dump(x, seen) for x in item]
+    return item
+
+
+def parse_outputs() -> dict:
+    out = {}
+    for key, source in parse_sources().items():
+        spec = parse(source)
+        seen = {}
+        dump = [_dump(spec.env.order, seen), _dump(spec.root, seen),
+                _dump(spec.env.declared_signals, seen),
+                _dump(spec.env.blocking, seen),
+                _dump(sorted(spec.ranges.items()), seen)]
+        text = json.dumps(dump, separators=(",", ":"))
+        out[key] = {
+            "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            **{kind.__name__: sum(type(x) is kind for x in seen.values())
+               for kind in (Name, Action, Ident)}}
+    return out
+
+
 def test_verdicts_on_bundled_models_match_the_recorded_ones():
     assert verdicts() == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
@@ -89,6 +147,17 @@ def test_lts_and_step_output_on_bundled_models_matches_the_recorded_hashes():
     assert cli_outputs() == json.loads(GOLDEN_CLI.read_text(encoding="utf-8"))
 
 
+def test_parse_of_models_and_catalog_sources_matches_the_recorded_dump():
+    assert parse_outputs() == json.loads(
+        GOLDEN_PARSE.read_text(encoding="utf-8"))
+
+
+def test_printing_a_parsed_source_round_trips():
+    for source in parse_sources().values():
+        printed = spec_str(parse(source))
+        assert spec_str(parse(printed)) == printed
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(verdicts(), indent=1) + "\n",
@@ -98,5 +167,8 @@ if __name__ == "__main__":
         encoding="utf-8")
     GOLDEN_CLI.write_text(
         json.dumps(cli_outputs(), indent=1, sort_keys=True) + "\n",
+        encoding="utf-8")
+    GOLDEN_PARSE.write_text(
+        json.dumps(parse_outputs(), indent=1, sort_keys=True) + "\n",
         encoding="utf-8")
     sys.exit(0)

@@ -71,6 +71,102 @@ def test_parse_error_carries_position():
     assert exc.value.column > 0
 
 
+# one case per raise site of the parser, each past line 1 and column 1;
+# the message is "LINE:COL: message" (a ScopeError names the line alone)
+ERRORS = {
+    "unexpected character": (
+        "A = a.0\nsystem = A |  b.0 $ c\n",
+        ParseError, "2:19: unexpected character '$'"),
+    "unexpected character after a tab": (
+        "A = a.0\n\tsystem = A\t@\n",
+        ParseError, "2:13: unexpected character '@'"),
+    "first of two unexpected characters": (
+        "A = a.0\nsystem = A\n  | b.0 ? $ % c.0\n",
+        ParseError, "3:9: unexpected character '?'"),
+    "unexpected character after a syntax error": (
+        "A = a.0\nsystem = )\n  A | b.0 ? \n",
+        ParseError, "3:11: unexpected character '?'"),
+    "expected X, found Y": (
+        "A = a.0\nsystem = (A |\n   b.0 ]\n",
+        ParseError, "3:8: expected ')', found ']'"),
+    "expected X at the end of input": (
+        "A = a.0\nsystem = (A | b.0",
+        ParseError, "2:18: expected ')', found ''"),
+    "expected identifier": (
+        "signals { s,\n  , t }\nsystem = 0\n",
+        ParseError, "2:3: expected identifier, found ','"),
+    "expected identifier, found a keyword": (
+        "A = a.0\n  in = 0\n",
+        ParseError, "2:3: expected identifier, found 'in'"),
+    "expected a declaration": (
+        "A = a.0\n  ( B = 0\n",
+        ParseError, "2:3: expected a declaration"),
+    "expected an integer": (
+        "A = a.0\nrange R = 1..x\nsystem = 0\n",
+        ParseError, "2:14: expected an integer"),
+    "expected a process": (
+        "A = a.0\nsystem = a. | 0\n",
+        ParseError, "2:13: expected a process"),
+    "tau without a dot is no process": (
+        "A = a.0\nsystem = b.tau\n",
+        ParseError, "2:12: expected a process"),
+    "expected a parameter": (
+        "A = a.0\nsystem = 'a[1]_.0\n",
+        ParseError, "2:16: expected a parameter"),
+    "expected an index expression": (
+        "A = a.0\nsystem = 'a[(].0\n",
+        ParseError, "2:13: expected an index expression"),
+    "expected a comparison operator": (
+        "A = a.0\nsystem = sum k in 0..1 when k . a.0\n",
+        ParseError, "2:31: expected a comparison operator"),
+    "duplicate system": (
+        "A = a.0\nsystem = A\n  system = A\n",
+        ParseError, "3:10: duplicate `system` declaration"),
+    "missing system": (
+        "A = a.0\n  B = b.0",
+        ParseError, "2:10: missing `system = <process>` declaration"),
+    "missing system after a newline": (
+        "A = a.0\nB = b.0\n",
+        ParseError, "3:1: missing `system = <process>` declaration"),
+    "signal with an output action": (
+        "signals { s }\nsystem = a.'s.  0\n",
+        ParseError, "2:17: signal s has no output action"),
+    "unknown range": (
+        "A = a.0\nsystem = sum k in N . a_k.0\n",
+        ScopeError, "unknown range 'N' at line 2"),
+    "unbound index variable": (
+        "A = a.0\nsystem = 'b[k].0\n",
+        ScopeError, "unbound index variable 'k' at line 2"),
+    # an identifier whose parameters do not parse backs off to a
+    # relabelling, so these errors come from reading one
+    "unbound index variable read as a relabelling": (
+        "A = a.0\n\nsystem = a.b[k].0\n",
+        ParseError, "3:15: expected '/', found ']'"),
+    "relabelled action": (
+        "A = a.0\nsystem = A[b/a] | a[c/a].0\n",
+        ParseError, "2:25: expected a declaration"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERRORS))
+def test_parse_errors_name_the_offending_position(case):
+    source, error, message = ERRORS[case]
+    with pytest.raises(error) as exc:
+        parse(source)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+    if error is ParseError:
+        line, column = message.split(":")[:2]
+        assert (exc.value.line, exc.value.column) == (int(line), int(column))
+
+
+def test_trailing_input_after_a_term_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse_term("a.0 |\n  b.0 )")
+    assert str(exc.value) == "2:7: trailing input ')'"
+    assert (exc.value.line, exc.value.column) == (2, 7)
+
+
 def test_unknown_range_identifier_is_a_scope_error():
     with pytest.raises((ScopeError, ParseError)):
         parse_term("sum k in N . a_k.0", signals=())
