@@ -137,13 +137,13 @@ def _refine(moves, preds, signals, a=None, b=None):
 def _explain(lts_a: Lts, a: int, lts_b: Lts, b: int, history):
     """Why state a of lts_a and state b of lts_b are not bisimilar, read
     from the refinement rounds over both systems (b's ids shifted by
-    lts_a's size), or over the one system when lts_b is lts_a.  In the
-    first round that separates the two states either their emission
-    sets differ (round 0), or one of them has a move with a label into a
-    block of the round before that the other cannot match with a move of
-    that label into the same block.  The evidence names that signal, or
-    that one label: its trace is empty or holds the label alone."""
-    shift = 0 if lts_a is lts_b else lts_a.num_states
+    lts_a's size).  In the first round that separates the two states
+    either their emission sets differ (round 0), or one of them has a
+    move with a label into a block of the round before that the other
+    cannot match with a move of that label into the same block.  The
+    evidence names that signal, or that one label: its trace is empty
+    or holds the label alone."""
+    shift = lts_a.num_states
     first = next(k for k, blocks in enumerate(history)
                  if blocks[a] != blocks[b + shift])
     if first == 0:
@@ -177,13 +177,9 @@ def _unmatched(moves, answers):
 
 
 def bisimilar(lts_a: Lts, a: int, lts_b: Lts, b: int) -> BisimResult:
-    """Decide strong bisimilarity of state a in lts_a and b in lts_b.
-    Two states of one system refine that system alone."""
-    if lts_a is lts_b:
-        shifted, systems = b, (lts_a,)
-    else:
-        shifted, systems = b + lts_a.num_states, (lts_a, lts_b)
-    final, history = _refine(*_refinement_input(*systems), a, shifted)
+    """Decide strong bisimilarity of state a in lts_a and b in lts_b."""
+    shifted = b + lts_a.num_states
+    final, history = _refine(*_refinement_input(lts_a, lts_b), a, shifted)
     if final[a] == final[shifted]:
         return BisimResult(True)
     return BisimResult(False, _explain(lts_a, a, lts_b, b, history))

@@ -14,8 +14,8 @@ a leading apostrophe ('a); whether a plain name is a handshake or a signal
 read is decided by the `signals` declaration.  `#` starts a line comment.
 
 The tokenizer is one regex `findall`: each token is a plain string, and
-the end of input is "".  Line and column are worked out only when an
-error is raised, from the token's index.
+the end of input is "".  Line and column are worked out from the
+token's index only when an error leaves the parser.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ _TOKEN_RE = re.compile(
 _LETTERS = frozenset(string.ascii_letters)
 
 
+class _Failure(Exception):
+    """(message, token index, is a ScopeError): `_Parser.run` positions it,
+    so a relabelling back-off costs only the raise."""
+
+
 @dataclass
 class SpecFile:
     env: Environment
@@ -64,8 +69,9 @@ class _Parser:
         bad = [tok for tok in distinct - self.idents - _OPS
                if not tok[0].isdecimal()]
         if bad:
-            self.i = min(map(self.tokens.index, bad))
-            self.error(f"unexpected character {self.tokens[self.i]!r}")
+            i = min(map(self.tokens.index, bad))
+            raise ParseError(f"unexpected character {self.tokens[i]!r}",
+                             *self.position(i))
         self.idents -= KEYWORDS
         self.tokens.append("")  # the end of input
         self.i = 0
@@ -82,11 +88,6 @@ class _Parser:
 
     def peek(self) -> str:
         return self.tokens[self.i]
-
-    def next(self) -> str:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
     def at(self, text: str) -> bool:
         return self.tokens[self.i] == text
@@ -124,8 +125,19 @@ class _Parser:
         return (self.text.count("\n", 0, pos) + 1,
                 pos - self.text.rfind("\n", 0, pos))
 
-    def error(self, message: str):
-        raise ParseError(message, *self.position(self.i))
+    def error(self, message: str, index=None, scope=False):
+        raise _Failure(message, self.i if index is None else index, scope)
+
+    def run(self, method, *args):
+        """`method(*args)`, with any error given its position."""
+        try:
+            return method(*args)
+        except _Failure as exc:
+            message, index, scope = exc.args
+            line, column = self.position(index)
+            if scope:
+                raise ScopeError(f"{message} at line {line}") from None
+            raise ParseError(message, line, column) from None
 
     # -- file structure ------------------------------------------------------
 
@@ -218,8 +230,7 @@ class _Parser:
         if tok in self.idents:
             self.i += 1
             if tok not in self.ranges:
-                raise ScopeError(f"unknown range {tok!r} at line "
-                                 f"{self.position(self.i - 1)[0]}")
+                self.error(f"unknown range {tok!r}", self.i - 1, True)
             return self.ranges[tok]
         lo = self.int_literal()
         self.expect("..")
@@ -253,7 +264,7 @@ class _Parser:
                 start = self.i
                 try:
                     name = self.name(scope)
-                except (ParseError, ScopeError):
+                except _Failure:
                     self.i = start + 1
                     name = self._shared(Name(tok))
                 else:
@@ -366,12 +377,12 @@ class _Parser:
 
     def variable(self, scope, binding_ok) -> Var:
         """The index variable at the next token."""
-        tok = self.next()
+        tok = self.peek()
+        self.i += 1
         if binding_ok is not None:
             binding_ok.add(tok)
         elif tok not in scope:
-            raise ScopeError(f"unbound index variable {tok!r} at line "
-                             f"{self.position(self.i - 1)[0]}")
+            self.error(f"unbound index variable {tok!r}", self.i - 1, True)
         return Var(tok)
 
     def guard(self, scope):
@@ -402,7 +413,8 @@ def parse(text) -> SpecFile:
     """Parse a full specification file (str or UTF-8 bytes)."""
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
-    return _Parser(text).parse_file()
+    p = _Parser(text)
+    return p.run(p.parse_file)
 
 
 def parse_term(text, signals=(), ranges=None, scope=frozenset()) -> Term:
@@ -412,9 +424,9 @@ def parse_term(text, signals=(), ranges=None, scope=frozenset()) -> Term:
     p = _Parser(text)
     p.signals = set(signals)
     p.ranges = dict(ranges or {})
-    term = p.proc(frozenset(scope))
+    term = p.run(p.proc, frozenset(scope))
     if p.peek():
-        p.error(f"trailing input {p.peek()!r}")
+        p.run(p.error, f"trailing input {p.peek()!r}")
     return term
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccss import bisim, protocols
+from ccss import protocols
 from ccss.bisim import (
     BisimResult, _explain, _refine, _refinement_input, bisimilar,
     equivalence_classes,
@@ -222,45 +222,6 @@ def test_refinement_rounds_match_the_reference_on_model_copies(maker, kind):
             (rng.randrange(lts.num_states), rng.randrange(copy.num_states))
             for _ in range(5)]
         assert_refines_like_the_oracle(lts, copy, pairs)
-
-
-def _oracle_result_in_one_system(lts, p, q):
-    """The reference result for two states of one system, refining that
-    system alone."""
-    out = [[] for _ in range(lts.num_states)]
-    for t in lts.transitions:
-        out[t.src].append((t.label, t.tgt))
-    final, history = oracle_refine(out, list(lts.state_signals))
-    if final[p] == final[q]:
-        return BisimResult(True)
-    return BisimResult(False, _explain(lts, p, lts, q, history))
-
-
-@pytest.mark.parametrize("maker", [
-    lambda: protocols.filter_lock(3, "ccss"),
-    lambda: protocols.peterson2("ccs"),
-], ids=["filter3-ccss", "peterson2-ccs"])
-def test_two_states_of_one_explored_model_refine_that_model_alone(
-        maker, monkeypatch):
-    model = maker()
-    lts = explore(model.env, model.root)
-    sizes = []
-
-    def counted(*systems):
-        sizes.append(sum(s.num_states for s in systems))
-        return _refinement_input(*systems)
-
-    monkeypatch.setattr(bisim, "_refinement_input", counted)
-    rng = random.Random(3)
-    differ = 0
-    for _ in range(12):
-        p, q = rng.randrange(lts.num_states), rng.randrange(lts.num_states)
-        result = bisimilar(lts, p, lts, q)
-        assert result == _oracle_result_in_one_system(lts, p, q)
-        assert result == _oracle_result(lts, p, lts, q)
-        differ += not result.equivalent
-    assert sizes == [lts.num_states] * 12
-    assert differ > 0
 
 
 @settings(max_examples=60, deadline=None)

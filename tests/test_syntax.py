@@ -8,6 +8,7 @@ from ccss.terms import (
     NIL, Name, Par, Prefix, Restrict, Sum, SignalEmit, Relabel, Ident,
     IndexedSum, act, coact, sig, TAU,
 )
+from ccss import syntax
 from ccss.syntax import parse, parse_term, spec_str, term_str
 
 from _randterms import HANDSHAKES, SIGNALS, random_term
@@ -158,6 +159,21 @@ def test_parse_errors_name_the_offending_position(case):
     if error is ParseError:
         line, column = message.split(":")[:2]
         assert (exc.value.line, exc.value.column) == (int(line), int(column))
+
+
+def test_relabelling_back_offs_work_out_no_position(monkeypatch):
+    # `A[b/a]` first reads [b/a] as parameters of A and backs off; the
+    # back-off must not scan the text for a position, or a source with r
+    # relabellings would cost r scans
+    def no_position(self, index):
+        raise AssertionError("a position was worked out without an error")
+
+    monkeypatch.setattr(syntax._Parser, "position", no_position)
+    body = " | ".join(f"A[b{i}/a]" if i % 2 else f"A[b{i}[1]/a[1]]"
+                      for i in range(400))
+    spec = parse(f"A = a.0\nsystem = {body}\n")
+    assert term_str(spec.root) == body
+    assert term_str(parse_term(body)) == body
 
 
 def test_trailing_input_after_a_term_is_a_parse_error():
