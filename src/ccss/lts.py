@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .terms import (
@@ -96,6 +97,19 @@ class Lts:
                 out[t.src].append(i)
             self._out = out
         return self._out[state]
+
+    @cached_property
+    def targets(self) -> list:
+        """Each transition's target state, by index."""
+        return [t.tgt for t in self.transitions]
+
+    @cached_property
+    def label_ids(self) -> tuple:
+        """(each transition's label id, each label's id): equal labels
+        share one id, numbered in order of first occurrence."""
+        ids = {}
+        return [ids.setdefault(t.label, len(ids))
+                for t in self.transitions], ids
 
     @property
     def num_states(self) -> int:

@@ -13,6 +13,7 @@ value as a signal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import getitem, itemgetter, not_
 
 from .errors import DynamicParallelism, ParameterOutOfRange
 from .terms import (
@@ -53,15 +54,31 @@ class ProtocolModel:
 
     def excluded(self, state: State) -> bool:
         """Whether the state is outside the intended model (overflow)."""
-        return any(role.overflow_terms
-                   and _component(state, role) in role.overflow_terms
-                   for role in self.roles)
+        return not self.in_model([state])[0]
 
     def in_critical(self, state: State, role: Role) -> bool:
-        return _component(state, role) in role.critical_terms
+        return bool(self.flags([state], role, role.critical_terms)[0])
 
     def pending(self, state: State, role: Role) -> bool:
-        return _component(state, role) in role.pending_terms
+        return bool(self.flags([state], role, role.pending_terms)[0])
+
+    def in_model(self, states: list) -> bytearray:
+        """Per state: 1 when no role's component is an overflow term."""
+        over = [self.flags(states, r, r.overflow_terms)
+                for r in self.roles if r.overflow_terms]
+        return bytearray(map(not_, map(any, zip(*over))) if over
+                         else b"\1" * len(states))
+
+    def flags(self, states: list, role: Role, terms) -> bytearray:
+        """Per state: 1 when the role's component (see `_component`) is
+        one of `terms`; read by slot when every shape has the role's."""
+        slots = {shape: shape.slots.get(role.leaf)
+                 for shape in set(map(itemgetter(0), states))}
+        found = ([_component(state, role) for state in states]
+                 if None in slots.values() else
+                 map(getitem, map(itemgetter(1), states),
+                     map(slots.__getitem__, map(itemgetter(0), states))))
+        return bytearray(map(terms.__contains__, found))
 
 
 def _component(state: State, role: Role) -> Term:

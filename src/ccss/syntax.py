@@ -340,7 +340,9 @@ class _Parser:
             params.append(self.param_bracketed(scope))
             while self.accept("_"):
                 params.append(self.param_tail(scope))
-        return self._shared(Name(base, tuple(params)))
+        key = (base, tuple(params))  # a recurring name is found unbuilt
+        return (self.shared.get(key)
+                or self.shared.setdefault(key, self._shared(Name(*key))))
 
     def param_bracketed(self, scope, binding_ok=None):
         self.expect("[")

@@ -23,12 +23,20 @@ is exhaustive whenever exploration was not truncated.  Every witness
 cycle is confirmed by the full lasso justness check; when some witness
 fails it and no other is confirmed, the verdict is "unknown", never
 "holds".
+
+The per-state and per-edge loops read int columns, not `Transition`s:
+transition targets and label ids (`Lts.targets`, `Lts.label_ids`), per
+role an edge mask (target not excluded, label not the crit action) and
+per-state role flags (`ProtocolModel.flags`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress, count
+from operator import and_, eq
 from typing import Optional
 
 from .lts import Lts, explore
@@ -88,38 +96,42 @@ class LivenessVerdict:
 class _Workspace:
     engine: SosEngine
     lts: Lts
+    ok: bytearray  # per state: 1 when it is not excluded
     ok_states: list  # state ids that are not excluded
-    excluded: set
+
+    @cached_property
+    def ok_edges(self) -> bytearray:
+        """Per transition: 1 when its target is not excluded."""
+        return bytearray(map(self.ok.__getitem__, self.lts.targets))
 
     def stem(self, goals) -> Optional[list]:
         """Shortest path from the initial state to a goal that enters no
         excluded state."""
-        return _path(self.lts, self.lts.initial, goals,
-                     lambda i: self.lts.transitions[i].tgt not in self.excluded)
+        return _path(self.lts, self.lts.initial, goals, self.ok_edges)
 
 
 def _prepare(model: ProtocolModel, max_states: int) -> _Workspace:
     engine = SosEngine(model.env)
     lts = explore(model.env, model.root, max_states=max_states,
                   engine=engine)
-    excluded = {i for i, s in enumerate(lts.states) if model.excluded(s)}
-    ok = [i for i in range(lts.num_states) if i not in excluded]
-    return _Workspace(engine, lts, ok, excluded)
+    ok = model.in_model(lts.states)
+    return _Workspace(engine, lts, ok, list(compress(count(), ok)))
 
 
-def _path(lts: Lts, source: int, goals, allowed) -> Optional[list]:
+def _path(lts: Lts, source: int, goals, mask) -> Optional[list]:
     """Shortest path (transition indices) from source to a state in goals
-    that takes only transitions whose index satisfies `allowed`; [] when
-    the source is a goal, None when no goal is reachable."""
+    that takes only transitions i with `mask[i]` set; [] when the source
+    is a goal, None when no goal is reachable."""
     if source in goals:
         return []
+    targets = lts.targets
     parent = {source: None}  # state -> index of the transition entering it
     queue = deque([source])
     while queue:
         s = queue.popleft()
         for i in lts.outgoing(s):
-            tgt = lts.transitions[i].tgt
-            if tgt in parent or not allowed(i):
+            tgt = targets[i]
+            if tgt in parent or not mask[i]:
                 continue
             parent[tgt] = i
             if tgt in goals:
@@ -139,78 +151,70 @@ def check_safety(model: ProtocolModel,
     search gives an unknown verdict (`holds` None)."""
     ws = _prepare(model, max_states)
     exhaustive = not ws.lts.truncated
-    bad = set()
-    bad_roles = {}
-    for sid in ws.ok_states:
-        state = ws.lts.states[sid]
-        inside = [r.name for r in model.roles if model.in_critical(state, r)]
-        if len(inside) >= 2:
-            bad.add(sid)
-            bad_roles[sid] = tuple(inside)
+    inside = [model.flags(ws.lts.states, r, r.critical_terms)
+              for r in model.roles]
+    bad = {s for s, n in enumerate(map(sum, zip(*inside)))
+           if n >= 2 and ws.ok[s]}
     stem = ws.stem(bad) if bad else None
     if stem is None:
         return SafetyVerdict(True if exhaustive else None,
-                             excluded_states=len(ws.excluded),
+                             excluded_states=ws.ok.count(0),
                              exhaustive=exhaustive)
     target = (ws.lts.transitions[stem[-1]].tgt if stem else ws.lts.initial)
-    return SafetyVerdict(False, Lasso(tuple(stem), ()), bad_roles[target],
-                         len(ws.excluded), exhaustive)
+    return SafetyVerdict(False, Lasso(tuple(stem), ()), tuple(
+        r.name for r, flags in zip(model.roles, inside) if flags[target]),
+        ws.ok.count(0), exhaustive)
 
 
 # --------------------------------------------------------------------------
 # liveness
 
-def _sccs(successors, roots):
-    """Tarjan over the subgraph reachable from roots (iterative);
-    `successors(state)` gives the target states of its edges."""
-    index = {}
-    low = {}
-    on_stack = set()
+def _sccs(lts: Lts, mask, roots):
+    """Strongly connected components (Tarjan, iterative) of the states
+    reachable from roots over the transitions i with `mask[i]` set, each
+    yielded as a list once found."""
+    n = lts.num_states
+    targets = lts.targets
+    index = [-1] * n  # a state's index is n once its component is out
+    low = [0] * n
     stack = []
-    out = []
-    counter = [0]
+    counter = 0
     for root in roots:
-        if root in index:
+        if index[root] >= 0:
             continue
-        work = [(root, iter(successors(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        work = [(root, iter(lts.outgoing(root)))]
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
         while work:
             v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+            for i in it:
+                if not mask[i]:
+                    continue
+                w = targets[i]
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(successors(w))))
-                    advanced = True
+                    work.append((w, iter(lts.outgoing(w))))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.remove(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
-    return out
+                if index[w] < low[v]:  # w is on the stack
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        index[comp[-1]] = n
+                    yield comp
 
 
 def _cycle_through(lts: Lts, inside, anchor: int, required: list) -> list:
     """A closed walk (transition indices) from anchor through every
-    required transition, taking only transitions that satisfy `inside`
+    required transition, taking only transitions i with `inside[i]` set
     (the edges of one strongly connected component)."""
     walk = []
     at = anchor
@@ -226,35 +230,44 @@ def check_liveness(model: ProtocolModel,
     ws = _prepare(model, max_states)
     if ws.lts.truncated:
         return LivenessVerdict("unknown", exhaustive=False,
-                               excluded_states=len(ws.excluded))
+                               excluded_states=ws.ok.count(0))
     mode = model.mode
     env = model.env
     lts = ws.lts
     trans = lts.transitions
+    targets = lts.targets
+    label_of, label_id = lts.label_ids
+    sources = [t.src for t in trans]
+    # states with a self-loop, and states with only blocking moves
+    looped = set(compress(sources, map(eq, sources, targets)))
+    moving = [not env.is_blocking(a) for a in label_id]
+    active = set(compress(sources, map(moving.__getitem__, label_of)))
+    stuck = [s for s in ws.ok_states if s not in active]
     unconfirmed = None  # role of the first witness that is_just rejected
 
     for role in model.roles:
         candidates = []  # (score, kind, payload); cycles preferred
-
-        def allowed(i):
-            t = trans[i]
-            return t.tgt not in ws.excluded and t.label != role.crit
-
-        comps = _sccs(lambda s: [trans[i].tgt for i in lts.outgoing(s)
-                                 if allowed(i)], ws.ok_states)
-        for comp in comps:
-            comp_set = set(comp)
+        crit = label_id.get(role.crit, -1)
+        noncrit = label_id.get(role.noncrit, -1)
+        other_crits = {label_id.get(r.crit) for r in model.roles
+                       if r is not role}
+        # the role's edges: no crit action, no excluded target
+        mask = bytearray(map(and_, ws.ok_edges,
+                             map(crit.__ne__, label_of)))
+        pending = model.flags(lts.states, role, role.pending_terms)
+        comp_of = [-1] * lts.num_states
+        for c, comp in enumerate(_sccs(lts, mask, ws.ok_states)):
+            if len(comp) == 1 and comp[0] not in looped:
+                continue  # a state on no cycle
+            for s in comp:
+                comp_of[s] = c
             edges = [i for s in comp for i in lts.outgoing(s)
-                     if allowed(i) and trans[i].tgt in comp_set]
-            if not edges:
-                continue
-            anchor = min(comp_set)
+                     if mask[i] and comp_of[targets[i]] == c]
+            anchor = min(comp)
             # the role must be stuck mid-protocol on this cycle
-            noncrit_edges = [i for i in edges
-                             if trans[i].label == role.noncrit]
-            pending_states = {s for s in comp_set
-                              if model.pending(lts.states[s], role)}
-            if not noncrit_edges and not pending_states:
+            noncrit_edges = [i for i in edges if label_of[i] == noncrit]
+            pending_states = [s for s in comp if pending[s]]
+            if not edges or not noncrit_edges and not pending_states:
                 continue
             # every state of the SCC has the anchor's shape: a Par never
             # disappears, so none can appear on a cycle either
@@ -268,24 +281,17 @@ def check_liveness(model: ProtocolModel,
             # prefer informative witnesses: cycles over dead ends, then
             # SCCs showing the most other roles completing their rounds,
             # then ones where this role performs no transition at all
-            other_crits = len({trans[i].label for i in edges
-                               if any(trans[i].label == r.crit
-                                      for r in model.roles if r is not role)})
+            other = len(other_crits.intersection([label_of[i]
+                                                  for i in edges]))
             role_rests = role.leaf not in {shape.addresses[slot]
                                            for slot in touched}
-            score = (1, other_crits, role_rests)
-            candidates.append((score, "cycle",
-                               (comp_set, edges, anchor, noncrit_edges,
+            candidates.append(((1, other, role_rests), "cycle",
+                               (edges, anchor, noncrit_edges,
                                 pending_states)))
         # terminal violations: a maximal, only-blocking state reached
         # while the role is still mid-protocol
-        for sid in ws.ok_states:
-            if not model.pending(lts.states[sid], role):
-                continue
-            if any(not env.is_blocking(trans[i].label)
-                   for i in lts.outgoing(sid)):
-                continue
-            candidates.append(((0, 0, True), "terminal", sid))
+        candidates += [((0, 0, True), "terminal", s) for s in stuck
+                       if pending[s]]
         for score, kind, payload in sorted(candidates,
                                            key=lambda c: c[0], reverse=True):
             if kind == "terminal":
@@ -297,8 +303,8 @@ def check_liveness(model: ProtocolModel,
                 return LivenessVerdict(
                     "violated", exhaustive=True, role=role.name,
                     counterexample=(lasso, verdict),
-                    excluded_states=len(ws.excluded))
-            comp_set, edges, anchor, noncrit_edges, pending = payload
+                    excluded_states=ws.ok.count(0))
+            edges, anchor, noncrit_edges, pending = payload
             # build a witness cycle covering every touched component
             required = []
             covered = frozenset()
@@ -307,13 +313,13 @@ def check_liveness(model: ProtocolModel,
                 covered = trans[noncrit_edges[0]].components
             elif pending:
                 anchor = min(pending)
+            inside = bytearray(len(trans))
             for i in edges:
+                inside[i] = 1
                 if trans[i].components - covered:
                     required.append(i)
                     covered |= trans[i].components
-            walk = _cycle_through(
-                lts, lambda i: allowed(i) and trans[i].tgt in comp_set,
-                anchor, required)
+            walk = _cycle_through(lts, inside, anchor, required)
             stem = ws.stem({anchor})
             if stem is None:
                 continue
@@ -325,9 +331,9 @@ def check_liveness(model: ProtocolModel,
             return LivenessVerdict(
                 "violated", exhaustive=True, role=role.name,
                 counterexample=(lasso, full),
-                excluded_states=len(ws.excluded))
+                excluded_states=ws.ok.count(0))
     if unconfirmed is not None:
         return LivenessVerdict("unknown", exhaustive=True, role=unconfirmed,
-                               excluded_states=len(ws.excluded))
+                               excluded_states=ws.ok.count(0))
     return LivenessVerdict("holds", exhaustive=True,
-                           excluded_states=len(ws.excluded))
+                           excluded_states=ws.ok.count(0))

@@ -33,7 +33,10 @@ rounds of `ccss.bisim._refine`, which signs again only the predecessors
 of states that changed block.  Both work on `_disjoint_union`, two
 systems merged into one state list of (label, target) moves.
 `term_explore` explores whole state terms, one SOS call per state, the
-reference for the skeleton explorer `ccss.lts.explore`.  It resolves each
+reference for the skeleton explorer `ccss.lts.explore`.  `oracle_sccs`
+is Tarjan's algorithm over dicts and a successor function, the
+reference for `ccss.verify._sccs`, which runs on int arrays and an edge
+mask.  It resolves each
 transition's components by address prefix: the leaf above each
 participant.
 """
@@ -354,3 +357,51 @@ def term_explore(env, root, max_states=1_000_000, engine=None):
                                           d.participants, d.signal_partner,
                                           components))
     return Lts(states, 0, transitions, signals, truncated)
+
+
+def oracle_sccs(successors, roots):
+    """Tarjan over the subgraph reachable from roots (iterative);
+    `successors(state)` gives the target states of its edges."""
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    out = []
+    counter = [0]
+    for root in roots:
+        if root in index:
+            continue
+        work = [(root, iter(successors(root)))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(successors(w))))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.remove(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                out.append(comp)
+    return out

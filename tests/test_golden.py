@@ -12,8 +12,10 @@ the exit code and the SHA-256 of the standard output of `ccss lts`,
 `golden/parse.json` holds, per model file and generated catalog source,
 the SHA-256 of a structural dump of `parse(source)` and the number of
 distinct `Name`, `Action` and `Ident` objects in it, which shows that
-the parser shares them.  After a deliberate change, rewrite all four
-files with `PYTHONPATH=src python tests/test_golden.py` and review the
+the parser shares them.  `golden/catalog_verdicts.json` holds the
+safety and liveness `to_json()` of the generated catalog models in
+`CATALOG`, whose handshake counterexamples no model file pins.  After a
+deliberate change, rewrite all five files with `PYTHONPATH=src python tests/test_golden.py` and review the
 diff.
 """
 
@@ -36,6 +38,7 @@ GOLDEN = ROOT / "tests" / "golden" / "verdicts.json"
 GOLDEN_BISIM = ROOT / "tests" / "golden" / "bisim.json"
 GOLDEN_CLI = ROOT / "tests" / "golden" / "cli.json"
 GOLDEN_PARSE = ROOT / "tests" / "golden" / "parse.json"
+GOLDEN_CATALOG = ROOT / "tests" / "golden" / "catalog_verdicts.json"
 MODELS = sorted((ROOT / "models").glob("*.ccss"))
 # moves, an emission query, undo, an index out of range, then quit
 STEP_SCRIPT = "0\n1\nsignals\n2\nundo\n0\n9\nquit\n"
@@ -47,6 +50,28 @@ def verdicts() -> dict:
         model = protocols.roles_from_file(parse(path.read_bytes()))
         out[path.name] = {"safety": check_safety(model).to_json(),
                           "liveness": check_liveness(model).to_json()}
+    return out
+
+
+# generated models by key: (generator, its arguments)
+CATALOG = {
+    **{f"{name} {flavor}": (make, args + (flavor,))
+       for flavor in protocols.FLAVORS
+       for name, make, args in (
+           ("peterson2", protocols.peterson2, ()),
+           ("filter_lock 2", protocols.filter_lock, (2,)),
+           ("filter_lock 3", protocols.filter_lock, (3,)),
+           ("bakery 2 4", protocols.bakery, (2, 4)))},
+    "bakery 3 3 ccs": (protocols.bakery, (3, 3, "ccs")),
+}
+
+
+def catalog_verdicts() -> dict:
+    out = {}
+    for key, (make, args) in CATALOG.items():
+        model = make(*args)
+        out[key] = {"safety": check_safety(model).to_json(),
+                    "liveness": check_liveness(model).to_json()}
     return out
 
 
@@ -138,6 +163,11 @@ def test_verdicts_on_bundled_models_match_the_recorded_ones():
     assert verdicts() == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+def test_verdicts_on_catalog_models_match_the_recorded_ones():
+    assert catalog_verdicts() == json.loads(
+        GOLDEN_CATALOG.read_text(encoding="utf-8"))
+
+
 def test_bisim_on_every_pair_of_bundled_models_matches_the_recorded_output():
     assert bisim_outputs() == json.loads(
         GOLDEN_BISIM.read_text(encoding="utf-8"))
@@ -171,4 +201,6 @@ if __name__ == "__main__":
     GOLDEN_PARSE.write_text(
         json.dumps(parse_outputs(), indent=1, sort_keys=True) + "\n",
         encoding="utf-8")
+    GOLDEN_CATALOG.write_text(json.dumps(catalog_verdicts(), indent=1) + "\n",
+                              encoding="utf-8")
     sys.exit(0)

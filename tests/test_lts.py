@@ -194,8 +194,8 @@ def sccs_with_one_shape(lts):
     """The strongly connected components of the system, after checking
     that each one's states share one `Shape` (justness reads a cycle's
     shape and resting leaves from one of its states)."""
-    comps = _sccs(lambda s: [lts.transitions[i].tgt for i in lts.outgoing(s)],
-                  range(lts.num_states))
+    every_edge = bytearray(b"\1" * len(lts.transitions))
+    comps = list(_sccs(lts, every_edge, range(lts.num_states)))
     for comp in comps:
         assert len({lts.states[s].shape for s in comp}) == 1, comp
     return comps

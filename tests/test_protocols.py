@@ -167,6 +167,7 @@ def test_role_predicates_agree_with_the_subterm_of_the_whole_state(
     spawned = 0
     for model in models:
         lts = explore(model.env, model.root)
+        columns = {r: [] for r in model.roles}
         for i, state in enumerate(lts.states):
             at = {r: subterm_at(lts.term(i), r.leaf) for r in model.roles}
             assert model.excluded(state) == any(
@@ -176,6 +177,13 @@ def test_role_predicates_agree_with_the_subterm_of_the_whole_state(
                                                        r.critical_terms)
                 assert model.pending(state, r) == (at[r] in r.pending_terms)
                 spawned += r.leaf not in state.shape.slots
+                columns[r].append(at[r])
+        # the same over the whole state list, whose shapes may differ
+        assert list(model.in_model(lts.states)) == [
+            not model.excluded(state) for state in lts.states]
+        for r, column in columns.items():
+            assert list(model.flags(lts.states, r, r.pending_terms)) == [
+                term in r.pending_terms for term in column]
     assert spawned
 
 

@@ -1,21 +1,24 @@
 """Safety/liveness verification and counterexample quality."""
 
+import dataclasses
 import json
 import pathlib
 import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccss.cli import main
 from ccss.justness import JustnessVerdict, is_complete, is_just
-from ccss.lts import explore
+from ccss.lts import Lts, Transition, explore
 from ccss.sos import SosEngine
-from ccss.terms import Name, act
-from ccss.verify import _path, check_liveness, check_safety
+from ccss.terms import TAU, Action, Name, act
+from ccss.verify import _path, _prepare, _sccs, check_liveness, check_safety
 from ccss import protocols, verify
 from ccss.protocols import _build
 
+from _oracle import oracle_sccs
 from _randterms import ENV as RAND_ENV, sample_terms
 
 
@@ -196,14 +199,14 @@ def test_unconfirmed_witness_gives_unknown_not_holds(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "unknown"
 
 
-def bfs_distances(lts, source, allowed):
+def bfs_distances(lts, source, mask):
     dist = {source: 0}
     queue = deque([source])
     while queue:
         s = queue.popleft()
         for i in lts.outgoing(s):
             tgt = lts.transitions[i].tgt
-            if allowed(i) and tgt not in dist:
+            if mask[i] and tgt not in dist:
                 dist[tgt] = dist[s] + 1
                 queue.append(tgt)
     return dist
@@ -217,12 +220,13 @@ def test_path_is_a_shortest_allowed_path_to_a_goal():
         for _ in range(10):
             banned = {i for i in range(len(lts.transitions))
                       if rng.random() < 0.2}
-            allowed = lambda i: i not in banned
+            mask = bytearray(i not in banned
+                             for i in range(len(lts.transitions)))
             source = rng.randrange(lts.num_states)
             goals = set(rng.sample(range(lts.num_states),
                                    min(2, lts.num_states)))
-            path = _path(lts, source, goals, allowed)
-            dist = bfs_distances(lts, source, allowed)
+            path = _path(lts, source, goals, mask)
+            dist = bfs_distances(lts, source, mask)
             reachable = [dist[g] for g in goals if g in dist]
             if not reachable:
                 assert path is None
@@ -233,7 +237,7 @@ def test_path_is_a_shortest_allowed_path_to_a_goal():
             at = source
             for i in path:
                 t = lts.transitions[i]
-                assert t.src == at and allowed(i)
+                assert t.src == at and mask[i]
                 at = t.tgt
             assert at in goals
     assert found and missing  # both outcomes are exercised
@@ -254,3 +258,71 @@ def test_every_traced_function_exists_on_each_owner(monkeypatch):
             assert vars(owner).get(attr) is original, (
                 f"{name}: {owner.__name__}.{attr} is not "
                 f"{first_owner.__name__}.{first_attr}")
+
+
+def oracle_components(lts, mask, roots):
+    return oracle_sccs(lambda s: [lts.transitions[i].tgt
+                                  for i in lts.outgoing(s) if mask[i]],
+                       roots)
+
+
+@st.composite
+def masked_digraphs(draw):
+    """A digraph as an Lts (self-loops and parallel edges included), an
+    edge mask, and a shuffled subset of its states as roots, so that some
+    states are reachable from none."""
+    n = draw(st.integers(1, 14))
+    state = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(state, state), max_size=45))
+    loops = draw(st.lists(state, max_size=4))
+    edges += [(s, s) for s in loops]
+    mask = bytearray(draw(st.lists(st.booleans(), min_size=len(edges),
+                                   max_size=len(edges))))
+    roots = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    lts = Lts([None] * n, 0, [Transition(a, TAU, b) for a, b in edges],
+              [frozenset()] * n)
+    return lts, mask, roots
+
+
+@settings(max_examples=300, deadline=None)
+@given(masked_digraphs())
+def test_sccs_match_the_dict_based_tarjan_on_random_digraphs(graph):
+    lts, mask, roots = graph
+    assert list(_sccs(lts, mask, roots)) == oracle_components(lts, mask,
+                                                              roots)
+
+
+def test_sccs_match_the_dict_based_tarjan_on_every_catalog_role_graph():
+    """The benchmark's verify catalog, every role in both flavors."""
+    for model in [make(flavor) for flavor in protocols.FLAVORS
+                  for make in (protocols.peterson2,
+                               lambda f: protocols.filter_lock(2, f),
+                               lambda f: protocols.filter_lock(3, f),
+                               lambda f: protocols.bakery(2, 4, f))]:
+        ws = _prepare(model, 1_000_000)
+        for role in model.roles:
+            mask = bytearray(ws.ok_edges[i] and t.label != role.crit
+                             for i, t in enumerate(ws.lts.transitions))
+            comps = list(_sccs(ws.lts, mask, ws.ok_states))
+            assert comps == oracle_components(ws.lts, mask, ws.ok_states)
+            assert any(len(c) > 1 for c in comps)
+
+
+def test_verdicts_do_not_depend_on_label_identity(monkeypatch):
+    """Labels equal but not identical to one another get one label id."""
+    def copied(env, root, **kwargs):
+        lts = explore(env, root, **kwargs)
+        lts.transitions = [
+            dataclasses.replace(t, label=Action(t.label.kind, t.label.name))
+            for t in lts.transitions]
+        return lts
+
+    models = [protocols.peterson2("ccs"), protocols.peterson2("ccss"),
+              protocols.filter_lock(2, "ccs"),
+              protocols.bakery(2, 2, "ccss"), broken_model()]
+    want = [(check_safety(m).to_json(), check_liveness(m).to_json())
+            for m in models]
+    monkeypatch.setattr(verify, "explore", copied)
+    got = [(check_safety(m).to_json(), check_liveness(m).to_json())
+           for m in models]
+    assert got == want
