@@ -36,6 +36,12 @@ class DynamicParallelism(CcssError):
     structure, so justness never raises it."""
 
 
+class ComponentTooLarge(CcssError):
+    """A component walked on its own for role tagging has more local
+    states than the cap; tagging a part of its graph could miss a role
+    or a critical state, so no roles are given."""
+
+
 class ParameterOutOfRange(CcssError):
     """A protocol generator was called with unsupported parameters."""
 

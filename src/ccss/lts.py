@@ -85,18 +85,19 @@ class Lts:
     transitions: list  # of Transition
     state_signals: list  # index -> frozenset of Name
     truncated: bool = False
-    _out: Optional[list] = None
 
     def outgoing(self, state: int) -> list:
         """Indices into `transitions` of the state's outgoing transitions,
         in index order.  This is the one adjacency structure every graph
         walk over the system uses; it is built on first use."""
-        if self._out is None:
-            out = [[] for _ in self.states]
-            for i, t in enumerate(self.transitions):
-                out[t.src].append(i)
-            self._out = out
         return self._out[state]
+
+    @cached_property
+    def _out(self) -> list:
+        out = [[] for _ in self.states]
+        for i, t in enumerate(self.transitions):
+            out[t.src].append(i)
+        return out
 
     @cached_property
     def targets(self) -> list:

@@ -1,30 +1,31 @@
-"""Generators for the bundled mutual-exclusion models.
+"""Generators for the bundled mutual-exclusion models, and role tagging.
 
-Each generator produces the model both as `.ccss` source text and as a
-parsed, validated `ProtocolModel` with role metadata: which action marks
-a process leaving its noncritical section, which one marks entry into
-the critical section, and which leaf subterms count as "pending"
-(noncritical section left, critical section not yet reached) or as
-occupying the critical section.  Shared variables come in two flavors:
-`ccs` variables answer reads by handshake, `ccss` variables emit their
-value as a signal.
+Each generator writes the model as `.ccss` source text and builds from
+it a parsed, validated `ProtocolModel` whose roles `roles_from_file`
+infers, as for any model file: which action marks a process leaving its
+noncritical section, which one marks entry into the critical section,
+and which leaf subterms count as "pending" (noncritical section left,
+critical section not yet reached) or as occupying the critical section.
+Shared variables come in two flavors: `ccs` variables answer reads by
+handshake, `ccss` variables emit their value as a signal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import getitem, itemgetter, not_
 
-from .errors import DynamicParallelism, ParameterOutOfRange
+from .errors import ComponentTooLarge, DynamicParallelism, ParameterOutOfRange
 from .terms import (
-    Action, Environment, Ident, Name, Term, act, leaf_paths, subterm_at,
+    Action, Environment, Term, canonical, leaf_paths, subterm_at,
 )
-from .syntax import SpecFile, parse
-from .lts import Lts, State, explore
+from .syntax import SpecFile, parse, term_str
+# explore is not called here; perfbench/spans.py traces protocols.explore
+from .lts import State, explore
 from .sos import SosEngine
 
 FLAVORS = ("ccs", "ccss")
-# exploration cap for one agent explored on its own for role tagging
+# most local states of one component walked on its own for role tagging
 _AGENT_MAX_STATES = 200_000
 
 
@@ -51,16 +52,6 @@ class ProtocolModel:
     def mode(self) -> str:
         """Justness mode matching the variable flavor."""
         return "ccss" if self.meta.get("flavor", "ccss") == "ccss" else "ccs"
-
-    def excluded(self, state: State) -> bool:
-        """Whether the state is outside the intended model (overflow)."""
-        return not self.in_model([state])[0]
-
-    def in_critical(self, state: State, role: Role) -> bool:
-        return bool(self.flags([state], role, role.critical_terms)[0])
-
-    def pending(self, state: State, role: Role) -> bool:
-        return bool(self.flags([state], role, role.pending_terms)[0])
 
     def in_model(self, states: list) -> bytearray:
         """Per state: 1 when no role's component is an overflow term."""
@@ -98,74 +89,84 @@ def _component(state: State, role: Role) -> Term:
 # --------------------------------------------------------------------------
 # role tagging
 
-def _tag_role(name: str, lts: Lts, noncrit: Action, crit: Action,
+def _local_graph(engine: SosEngine, agent: Term, leaf: tuple) -> tuple:
+    """The component's own states, as whole terms numbered breadth-first
+    from its canonical form, and per state its (label, target) moves in
+    derivation order: the states and transitions `explore` would give,
+    in its order."""
+    states = [canonical(engine.env, agent)]
+    index = {states[0]: 0}
+    moves = []
+    for term in states:  # grows as states are found: the FIFO queue
+        out = []
+        for d in engine.transitions(term):
+            tgt = index.get(d.target)
+            if tgt is None:
+                if len(states) >= _AGENT_MAX_STATES:
+                    raise ComponentTooLarge(
+                        f"component {term_str(agent)} at "
+                        f"{'/'.join(leaf) or 'the root'} has more than "
+                        f"{_AGENT_MAX_STATES} states; its roles cannot "
+                        "be tagged")
+                tgt = index[d.target] = len(states)
+                states.append(d.target)
+            out.append((d.label, tgt))
+        moves.append(out)
+    return states, moves
+
+
+def _tag_role(name: str, graph: tuple, noncrit: Action, crit: Action,
               leaf: tuple) -> Role:
-    """Classify the local states of the agent's own explored LTS."""
+    """Classify the local states of the component's own graph."""
+    states, moves = graph
+    stack, critical, overflow = [], set(), set()
+    for s, out in enumerate(moves):
+        for label, t in out:
+            if label == noncrit:
+                stack.append(t)
+            elif label == crit:
+                critical.add(t)
+            elif not label.is_tau and label.name.base == "overflow":
+                overflow.update((s, t))
     pending = set()
-    stack = [t.tgt for t in lts.transitions if t.label == noncrit]
     while stack:
         s = stack.pop()
-        if s in pending:
-            continue
-        pending.add(s)
-        for i in lts.outgoing(s):
-            if lts.transitions[i].label != crit:
-                stack.append(lts.transitions[i].tgt)
-    critical = {t.tgt for t in lts.transitions if t.label == crit}
-    overflow = set()
-    for t in lts.transitions:
-        if not t.label.is_tau and t.label.name.base == "overflow":
-            overflow.update((t.src, t.tgt))
+        if s not in pending:
+            pending.add(s)
+            stack.extend(t for label, t in moves[s] if label != crit)
     return Role(
         name, noncrit, crit, leaf,
-        frozenset(lts.term(s) for s in pending),
-        frozenset(lts.term(s) for s in critical),
-        frozenset(lts.term(s) for s in overflow))
-
-
-def _build(source: str, role_defs, meta) -> ProtocolModel:
-    """role_defs: (role name, agent identifier, noncrit, crit) tuples."""
-    spec = parse(source)
-    leaves = {subterm_at(spec.root, p): p for p in leaf_paths(spec.root)}
-    roles = []
-    for rname, agent_name, noncrit, crit in role_defs:
-        agent = Ident(agent_name)
-        if agent not in leaves:
-            raise ValueError(f"agent {agent_name} is not a component "
-                             "of the system term")
-        agent_lts = explore(spec.env, agent, max_states=_AGENT_MAX_STATES)
-        roles.append(_tag_role(rname, agent_lts, noncrit, crit,
-                               leaves[agent]))
-    return ProtocolModel(spec.env, spec.root, tuple(roles), source, meta)
+        frozenset(states[s] for s in pending),
+        frozenset(states[s] for s in critical),
+        frozenset(states[s] for s in overflow))
 
 
 def roles_from_file(spec: SpecFile) -> ProtocolModel:
-    """Build role metadata for a plain specification file: any component
-    whose own behavior contains a pair of actions whose names start with
-    `noncrit` and `crit` (same suffix and parameters) is treated as one
-    process of a mutual-exclusion protocol."""
+    """Build role metadata for a specification: any component whose own
+    behavior contains a pair of actions whose names start with `noncrit`
+    and `crit` (same suffix and parameters) is treated as one process of
+    a mutual-exclusion protocol.  The generators build their models with
+    it too."""
     engine = SosEngine(spec.env)
     roles = []
     for leaf in leaf_paths(spec.root):
-        agent = subterm_at(spec.root, leaf)
-        agent_lts = explore(spec.env, agent, max_states=_AGENT_MAX_STATES,
-                            engine=engine)
+        graph = _local_graph(engine, subterm_at(spec.root, leaf), leaf)
         noncrit = {}
         crits = {}
-        for t in agent_lts.transitions:
-            if t.label.is_tau or t.label.kind != "name":
-                continue
-            base, params = t.label.name.base, t.label.name.params
-            if base.startswith("noncrit"):
-                noncrit[(base[len("noncrit"):], params)] = t.label
-            elif base.startswith("crit"):
-                crits[(base[len("crit"):], params)] = t.label
+        for out in graph[1]:
+            for label, _ in out:
+                if label.is_tau or label.kind != "name":
+                    continue
+                base, params = label.name.base, label.name.params
+                if base.startswith("noncrit"):
+                    noncrit[(base[len("noncrit"):], params)] = label
+                elif base.startswith("crit"):
+                    crits[(base[len("crit"):], params)] = label
         for key, nc in noncrit.items():
             if key in crits:
                 name = ("P" + "_".join(str(p) for p in key[1])
                         if key[1] else (key[0] or "P"))
-                roles.append(_tag_role(name, agent_lts, nc, crits[key],
-                                       leaf))
+                roles.append(_tag_role(name, graph, nc, crits[key], leaf))
     return ProtocolModel(spec.env, spec.root, tuple(roles), "",
                          {"family": "file", "flavor":
                           "ccss" if spec.env.declared_signals else "ccs"})
@@ -206,11 +207,13 @@ system = (X_true | R | W) \\ {assign_x_true, assign_x_false, noti_x_true, noti_x
 
 
 def example1() -> ProtocolModel:
-    return _build(_EX1, (), {"family": "example1", "flavor": "ccs"})
+    return replace(roles_from_file(parse(_EX1)), source=_EX1,
+                   meta={"family": "example1", "flavor": "ccs"})
 
 
 def example2() -> ProtocolModel:
-    return _build(_EX2, (), {"family": "example2", "flavor": "ccss"})
+    return replace(roles_from_file(parse(_EX2)), source=_EX2,
+                   meta={"family": "example2", "flavor": "ccss"})
 
 
 # --------------------------------------------------------------------------
@@ -257,10 +260,8 @@ def peterson2(flavor: str = "ccss") -> ProtocolModel:
         "system = (A | B | ReadyA_false | ReadyB_false | Turn_A) \\ {"
         + ", ".join(internal) + "}")
     source = "\n".join(lines) + "\n"
-    roles = (("A", Name("A"), act("noncritA"), act("critA")),
-             ("B", Name("B"), act("noncritB"), act("critB")))
-    return _build(source, roles,
-                  {"family": "peterson2", "flavor": flavor, "N": 2})
+    return replace(roles_from_file(parse(source)), source=source,
+                   meta={"family": "peterson2", "flavor": flavor, "N": 2})
 
 
 # --------------------------------------------------------------------------
@@ -314,10 +315,8 @@ def filter_lock(n: int, flavor: str = "ccss", max_n: int = 4) -> ProtocolModel:
     lines.append("system = (" + " | ".join(components) + ") \\ {"
                  + ", ".join(internal) + "}")
     source = "\n".join(lines) + "\n"
-    roles = tuple((f"P{i}", Name("P", (i,)), act("noncrit", i),
-                   act("crit", i)) for i in procs)
-    return _build(source, roles,
-                  {"family": "filter", "flavor": flavor, "N": n})
+    return replace(roles_from_file(parse(source)), source=source,
+                   meta={"family": "filter", "flavor": flavor, "N": n})
 
 
 # --------------------------------------------------------------------------
@@ -387,11 +386,9 @@ def bakery(n: int = 2, ticket_bound: int = 4,
     lines.append("system = (" + " | ".join(components) + ") \\ {"
                  + ", ".join(internal) + "}")
     source = "\n".join(lines) + "\n"
-    roles = tuple((f"P{i}", Name("P", (i,)), act("noncrit", i),
-                   act("crit", i)) for i in procs)
-    return _build(source, roles,
-                  {"family": "bakery", "flavor": flavor, "N": n,
-                   "ticketBound": k_max})
+    return replace(roles_from_file(parse(source)), source=source,
+                   meta={"family": "bakery", "flavor": flavor, "N": n,
+                         "ticketBound": k_max})
 
 
 # --------------------------------------------------------------------------

@@ -14,8 +14,12 @@ the SHA-256 of a structural dump of `parse(source)` and the number of
 distinct `Name`, `Action` and `Ident` objects in it, which shows that
 the parser shares them.  `golden/catalog_verdicts.json` holds the
 safety and liveness `to_json()` of the generated catalog models in
-`CATALOG`, whose handshake counterexamples no model file pins.  After a
-deliberate change, rewrite all five files with `PYTHONPATH=src python tests/test_golden.py` and review the
+`CATALOG`, whose handshake counterexamples no model file pins.
+`golden/roles.json` holds, per generated configuration, bundled model
+file and test source with roles, each role in order: its name, noncrit
+and crit actions, leaf address, and the SHA-256 of the sorted printed
+terms of each of its pending, critical and overflow sets.  After a
+deliberate change, rewrite all six files with `PYTHONPATH=src python tests/test_golden.py` and review the
 diff.
 """
 
@@ -29,7 +33,7 @@ import sys
 
 from ccss import protocols
 from ccss.cli import main
-from ccss.syntax import parse, spec_str
+from ccss.syntax import parse, spec_str, term_str
 from ccss.terms import Action, Ident, Name
 from ccss.verify import check_liveness, check_safety
 
@@ -39,6 +43,7 @@ GOLDEN_BISIM = ROOT / "tests" / "golden" / "bisim.json"
 GOLDEN_CLI = ROOT / "tests" / "golden" / "cli.json"
 GOLDEN_PARSE = ROOT / "tests" / "golden" / "parse.json"
 GOLDEN_CATALOG = ROOT / "tests" / "golden" / "catalog_verdicts.json"
+GOLDEN_ROLES = ROOT / "tests" / "golden" / "roles.json"
 MODELS = sorted((ROOT / "models").glob("*.ccss"))
 # moves, an emission query, undo, an index out of range, then quit
 STEP_SCRIPT = "0\n1\nsignals\n2\nundo\n0\n9\nquit\n"
@@ -159,6 +164,46 @@ def parse_outputs() -> dict:
     return out
 
 
+def role_models() -> dict:
+    """Every model whose roles `golden/roles.json` pins, by key: the
+    generators over a range of sizes, the model files, and the test
+    sources whose roles spawn or break mutual exclusion."""
+    from test_protocols import SPAWNING_ROLE
+    from test_verify import BRANCHES, BROKEN, SPAWNING
+    models = {"example1": protocols.example1(),
+              "example2": protocols.example2()}
+    for flavor in protocols.FLAVORS:
+        models[f"peterson2 {flavor}"] = protocols.peterson2(flavor)
+        for n in (2, 3, 4):
+            models[f"filter_lock {n} {flavor}"] = protocols.filter_lock(
+                n, flavor)
+        for n, bound in ((2, 2), (2, 4), (2, 6), (3, 3), (3, 4)):
+            models[f"bakery {n} {bound} {flavor}"] = protocols.bakery(
+                n, bound, flavor)
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in MODELS}
+    sources.update(SPAWNING_ROLE=SPAWNING_ROLE, SPAWNING=SPAWNING,
+                   BRANCHES=BRANCHES, BROKEN=BROKEN)
+    for key, source in sources.items():
+        models[key] = protocols.roles_from_file(parse(source))
+    return models
+
+
+def _terms_digest(terms) -> str:
+    text = "\n".join(sorted(map(term_str, terms)))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def role_outputs() -> dict:
+    return {key: [{"name": r.name, "noncrit": str(r.noncrit),
+                   "crit": str(r.crit), "leaf": "/".join(r.leaf),
+                   "pending": _terms_digest(r.pending_terms),
+                   "critical": _terms_digest(r.critical_terms),
+                   "overflow": _terms_digest(r.overflow_terms)}
+                  for r in model.roles]
+            for key, model in role_models().items()}
+
+
 def test_verdicts_on_bundled_models_match_the_recorded_ones():
     assert verdicts() == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
@@ -182,6 +227,11 @@ def test_parse_of_models_and_catalog_sources_matches_the_recorded_dump():
         GOLDEN_PARSE.read_text(encoding="utf-8"))
 
 
+def test_roles_of_generated_models_files_and_test_sources_match_the_recorded_ones():
+    assert role_outputs() == json.loads(
+        GOLDEN_ROLES.read_text(encoding="utf-8"))
+
+
 def test_printing_a_parsed_source_round_trips():
     for source in parse_sources().values():
         printed = spec_str(parse(source))
@@ -203,4 +253,7 @@ if __name__ == "__main__":
         encoding="utf-8")
     GOLDEN_CATALOG.write_text(json.dumps(catalog_verdicts(), indent=1) + "\n",
                               encoding="utf-8")
+    GOLDEN_ROLES.write_text(
+        json.dumps(role_outputs(), indent=1, sort_keys=True) + "\n",
+        encoding="utf-8")
     sys.exit(0)

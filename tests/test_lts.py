@@ -1,5 +1,6 @@
 """State-space exploration, serialization, and the signal encoding."""
 
+import dataclasses
 import json
 import pathlib
 
@@ -43,6 +44,17 @@ def test_explore_respects_state_budget():
     lts = explore(env, Ident(Name("A", (1,))), max_states=10)
     assert lts.truncated
     assert lts.num_states == 10
+
+
+def test_the_adjacency_is_derived_not_passed_in():
+    assert [f.name for f in dataclasses.fields(Lts)] == [
+        "states", "initial", "transitions", "state_signals", "truncated"]
+    with pytest.raises(TypeError):
+        Lts([], 0, [], [], False, [])
+    lts = explore(Environment(), parse_term("a.b.0 + b.0", signals=()))
+    assert [lts.outgoing(s) for s in range(lts.num_states)] == [
+        [i for i, t in enumerate(lts.transitions) if t.src == s]
+        for s in range(lts.num_states)]
 
 
 def test_state_signals_recorded_per_state():

@@ -106,8 +106,8 @@ def test_filter_lock_rejects_bad_parameters():
 def test_bakery_overflow_states_are_recognized():
     model = protocols.bakery(2, ticket_bound=2, flavor="ccss")
     lts = explore(model.env, model.root)
-    excluded = [s for s in range(lts.num_states)
-                if model.excluded(lts.states[s])]
+    excluded = [s for s, ok in enumerate(model.in_model(lts.states))
+                if not ok]
     assert excluded  # a small ticket bound forces some overflow
     assert len(excluded) < lts.num_states
 
@@ -143,8 +143,9 @@ def test_role_phase_tracking_follows_transitions():
     role_a = model.roles[0]
     crit_states = [t.tgt for t in lts.transitions if t.label == role_a.crit]
     assert crit_states
-    assert all(model.in_critical(lts.states[s], role_a) for s in crit_states)
-    assert not model.in_critical(lts.states[lts.initial], role_a)
+    flags = model.flags(lts.states, role_a, role_a.critical_terms)
+    assert all(flags[s] for s in crit_states)
+    assert not flags[lts.initial]
 
 
 SPAWNING_ROLE = """\
@@ -157,9 +158,10 @@ system = A | B
 
 def test_role_predicates_agree_with_the_subterm_of_the_whole_state(
         monkeypatch):
-    """Each predicate reads the role's leaf slot, or, once the role's
-    component has spawned, the subterm at its address; on every state
-    both must give what the whole state term holds there."""
+    """`flags` and `in_model` read the role's leaf slot, or, once the
+    role's component has spawned, the subterm at its address; on every
+    state, alone and in the whole state list, both must give what the
+    whole state term holds there."""
     models = [protocols.roles_from_file(parse(path.read_bytes()))
               for path in sorted(MODELS.glob("*.ccss"))]
     models += benchmark_catalog(monkeypatch)
@@ -168,32 +170,23 @@ def test_role_predicates_agree_with_the_subterm_of_the_whole_state(
     for model in models:
         lts = explore(model.env, model.root)
         columns = {r: [] for r in model.roles}
+        in_model = []
         for i, state in enumerate(lts.states):
             at = {r: subterm_at(lts.term(i), r.leaf) for r in model.roles}
-            assert model.excluded(state) == any(
-                at[r] in r.overflow_terms for r in model.roles)
+            in_model.append(not any(at[r] in r.overflow_terms
+                                    for r in model.roles))
+            assert model.in_model([state])[0] == in_model[-1]
             for r in model.roles:
-                assert model.in_critical(state, r) == (at[r] in
-                                                       r.critical_terms)
-                assert model.pending(state, r) == (at[r] in r.pending_terms)
+                for terms in (r.pending_terms, r.critical_terms,
+                              r.overflow_terms):
+                    assert model.flags([state], r, terms)[0] == (at[r] in
+                                                                 terms)
                 spawned += r.leaf not in state.shape.slots
                 columns[r].append(at[r])
         # the same over the whole state list, whose shapes may differ
-        assert list(model.in_model(lts.states)) == [
-            not model.excluded(state) for state in lts.states]
+        assert list(model.in_model(lts.states)) == in_model
         for r, column in columns.items():
-            assert list(model.flags(lts.states, r, r.pending_terms)) == [
-                term in r.pending_terms for term in column]
+            for terms in (r.pending_terms, r.critical_terms):
+                assert list(model.flags(lts.states, r, terms)) == [
+                    term in terms for term in column]
     assert spawned
-
-
-def test_generator_roles_match_the_roles_inferred_from_their_source(
-        monkeypatch):
-    """The golden verdicts pin roles inferred from `.ccss` files; the
-    benchmark verifies the generators' own role tables.  Both must tag
-    the same roles."""
-    models = benchmark_catalog(monkeypatch)
-    models += [protocols.example1(), protocols.example2()]
-    for model in models:
-        inferred = protocols.roles_from_file(parse(model.source))
-        assert inferred.roles == model.roles, model.meta

@@ -13,10 +13,11 @@ from ccss.cli import main
 from ccss.justness import JustnessVerdict, is_complete, is_just
 from ccss.lts import Lts, Transition, explore
 from ccss.sos import SosEngine
-from ccss.terms import TAU, Action, Name, act
+from ccss.terms import TAU, Action
 from ccss.verify import _path, _prepare, _sccs, check_liveness, check_safety
 from ccss import protocols, verify
-from ccss.protocols import _build
+from ccss.errors import CcssError
+from ccss.syntax import parse
 
 from _oracle import oracle_sccs
 from _randterms import ENV as RAND_ENV, sample_terms
@@ -42,10 +43,7 @@ system = A | B
 
 
 def broken_model():
-    return _build(BROKEN,
-                  [("A", Name("A", ()), act("noncritA"), act("critA")),
-                   ("B", Name("B", ()), act("noncritB"), act("critB"))],
-                  {"family": "broken", "flavor": "ccs"})
+    return protocols.roles_from_file(parse(BROKEN))
 
 
 def test_unguarded_critical_sections_violate_safety():
@@ -58,7 +56,25 @@ def test_unguarded_critical_sections_violate_safety():
     assert lasso.cycle == ()
     replay(model, lts, lasso)
     final = lts.states[lasso.anchor(lts)]
-    assert all(model.in_critical(final, r) for r in model.roles)
+    assert all(model.flags([final], r, r.critical_terms)[0]
+               for r in model.roles)
+
+
+def test_a_component_over_the_role_tagging_cap_is_an_error(
+        monkeypatch, tmp_path, capsys):
+    """Tagging a truncated component graph would miss both critical
+    sections of BROKEN and call its safety held."""
+    monkeypatch.setattr(protocols, "_AGENT_MAX_STATES", 2)
+    with pytest.raises(CcssError,
+                       match="component A at L has more than 2 states"):
+        broken_model()
+    path = tmp_path / "broken.ccss"
+    path.write_text(BROKEN, encoding="utf-8")
+    assert main(["verify", "--safety", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(
+        "error: ComponentTooLarge: ")
 
 
 def test_peterson_safety_holds_for_both_flavors():
@@ -113,7 +129,8 @@ def test_liveness_counterexample_is_a_complete_just_run_starving_its_role():
     anchor = lts.states[lasso.anchor(lts)]
     labels = {lts.transitions[i].label for i in lasso.cycle}
     starved = [r.name for r in model.roles
-               if (r.noncrit in labels or model.pending(anchor, r))
+               if (r.noncrit in labels
+                   or model.flags([anchor], r, r.pending_terms)[0])
                and r.crit not in labels]
     assert verdict.role in starved
 
@@ -144,14 +161,9 @@ system = A | S
 """
 
 
-def role_a(source, flavor):
-    return _build(source,
-                  [("A", Name("A", ()), act("noncritA"), act("critA"))],
-                  {"family": "spawning", "flavor": flavor})
-
-
 def test_components_spawned_before_the_cycle_are_resolved_per_scc():
-    model = role_a(SPAWNING, "ccs")
+    model = protocols.roles_from_file(parse(SPAWNING))
+    assert model.mode == "ccs"
     verdict = check_liveness(model)
     assert verdict.status == "violated"
     assert verdict.role == "A"
@@ -180,7 +192,8 @@ system = A | S
 
 
 def test_configurations_under_different_parallel_structure_stay_apart():
-    model = role_a(BRANCHES, "ccss")
+    model = protocols.roles_from_file(parse(BRANCHES))
+    assert model.mode == "ccss"
     verdict = check_liveness(model)
     assert verdict.status == "violated"
     lasso, justness = verdict.counterexample
