@@ -9,7 +9,7 @@ only the predecessors of the states that changed block in the round
 before (every other state keeps the signature its block shared), and a
 query about two states stops at the round that separates them.  The
 rounds are kept, and the evidence for a distinction is read from the
-last two of them and the two states' own transitions.  The tests compare
+last two of them and the two states' own int moves.  The tests compare
 the refinement with the reference that signs every state every round,
 and the verdict with a naive fixpoint oracle.
 """
@@ -44,10 +44,10 @@ class BisimResult:
 def _refinement_input(*systems: Lts):
     """The systems as one state list, each system's ids shifted past the
     ones before it: per state its moves, as (label id * n, target) pairs
-    of ints, its predecessors (one per transition into it) and its
-    emission set.  The moves hold no label objects, so the garbage
-    collector stops tracking them at its first young collection instead
-    of moving them into the oldest generation."""
+    of ints, its predecessors (one per transition into it), its emission
+    set, and the labels by id.  The moves hold no label objects, so the
+    garbage collector stops tracking them at its first young collection
+    instead of moving them into the oldest generation."""
     n = sum(lts.num_states for lts in systems)
     moves = [[] for _ in range(n)]
     preds = [[] for _ in range(n)]
@@ -63,7 +63,7 @@ def _refinement_input(*systems: Lts):
             preds[tgt].append(src)
         shift += lts.num_states
     signals = [e for lts in systems for e in lts.state_signals]
-    return moves, preds, signals
+    return moves, preds, signals, list(label_ids)
 
 
 def _refine(moves, preds, signals, a=None, b=None):
@@ -134,60 +134,52 @@ def _refine(moves, preds, signals, a=None, b=None):
     return block_of, history
 
 
-def _explain(lts_a: Lts, a: int, lts_b: Lts, b: int, history):
-    """Why state a of lts_a and state b of lts_b are not bisimilar, read
-    from the refinement rounds over both systems (b's ids shifted by
-    lts_a's size).  In the first round that separates the two states
+def _explain(moves, labels, signals, a: int, b: int, history):
+    """Why states a and b of the refinement input are not bisimilar, read
+    from its rounds.  In the first round that separates the two states
     either their emission sets differ (round 0), or one of them has a
     move with a label into a block of the round before that the other
     cannot match with a move of that label into the same block.  The
     evidence names that signal, or that one label: its trace is empty
     or holds the label alone."""
-    shift = lts_a.num_states
     first = next(k for k, blocks in enumerate(history)
-                 if blocks[a] != blocks[b + shift])
+                 if blocks[a] != blocks[b])
     if first == 0:
-        only = lts_a.state_signals[a] ^ lts_b.state_signals[b]
-        name = sorted(map(str, only))[0]
+        name = sorted(map(str, signals[a] ^ signals[b]))[0]
         return Distinction((), f"emission of {name} differs")
     prev = history[first - 1]
-    moves_a = _moves(lts_a, a, prev, 0)
-    moves_b = _moves(lts_b, b, prev, shift)
-    label = _unmatched(moves_a, moves_b)
-    if label is None:
-        label = _unmatched(moves_b, moves_a)
+    moves_a = [(code, prev[t]) for code, t in moves[a]]
+    moves_b = [(code, prev[t]) for code, t in moves[b]]
+    code = _unmatched(moves_a, moves_b)
+    if code is None:
+        code = _unmatched(moves_b, moves_a)
+    label = labels[code // len(moves)]
     return Distinction((label,), f"one side offers {label} into a class "
                                  f"the other cannot reach")
 
 
-def _moves(lts: Lts, state: int, blocks, shift: int):
-    """The state's moves as (label, target block) pairs, in index order."""
-    moves = []
-    for i in lts.outgoing(state):
-        t = lts.transitions[i]
-        moves.append((t.label, blocks[t.tgt + shift]))
-    return moves
-
-
 def _unmatched(moves, answers):
-    """The label of the first move no answer matches in label and block."""
+    """The label code of the first move no answer matches in label and
+    block."""
     answers = set(answers)
-    return next((label for label, block in moves
-                 if (label, block) not in answers), None)
+    return next((code for code, block in moves
+                 if (code, block) not in answers), None)
 
 
 def bisimilar(lts_a: Lts, a: int, lts_b: Lts, b: int) -> BisimResult:
     """Decide strong bisimilarity of state a in lts_a and b in lts_b."""
     shifted = b + lts_a.num_states
-    final, history = _refine(*_refinement_input(lts_a, lts_b), a, shifted)
+    moves, preds, signals, labels = _refinement_input(lts_a, lts_b)
+    final, history = _refine(moves, preds, signals, a, shifted)
     if final[a] == final[shifted]:
         return BisimResult(True)
-    return BisimResult(False, _explain(lts_a, a, lts_b, b, history))
+    return BisimResult(False, _explain(moves, labels, signals, a, shifted,
+                                       history))
 
 
 def equivalence_classes(lts: Lts):
     """Blocks of bisimilar states of a single system."""
-    final, _ = _refine(*_refinement_input(lts))
+    final, _ = _refine(*_refinement_input(lts)[:3])
     groups = {}
     for s, bid in enumerate(final):
         groups.setdefault(bid, []).append(s)

@@ -15,6 +15,15 @@ minimal sets decide the existential question.
 
 The emitting side of a signal-read synchronization contributes an empty
 projection step: reading a signal involves only the reader.
+
+A resting leaf's part in the pass is four sets: its enabled labels, the
+complements of its handshake labels, the names its signal reads need
+and the signals it emits.  They are computed once per leaf term and mode
+and kept in the `SosEngine`, beside the derivations they summarize, so
+the side-conditions at each parallel composition are set intersections
+and the sets are unions; offending actions are built only for a
+witness.  A cycle step's alternative derivations are the entries with
+its source, label id and target (`Lts.label_ids`, `Lts.targets`).
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .terms import Environment, SIGNAL
+from .terms import Action, Environment, SIGNAL
 from .sos import SosEngine
 from .lts import LEAF, PAR, RELABEL, RESTRICT, Lts, Shape
 from .syntax import action_str
@@ -44,9 +53,10 @@ class Lasso:
     def validate(self, lts: Lts) -> int:
         """Check that the lasso is a path of the system; return its anchor."""
         at = lts.initial
-        for i in self.stem + self.cycle:
-            if not 0 <= i < len(lts.transitions):
-                raise ValueError(f"no transition {i}")
+        steps, count = self.stem + self.cycle, len(lts.transitions)
+        if steps and not (0 <= min(steps) and max(steps) < count):
+            bad = next(i for i in steps if not 0 <= i < count)
+            raise ValueError(f"no transition {bad}")
         for i in self.stem:
             t = lts.transitions[i]
             if t.src != at:
@@ -106,6 +116,36 @@ class JustnessVerdict:
 # --------------------------------------------------------------------------
 # bottom-up minimal-set analysis
 
+_NONE = frozenset()
+
+
+def _wants(labels: frozenset, mode: str) -> tuple:
+    """(the complements of the handshake labels, the names the signal
+    reads need): what a subtree with these enabled labels synchronizes
+    with.  Signal reads count only in ccss mode."""
+    return (frozenset([a.complement() for a in labels if a.is_handshake]),
+            frozenset([a.name for a in labels if a.kind == SIGNAL])
+            if mode == "ccss" else _NONE)
+
+
+def _summary(engine: SosEngine, term, mode: str) -> tuple:
+    """A resting leaf's (enabled labels, complements of its handshakes,
+    names its signal reads need, signals it emits), kept in the engine
+    once per leaf term and mode.  In ccs mode both signal sets are
+    empty, so the two signal clauses never hold."""
+    key = (term, mode)
+    summary = engine.summaries.get(key)
+    if summary is None:
+        labels = frozenset([d.label for d in engine.transitions(term)])
+        summary = engine.summaries[key] = (
+            labels, *_wants(labels, mode),
+            engine.signals(term) if mode == "ccss" else _NONE)
+    return summary
+
+
+_MOVING = (_NONE, _NONE, _NONE, _NONE)  # a leaf whose projection is infinite
+
+
 def analyze_configuration(engine: SosEngine, env: Environment, shape: Shape,
                           leaves: tuple, movers: frozenset,
                           mode: str = "ccss") -> JustnessVerdict:
@@ -114,47 +154,46 @@ def analyze_configuration(engine: SosEngine, env: Environment, shape: Shape,
     in `movers` (every other leaf rests at its term).
 
     One pass over the shape's post-order nodes keeps, per subtree, X_min
-    (the actions it must see blocked) and X'_min (the signals it keeps
-    emitting); the first Par whose side-condition fails is the witness."""
+    (the actions it must see blocked), the complements of its handshakes
+    and the names its signal reads need (both derived from X_min), and
+    X'_min (the signals it keeps emitting).  At a Par the three clauses
+    are set intersections; the first Par where one is non-empty is the
+    witness."""
     stack = []
     for node in shape.nodes:
         kind = node[0]
         if kind == LEAF:
-            term = leaves[node[1]]
-            if node[1] in movers:
-                stack.append((frozenset(), frozenset()))
-            else:
-                stack.append((
-                    frozenset(d.label for d in engine.transitions(term)),
-                    engine.signals(term) if mode == "ccss" else frozenset()))
+            stack.append(_MOVING if node[1] in movers
+                         else _summary(engine, leaves[node[1]], mode))
         elif kind == PAR:
-            xr, sr = stack.pop()
-            xl, sl = stack.pop()
-            clauses = [("X ∩ Z̄_H ≠ ∅", {a for a in xl if a.is_handshake
-                                         and a.complement() in xr})]
-            if mode == "ccss":
-                clauses += [
-                    ("X ∩ Z′ ≠ ∅",
-                     {a for a in xl if a.kind == SIGNAL and a.name in sr}),
-                    ("X′ ∩ Z ≠ ∅",
-                     {a for a in xr if a.kind == SIGNAL and a.name in sl})]
-            for clause, offending in clauses:
-                if offending:
-                    return JustnessVerdict(False, witness=Witness(
-                        "/".join(node[1]) or "(root)", clause,
-                        tuple(sorted(action_str(a) for a in offending))))
-            stack.append((xl | xr, sl | sr))
+            right = stack.pop()
+            left = stack[-1]
+            if right is _MOVING:
+                continue
+            xl, cl, rl, sl = left
+            xr, cr, rr, sr = right
+            if not (cl.isdisjoint(xr) and rl.isdisjoint(sr)
+                    and rr.isdisjoint(sl)):
+                return _par_witness(node[1], left, right)
+            if left is not _MOVING:
+                right = (xl | xr, cl | cr, rl | rr, sl | sr)
+            stack[-1] = right
         else:
-            x, s = stack.pop()
+            x, c, r, s = stack.pop()
             if kind == RESTRICT:
-                x = frozenset(a for a in x if a.is_tau or a.name not in node[1])
-                s = frozenset(n for n in s if n not in node[1])
+                hidden = node[1]
+                x = frozenset([a for a in x
+                               if a.is_tau or a.name not in hidden])
+                s = s.difference(hidden)
+                c, r = _wants(x, mode)
             elif kind == RELABEL:
-                x = frozenset(node[1].apply(a) for a in x)
-                s = frozenset(node[1].apply_name(n, True) for n in s)
+                f = node[1]
+                x = frozenset([f.apply(a) for a in x])
+                s = frozenset([f.apply_name(n, True) for n in s])
+                c, r = _wants(x, mode)
             else:
                 s = s | {node[1]}
-            stack.append((x, s))
+            stack.append((x, c, r, s))
     x = stack[0][0]
     bad = sorted((a for a in x if not env.is_blocking(a)), key=action_str)
     if bad:
@@ -165,17 +204,25 @@ def analyze_configuration(engine: SosEngine, env: Environment, shape: Shape,
     return JustnessVerdict(True, minimal_y=x)
 
 
+def _par_witness(address: tuple, left: tuple, right: tuple):
+    """The verdict at a Par whose side-condition fails: the first clause
+    that holds, with its offending actions of X (or X') printed in sorted
+    order."""
+    xl, cl, rl, sl = left
+    xr, cr, rr, sr = right
+    for clause, offending in (
+            ("X ∩ Z̄_H ≠ ∅", [a.complement() for a in cl & xr]),
+            ("X ∩ Z′ ≠ ∅", [Action(SIGNAL, n) for n in rl & sr]),
+            ("X′ ∩ Z ≠ ∅", [Action(SIGNAL, n) for n in rr & sl])):
+        if offending:
+            return JustnessVerdict(False, witness=Witness(
+                "/".join(address) or "(root)", clause,
+                tuple(sorted(map(action_str, offending)))))
+    raise AssertionError("no clause holds")
+
+
 # --------------------------------------------------------------------------
 # full lasso verdicts
-
-def _alternatives(lts: Lts, idx: int):
-    """All transition entries with the same source, label and target (a
-    path fixes those; the derivation behind them is existential)."""
-    t = lts.transitions[idx]
-    trans = lts.transitions
-    return [trans[i] for i in lts.outgoing(t.src)
-            if trans[i].label == t.label and trans[i].tgt == t.tgt]
-
 
 def is_just(lts: Lts, env: Environment, lasso: Lasso, mode: str = "ccss",
             engine: Optional[SosEngine] = None) -> JustnessVerdict:
@@ -184,16 +231,28 @@ def is_just(lts: Lts, env: Environment, lasso: Lasso, mode: str = "ccss",
     shape (a Par never disappears, and a node above a Par appears only
     with a new Par, so a cycle neither adds nor drops a node), and a slot
     that no cycle transition moves keeps its leaf.  When a cycle
-    transition admits several derivations, the path is just if some
-    choice of derivations is: every distinct set of moving slots is
-    tried, in the order an enumeration of the choices first meets it."""
+    transition admits several derivations (entries with its source, label
+    and target), the path is just if some choice of derivations is:
+    every distinct set of moving slots is tried, in the order an
+    enumeration of the choices first meets it."""
     engine = engine or SosEngine(env)
     shape, leaves = lts.states[lasso.validate(lts)]
-    mover_sets = [frozenset()]
+    label_of, targets, trans = lts.label_ids[0], lts.targets, lts.transitions
+    # A step with one derivation adds its slots to every choice, which
+    # commutes with the other steps' choices and keeps their order, so
+    # those slots are added once, at the end.
+    moved, mover_sets = set(), [frozenset()]
     for i in lasso.cycle:
-        mover_sets = list(dict.fromkeys(
-            m | t.components for m in mover_sets
-            for t in _alternatives(lts, i)))
+        label, target = label_of[i], targets[i]
+        choices = [trans[j].components for j in lts.outgoing(trans[i].src)
+                   if label_of[j] == label and targets[j] == target]
+        if len(choices) == 1:
+            moved |= choices[0]
+        else:
+            mover_sets = list(dict.fromkeys(
+                m | c for m in mover_sets for c in choices))
+    if moved:
+        mover_sets = list(dict.fromkeys(m | moved for m in mover_sets))
     for movers in mover_sets:
         verdict = analyze_configuration(engine, env, shape, leaves, movers,
                                         mode)
@@ -210,12 +269,12 @@ def is_complete(lts: Lts, env: Environment, lasso: Lasso,
     paths must be just.  Unless exploration was truncated, every
     derivation of an explored state is one of its transitions, so the
     enabled actions are read from the system itself."""
+    if not lasso.terminal:
+        return is_just(lts, env, lasso, mode, engine).just
     anchor = lasso.validate(lts)
-    if lasso.terminal:
-        if not lts.truncated:
-            return all(env.is_blocking(lts.transitions[i].label)
-                       for i in lts.outgoing(anchor))
-        engine = engine or SosEngine(env)
-        return all(env.is_blocking(d.label)
-                   for d in engine.transitions(lts.term(anchor)))
-    return is_just(lts, env, lasso, mode, engine).just
+    if not lts.truncated:
+        return all(env.is_blocking(lts.transitions[i].label)
+                   for i in lts.outgoing(anchor))
+    engine = engine or SosEngine(env)
+    return all(env.is_blocking(d.label)
+               for d in engine.transitions(lts.term(anchor)))

@@ -53,11 +53,14 @@ class SosEngine:
     The walk's results are memoized per term without parallel structure
     (`contains_par` false): the leaves the explorer composes.  A term
     with a visible `Par` is derived from its memoized parts each time it
-    is asked for, and nothing of it is kept."""
+    is asked for, and nothing of it is kept.  `ccss.justness` keeps its
+    per-leaf set summaries in `summaries`, so they live as long as the
+    engine whose derivations they summarize."""
 
     def __init__(self, env: Environment):
         self.env = env
         self._memo = {}  # term -> (derivations, emitters, signal names)
+        self.summaries = {}  # (leaf term, mode) -> justness summary
 
     def transitions(self, term: Term) -> tuple:
         return self._entry(term, ())[0]

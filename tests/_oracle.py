@@ -38,15 +38,23 @@ is Tarjan's algorithm over dicts and a successor function, the
 reference for `ccss.verify._sccs`, which runs on int arrays and an edge
 mask.  It resolves each
 transition's components by address prefix: the leaf above each
-participant.
+participant.  `reference_analyze_configuration` rebuilds every resting
+leaf's label and emission sets and tests each Par's clauses element by
+element, the reference for `ccss.justness.analyze_configuration`, which
+reads per-leaf set summaries and tests them by set intersection.
+`oracle_explain` reads bisimulation evidence from label objects, the
+reference for `ccss.bisim._explain`, which reads int moves.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
+from ccss.justness import JustnessVerdict, Witness
+from ccss.lts import LEAF, PAR, RELABEL, RESTRICT
+from ccss.syntax import action_str
 from ccss.terms import (
-    Par, Relabel, Restrict, SignalEmit, contains_par,
+    SIGNAL, Par, Relabel, Restrict, SignalEmit, contains_par,
     STEP_LEFT, STEP_RIGHT, STEP_RESTRICT, STEP_RELABEL, STEP_EMIT,
 )
 
@@ -202,6 +210,62 @@ def oracle_config(engine, env, state_term, movers, mode="ccss"):
     return just, root_just, acts
 
 
+def reference_analyze_configuration(engine, env, shape, leaves, movers,
+                                    mode="ccss"):
+    """The justness verdict of `ccss.justness.analyze_configuration`,
+    from one pass over the shape's post-order nodes that keeps, per
+    subtree, X_min (the actions it must see blocked) and X'_min (the
+    signals it keeps emitting); the first Par whose side-condition fails
+    is the witness."""
+    stack = []
+    for node in shape.nodes:
+        kind = node[0]
+        if kind == LEAF:
+            term = leaves[node[1]]
+            if node[1] in movers:
+                stack.append((frozenset(), frozenset()))
+            else:
+                stack.append((
+                    frozenset(d.label for d in engine.transitions(term)),
+                    engine.signals(term) if mode == "ccss" else frozenset()))
+        elif kind == PAR:
+            xr, sr = stack.pop()
+            xl, sl = stack.pop()
+            clauses = [("X ∩ Z̄_H ≠ ∅", {a for a in xl if a.is_handshake
+                                         and a.complement() in xr})]
+            if mode == "ccss":
+                clauses += [
+                    ("X ∩ Z′ ≠ ∅",
+                     {a for a in xl if a.kind == SIGNAL and a.name in sr}),
+                    ("X′ ∩ Z ≠ ∅",
+                     {a for a in xr if a.kind == SIGNAL and a.name in sl})]
+            for clause, offending in clauses:
+                if offending:
+                    return JustnessVerdict(False, witness=Witness(
+                        "/".join(node[1]) or "(root)", clause,
+                        tuple(sorted(action_str(a) for a in offending))))
+            stack.append((xl | xr, sl | sr))
+        else:
+            x, s = stack.pop()
+            if kind == RESTRICT:
+                x = frozenset(a for a in x if a.is_tau or a.name not in node[1])
+                s = frozenset(n for n in s if n not in node[1])
+            elif kind == RELABEL:
+                x = frozenset(node[1].apply(a) for a in x)
+                s = frozenset(node[1].apply_name(n, True) for n in s)
+            else:
+                s = s | {node[1]}
+            stack.append((x, s))
+    x = stack[0][0]
+    bad = sorted((a for a in x if not env.is_blocking(a)), key=action_str)
+    if bad:
+        clause = ("finite path enables τ" if bad[0].is_tau else
+                  "finite path enables a non-blocking action")
+        return JustnessVerdict(False, witness=Witness(
+            "(root)", clause, tuple(action_str(a) for a in bad)))
+    return JustnessVerdict(True, minimal_y=x)
+
+
 def _alternatives(lts, t):
     """All transitions with the same (source, label, target) triple."""
     siblings = (lts.transitions[i] for i in lts.outgoing(t.src))
@@ -283,6 +347,30 @@ def naive_bisimilar(lts_a, a, lts_b, b):
                     related[p][q] = False
                     changed = True
     return related[a][b + shift]
+
+
+def oracle_explain(out, signals, a, b, history):
+    """Evidence that states a and b of a disjoint union differ, read from
+    refinement rounds and the two states' (label, target) moves: in the
+    first round that separates them, the first signal by name that only
+    one emits (round 0), or else the label of the first move of a, then
+    of b, that the other state cannot match with a move of that label
+    into the same block of the round before."""
+    from ccss.bisim import Distinction
+
+    first = next(k for k, blocks in enumerate(history)
+                 if blocks[a] != blocks[b])
+    if first == 0:
+        name = sorted(map(str, signals[a] ^ signals[b]))[0]
+        return Distinction((), f"emission of {name} differs")
+    prev = history[first - 1]
+    moves_a = [(label, prev[t]) for label, t in out[a]]
+    moves_b = [(label, prev[t]) for label, t in out[b]]
+    label = next((m[0] for m in moves_a if m not in moves_b), None)
+    if label is None:
+        label = next(m[0] for m in moves_b if m not in moves_a)
+    return Distinction((label,), f"one side offers {label} into a class "
+                                 f"the other cannot reach")
 
 
 def oracle_refine(out, signals):

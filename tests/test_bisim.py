@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from ccss import protocols
 from ccss.bisim import (
-    BisimResult, _explain, _refine, _refinement_input, bisimilar,
+    BisimResult, _refine, _refinement_input, bisimilar,
     equivalence_classes,
 )
 from ccss.lts import Lts, Transition, explore
 from ccss.syntax import parse_term
 from ccss.terms import HANDSHAKE, Action, Name, Par, Sum
 
-from _oracle import _disjoint_union, naive_bisimilar, oracle_refine
+from _oracle import (
+    _disjoint_union, naive_bisimilar, oracle_explain, oracle_refine,
+)
 from _randterms import ENV, SIGNALS, random_term
 
 
@@ -107,7 +109,8 @@ def _oracle_result(lts_a, a, lts_b, b):
     final, history = oracle_refine(out, signals)
     if final[a] == final[b + shift]:
         return BisimResult(True)
-    return BisimResult(False, _explain(lts_a, a, lts_b, b, history))
+    return BisimResult(False, oracle_explain(out, signals, a, b + shift,
+                                             history))
 
 
 def _oracle_classes(lts):
@@ -124,10 +127,10 @@ def _oracle_classes(lts):
 def assert_encodes_the_union(lts_a, lts_b):
     """The refinement's int input is the reference's union of the two
     systems: per state the same moves in the same order, with one code
-    (a multiple of the state count) per label, and one predecessor entry
-    per transition into the state."""
+    (a multiple of the state count) per label, which the label list
+    decodes, and one predecessor entry per transition into the state."""
     out, signals, _ = _disjoint_union(lts_a, lts_b)
-    moves, preds, own_signals = _refinement_input(lts_a, lts_b)
+    moves, preds, own_signals, labels = _refinement_input(lts_a, lts_b)
     n = len(out)
     assert own_signals == signals
     assert len(moves) == len(preds) == n
@@ -137,7 +140,8 @@ def assert_encodes_the_union(lts_a, lts_b):
         for (label, _), (code, _) in zip(out[s], moves[s]):
             assert code % n == 0
             assert code_of.setdefault(label, code) == code
-    assert len(set(code_of.values())) == len(code_of)
+            assert labels[code // n] == label
+    assert len(set(code_of.values())) == len(code_of) == len(labels)
     want_preds = [[] for _ in range(n)]
     for s in range(n):
         for _, t in out[s]:

@@ -18,9 +18,11 @@ safety and liveness `to_json()` of the generated catalog models in
 `golden/roles.json` holds, per generated configuration, bundled model
 file and test source with roles, each role in order: its name, noncrit
 and crit actions, leaf address, and the SHA-256 of the sorted printed
-terms of each of its pending, critical and overflow sets.  After a
-deliberate change, rewrite all six files with `PYTHONPATH=src python tests/test_golden.py` and review the
-diff.
+terms of each of its pending, critical and overflow sets.
+`golden/just.json` holds, per model file and seeded lasso (`just_lassos`),
+the exit code and the SHA-256 of the standard output of `ccss just`.
+After a deliberate change, rewrite all seven files with
+`PYTHONPATH=src python tests/test_golden.py` and review the diff.
 """
 
 import contextlib
@@ -29,10 +31,12 @@ import hashlib
 import io
 import json
 import pathlib
+import random
 import sys
 
 from ccss import protocols
 from ccss.cli import main
+from ccss.lts import explore
 from ccss.syntax import parse, spec_str, term_str
 from ccss.terms import Action, Ident, Name
 from ccss.verify import check_liveness, check_safety
@@ -44,6 +48,7 @@ GOLDEN_CLI = ROOT / "tests" / "golden" / "cli.json"
 GOLDEN_PARSE = ROOT / "tests" / "golden" / "parse.json"
 GOLDEN_CATALOG = ROOT / "tests" / "golden" / "catalog_verdicts.json"
 GOLDEN_ROLES = ROOT / "tests" / "golden" / "roles.json"
+GOLDEN_JUST = ROOT / "tests" / "golden" / "just.json"
 MODELS = sorted((ROOT / "models").glob("*.ccss"))
 # moves, an emission query, undo, an index out of range, then quit
 STEP_SCRIPT = "0\n1\nsignals\n2\nundo\n0\n9\nquit\n"
@@ -111,6 +116,57 @@ def cli_outputs() -> dict:
             "lts --dot": _run(["lts", "--dot", str(path)]),
             "step": _run(["step", str(path)], STEP_SCRIPT)}
     return out
+
+
+JUST_LASSOS = 10  # seeded lassos per model file
+
+
+def just_lassos(path) -> list:
+    """`ccss just --lasso` specs for the model file: random walks from the
+    initial state, seeded by the file name.  Even walks avoid steps into a
+    deadlock and stop at the first repeated state (a cycle), odd ones
+    after a random number of steps; either stops where no step is left
+    (a finite path).  The first half takes no step
+    of one chosen component, which rests throughout, so that just and
+    unjust verdicts mix."""
+    spec = parse(path.read_bytes())
+    lts = explore(spec.env, spec.root)
+    out = [[] for _ in range(lts.num_states)]
+    for i, t in enumerate(lts.transitions):
+        out[t.src].append(i)
+    components = sorted({p for t in lts.transitions for p in t.participants})
+    rng = random.Random(path.name)
+    specs = []
+    for k in range(JUST_LASSOS):
+        rests = rng.choice(components) if k < JUST_LASSOS // 2 else None
+        length = rng.randrange(8) if k % 2 else None
+        state, seen, steps, cut = lts.initial, {lts.initial: 0}, [], None
+        while length is None or len(steps) < length:
+            choices = [i for i in out[state]
+                       if rests not in lts.transitions[i].participants]
+            if not choices:
+                break
+            if length is None:  # steer a cycle clear of deadlocks
+                choices = [i for i in choices
+                           if out[lts.transitions[i].tgt]] or choices
+            i = rng.choice(choices)
+            steps.append(i)
+            state = lts.transitions[i].tgt
+            if length is None and state in seen:
+                cut = seen[state]
+                break
+            seen[state] = len(steps)
+        stem, cycle = (steps, []) if cut is None else (steps[:cut],
+                                                        steps[cut:])
+        specs.append(",".join(map(str, stem)) + ";"
+                     + ",".join(map(str, cycle)))
+    return specs
+
+
+def just_outputs() -> dict:
+    return {path.name: {lasso: _run(["just", str(path), "--lasso", lasso])
+                        for lasso in just_lassos(path)}
+            for path in MODELS}
 
 
 def parse_sources() -> dict:
@@ -232,6 +288,11 @@ def test_roles_of_generated_models_files_and_test_sources_match_the_recorded_one
         GOLDEN_ROLES.read_text(encoding="utf-8"))
 
 
+def test_just_output_on_seeded_lassos_matches_the_recorded_hashes():
+    assert just_outputs() == json.loads(
+        GOLDEN_JUST.read_text(encoding="utf-8"))
+
+
 def test_printing_a_parsed_source_round_trips():
     for source in parse_sources().values():
         printed = spec_str(parse(source))
@@ -255,5 +316,8 @@ if __name__ == "__main__":
                               encoding="utf-8")
     GOLDEN_ROLES.write_text(
         json.dumps(role_outputs(), indent=1, sort_keys=True) + "\n",
+        encoding="utf-8")
+    GOLDEN_JUST.write_text(
+        json.dumps(just_outputs(), indent=1, sort_keys=True) + "\n",
         encoding="utf-8")
     sys.exit(0)

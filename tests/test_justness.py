@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ccss.justness import Lasso, analyze_configuration, is_complete, is_just
 from ccss.lts import explore
@@ -13,7 +13,7 @@ from ccss.terms import Environment, Ident, Name, subterm_at
 from ccss import protocols
 
 from _lassos import enumerate_lassos
-from _oracle import oracle_is_just
+from _oracle import oracle_is_just, reference_analyze_configuration
 from _randterms import random_term
 
 
@@ -170,6 +170,82 @@ def test_configuration_justness_is_monotone_in_the_mover_set(seed):
     if small.just:
         assert big.just
         assert big.minimal_y <= small.minimal_y
+
+
+def assert_configurations_match_the_reference(term, mover_sets):
+    """Set summaries and intersections give the reference's verdict, its
+    minimal Y and its witness (node, clause, offending actions) on every
+    explored state (up to a small cap), for each of `mover_sets(slots)`,
+    in both modes.  The summaries are kept once per resting leaf and mode
+    in the one shared engine, so a second pass asks the engine for no
+    derivations."""
+    from _randterms import ENV
+    engine = SosEngine(ENV)
+    lts = explore(ENV, term, max_states=25, engine=engine)
+    cases = []
+    for shape, leaves in lts.states:
+        for movers in mover_sets(range(len(leaves))):
+            for mode in ("ccss", "ccs"):
+                want = reference_analyze_configuration(
+                    engine, ENV, shape, leaves, movers, mode)
+                got = analyze_configuration(engine, ENV, shape, leaves,
+                                            movers, mode)
+                assert got == want, (shape.nodes, leaves, movers, mode)
+                cases.append((shape, leaves, movers, mode, got))
+    resting = {(leaves[s], mode) for _, leaves, movers, mode, _ in cases
+               for s in range(len(leaves)) if s not in movers}
+    assert set(engine.summaries) <= resting
+
+    def no_derivations(term):
+        raise AssertionError(f"summary of {term} not kept")
+
+    engine.transitions = no_derivations
+    for shape, leaves, movers, mode, verdict in cases:
+        assert analyze_configuration(engine, ENV, shape, leaves, movers,
+                                     mode) == verdict
+    return cases
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+# seeds whose witnesses are each of the three Par clauses, at a Par
+# below a Relabel or a SignalEmit
+@example(1)
+@example(251)
+@example(668)
+def test_configuration_verdicts_match_the_reference(seed):
+    rng = random.Random(seed)
+    term = random_term(rng, depth=rng.choice((3, 4)))
+
+    def mover_sets(slots):
+        # no slot, every slot and three random subsets
+        return sorted({frozenset(), frozenset(slots)} | {
+            frozenset(s for s in slots if rng.random() < 0.5)
+            for _ in range(3)}, key=sorted)
+
+    assert_configurations_match_the_reference(term, mover_sets)
+
+
+@pytest.mark.parametrize("text,clause", [
+    # both signal clauses hold: the one on the left's reads comes first
+    ("(s.0) ^ t | (t.0) ^ s", "X ∩ Z′ ≠ ∅"),
+    # a Restrict or Relabel above a Par changes what it synchronizes with
+    ("(a.0 | b.0) \\ {a} | 'a.0", None),
+    ("(a.0 | b.0) \\ {a} | 'b.0", "X ∩ Z̄_H ≠ ∅"),
+    ("(a.0 | b.0)[c/a] | 'a.0", None),
+    ("(a.0 | b.0)[c/a] | 'c.0", "X ∩ Z̄_H ≠ ∅"),
+    ("(s.0 | b.0) \\ {s} | (0) ^ s", None),
+    ("(s.0 | b.0)[t/s] | (0) ^ t", "X ∩ Z′ ≠ ∅"),
+])
+def test_configuration_verdicts_match_the_reference_above_a_par(text, clause):
+    def every_subset(slots):
+        return [frozenset(s for s in slots if k >> s & 1)
+                for k in range(2 ** len(slots))]
+
+    term = parse_term(text, signals=("s", "t"))
+    cases = assert_configurations_match_the_reference(term, every_subset)
+    shape, leaves, movers, mode, verdict = cases[0]  # initial, none moves
+    assert (verdict.witness.clause if verdict.witness else None) == clause
 
 
 @settings(max_examples=25, deadline=None)
