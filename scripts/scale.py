@@ -1,21 +1,28 @@
 #!/usr/bin/env python3
-"""Time both verdicts on the largest catalog models and check them.
+"""Time both verdicts and bisimulation on the largest catalog models.
 
 For filter N=4 and bakery N=3 K=4, in both variable flavors, prints the
 states explored, the seconds exploration takes, and the seconds each
-verdict spends after exploration (its search and witness).  Exits 1 when
-a verdict differs from `EXPECTED`.  Takes about a minute and 120 MB.
+verdict spends after exploration (its search and witness).  A second
+line per model gives its number of bisimulation classes and whether a
+copy with states and transitions shuffled is bisimilar to it, with the
+seconds each took.  Exits 1 when a verdict differs from `EXPECTED`, a
+class count from `CLASSES`, or the copy is not bisimilar.  Takes about
+a minute and 200 MB; the bisimulation query against the copy of filter
+N=4 (73,439 states in its refinement) needs the most memory.
 
     python scripts/scale.py
 """
 
 import pathlib
+import random
 import sys
 import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from ccss import protocols, verify
+from ccss import bisim, protocols, verify
+from ccss.lts import Lts, Transition
 
 MODELS = {
     "filter N=4": lambda flavor: protocols.filter_lock(4, flavor),
@@ -30,10 +37,18 @@ EXPECTED = {
     ("bakery N=3 K=4", "ccs"): (True, "violated", "P1", 1, 90),
     ("bakery N=3 K=4", "ccss"): (True, "holds", None, None, None),
 }
+# bisimulation classes of each explored system; the flavor of the shared
+# variables does not change them
+CLASSES = {
+    ("filter N=4", "ccs"): 19161,
+    ("filter N=4", "ccss"): 19161,
+    ("bakery N=3 K=4", "ccs"): 19353,
+    ("bakery N=3 K=4", "ccss"): 19353,
+}
 
 
 def timed(check, model):
-    """The verdict, the states explored, the seconds in exploration and
+    """The verdict, the explored system, the seconds in exploration and
     the seconds after it."""
     spent = []
     explore = verify.explore
@@ -41,7 +56,7 @@ def timed(check, model):
     def timed_explore(*args, **kwargs):
         started = time.perf_counter()
         lts = explore(*args, **kwargs)
-        spent.append((lts.num_states, time.perf_counter() - started))
+        spent.append((lts, time.perf_counter() - started))
         return lts
 
     verify.explore = timed_explore
@@ -51,8 +66,36 @@ def timed(check, model):
         total = time.perf_counter() - started
     finally:
         verify.explore = explore
-    (states, explore_s), = spent
-    return verdict, states, explore_s, total - explore_s
+    (lts, explore_s), = spent
+    return verdict, lts, explore_s, total - explore_s
+
+
+def shuffled(lts: Lts, seed: int) -> Lts:
+    """A copy of the system with its states and transitions permuted."""
+    rng = random.Random(seed)
+    perm = list(range(lts.num_states))
+    rng.shuffle(perm)
+    states, signals = [None] * len(perm), [None] * len(perm)
+    for old, new in enumerate(perm):
+        states[new] = lts.states[old]
+        signals[new] = lts.state_signals[old]
+    trans = [Transition(perm[t.src], t.label, perm[t.tgt])
+             for t in lts.transitions]
+    rng.shuffle(trans)
+    return Lts(states, perm[lts.initial], trans, signals, lts.truncated)
+
+
+def bisimulation(lts: Lts):
+    """The number of classes, the seconds `equivalence_classes` took,
+    whether a shuffled copy is bisimilar, and the seconds that query
+    took."""
+    started = time.perf_counter()
+    classes = len(bisim.equivalence_classes(lts))
+    classes_s = time.perf_counter() - started
+    copy = shuffled(lts, 0)
+    started = time.perf_counter()
+    same = bisim.bisimilar(lts, lts.initial, copy, copy.initial).equivalent
+    return classes, classes_s, same, time.perf_counter() - started
 
 
 def main() -> int:
@@ -62,10 +105,11 @@ def main() -> int:
     for name, make in MODELS.items():
         for flavor in protocols.FLAVORS:
             model = make(flavor)
-            safety, states, explore_s, safety_s = timed(
+            safety, _, explore_s, safety_s = timed(
                 verify.check_safety, model)
-            liveness, _, explore2_s, liveness_s = timed(
+            liveness, lts, explore2_s, liveness_s = timed(
                 verify.check_liveness, model)
+            states = lts.num_states
             lasso = (liveness.counterexample or (None,))[0]
             got = (safety.holds, liveness.status, liveness.role,
                    lasso and len(lasso.stem), lasso and len(lasso.cycle))
@@ -75,6 +119,14 @@ def main() -> int:
                   f"{min(explore_s, explore2_s):9.2f} {safety_s:8.2f} "
                   f"{liveness_s:10.2f}  {got}"
                   f"{'' if ok else ' expected ' + str(EXPECTED[name, flavor])}")
+            classes, classes_s, same, bisim_s = bisimulation(lts)
+            want = CLASSES[name, flavor]
+            ok = classes == want and same
+            wrong += not ok
+            print(f"{'':16} {'':6} {classes:7} classes in {classes_s:.2f} s,"
+                  f" a shuffled copy is {'' if same else 'not '}bisimilar "
+                  f"({bisim_s:.2f} s)"
+                  f"{'' if classes == want else f' expected {want} classes'}")
     return 1 if wrong else 0
 
 

@@ -3,21 +3,35 @@
 States of a system with signals carry an emission set; the equivalence
 refines by those sets first, so bisimilar states always emit exactly the
 same signals.  The checker is round-based partition refinement by
-transition signatures (Kanellakis-Smolka) over the systems' moves coded
-as ints, read in one pass over their transitions.  Each round signs again
-only the predecessors of the states that changed block in the round
-before (every other state keeps the signature its block shared), and a
-query about two states stops at the round that separates them.  The
-rounds are kept, and the evidence for a distinction is read from the
-last two of them and the two states' own int moves.  The tests compare
-the refinement with the reference that signs every state every round,
-and the verdict with a naive fixpoint oracle.
+transition signatures (Kanellakis-Smolka) over moves coded as ints.
+Each round signs again only the predecessors of the states that changed
+block in the round before (every other state keeps the signature its
+block shared), and a query about two states stops at the round that
+separates them.
+
+Each system is refined on its own at most once: `Lts.quotient` keeps its
+partition as flat ints, the class of each state and the quotient's
+deduplicated (label, class) moves and predecessors, and
+`equivalence_classes` reads it.  `bisimilar(A, a, B, b)` refines A's
+quotient together with B ("reduce, then compare").  A state is
+bisimilar to its class, so it is k-step bisimilar to it for every k, and
+the query separates its two states in the round that refining the two
+full systems together would.  Two states of one system are decided by
+their classes; when those differ, the quotient alone is refined for the
+evidence.  The evidence is read from the last two rounds and the two
+states' own moves, in transition order and mapped through the class map,
+so it is the evidence of the two full systems.  The tests compare the
+refinement with the reference that signs every state of the two full
+systems every round, and the verdict with a naive fixpoint oracle.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Optional
+from itertools import repeat
+from operator import mul
+from typing import NamedTuple, Optional
 
 from .lts import Lts
 
@@ -39,31 +53,6 @@ class BisimResult:
 
     def __bool__(self):
         return self.equivalent
-
-
-def _refinement_input(*systems: Lts):
-    """The systems as one state list, each system's ids shifted past the
-    ones before it: per state its moves, as (label id * n, target) pairs
-    of ints, its predecessors (one per transition into it), its emission
-    set, and the labels by id.  The moves hold no label objects, so the
-    garbage collector stops tracking them at its first young collection
-    instead of moving them into the oldest generation."""
-    n = sum(lts.num_states for lts in systems)
-    moves = [[] for _ in range(n)]
-    preds = [[] for _ in range(n)]
-    label_ids = {}
-    shift = 0
-    for lts in systems:
-        for t in lts.transitions:
-            src, tgt = t.src + shift, t.tgt + shift
-            code = label_ids.get(t.label)
-            if code is None:
-                code = label_ids[t.label] = len(label_ids) * n
-            moves[src].append((code, tgt))
-            preds[tgt].append(src)
-        shift += lts.num_states
-    signals = [e for lts in systems for e in lts.state_signals]
-    return moves, preds, signals, list(label_ids)
 
 
 def _refine(moves, preds, signals, a=None, b=None):
@@ -134,26 +123,108 @@ def _refine(moves, preds, signals, a=None, b=None):
     return block_of, history
 
 
-def _explain(moves, labels, signals, a: int, b: int, history):
-    """Why states a and b of the refinement input are not bisimilar, read
-    from its rounds.  In the first round that separates the two states
-    either their emission sets differ (round 0), or one of them has a
-    move with a label into a block of the round before that the other
-    cannot match with a move of that label into the same block.  The
-    evidence names that signal, or that one label: its trace is empty
-    or holds the label alone."""
+
+
+class Quotient(NamedTuple):
+    """A system's bisimulation quotient, as flat int arrays.  Classes are
+    numbered in order of their first state.  Class c's moves are entries
+    move_start[c] to move_start[c + 1] of `move_label` (ids of
+    `Lts.label_ids`) and `move_class`, one per distinct (label, target
+    class) pair; its predecessors are entries pred_start[c] to
+    pred_start[c + 1] of `preds`, one per move into it."""
+
+    class_of: array  # state -> class
+    first: array  # class -> its first state, which gives its emission set
+    move_start: array
+    move_label: array
+    move_class: array
+    pred_start: array
+    preds: array
+
+
+def quotient(lts: Lts) -> Quotient:
+    """Refine the system alone and read its quotient; `Lts.quotient`
+    keeps the result."""
+    n = lts.num_states
+    label_of = lts.label_ids[0]
+    targets = lts.targets
+    moves = [[(label_of[i] * n, targets[i]) for i in lts.outgoing(s)]
+             for s in range(n)]
+    preds = [[] for _ in range(n)]
+    for s, out in enumerate(moves):
+        for _, t in out:
+            preds[t].append(s)
+    final, _ = _refine(moves, preds, lts.state_signals)
+    names = {}
+    class_of = array("i", [names.setdefault(b, len(names)) for b in final])
+    first = array("i")
+    for s, c in enumerate(class_of):
+        if c == len(first):
+            first.append(s)
+    move_start = array("i", [0])
+    move_label, move_class = array("i"), array("i")
+    into = [[] for _ in first]
+    for c, s in enumerate(first):
+        for label, d in sorted({(label_of[i], class_of[targets[i]])
+                                for i in lts.outgoing(s)}):
+            move_label.append(label)
+            move_class.append(d)
+            into[d].append(c)
+        move_start.append(len(move_label))
+    pred_start, flat = array("i", [0]), array("i")
+    for ps in into:
+        flat.extend(ps)
+        pred_start.append(len(flat))
+    return Quotient(class_of, first, move_start, move_label, move_class,
+                    pred_start, flat)
+
+
+def _quotient_input(lts: Lts, stride: int):
+    """The refinement input of the system's quotient: per class its moves
+    as (label id * stride, class) pairs, its predecessors and its emission
+    set."""
+    q = lts.quotient
+    pairs = list(zip(map(mul, q.move_label, repeat(stride)), q.move_class))
+    preds = q.preds.tolist()
+    ends = zip(q.move_start, q.move_start[1:], q.pred_start, q.pred_start[1:])
+    moves, into = [], []
+    for lo, hi, plo, phi in ends:
+        moves.append(pairs[lo:hi])
+        into.append(preds[plo:phi])
+    return moves, into, list(map(lts.state_signals.__getitem__, q.first))
+
+
+def _own_moves(lts: Lts, state: int, stride: int) -> list:
+    """The state's moves in transition order, as (label id * stride,
+    target class) pairs."""
+    label_of, targets = lts.label_ids[0], lts.targets
+    class_of = lts.quotient.class_of
+    return [(label_of[i] * stride, class_of[targets[i]])
+            for i in lts.outgoing(state)]
+
+
+def _explain(history, a: int, b: int, moves_a, moves_b, emitted, labels,
+             stride: int) -> Distinction:
+    """Why states a and b of a refinement are not bisimilar, read from its
+    rounds and the two states' moves (label id * stride, target) in
+    transition order.  In the first round that separates the two states
+    either their emission sets differ (round 0; `emitted` is their
+    symmetric difference), or one of them has a move with a label into a
+    block of the round before that the other cannot match with a move of
+    that label into the same block.  The evidence names that signal, or
+    that one label: its trace is empty or holds the label alone."""
     first = next(k for k, blocks in enumerate(history)
                  if blocks[a] != blocks[b])
     if first == 0:
-        name = sorted(map(str, signals[a] ^ signals[b]))[0]
+        name = sorted(map(str, emitted))[0]
         return Distinction((), f"emission of {name} differs")
     prev = history[first - 1]
-    moves_a = [(code, prev[t]) for code, t in moves[a]]
-    moves_b = [(code, prev[t]) for code, t in moves[b]]
+    moves_a = [(code, prev[t]) for code, t in moves_a]
+    moves_b = [(code, prev[t]) for code, t in moves_b]
     code = _unmatched(moves_a, moves_b)
     if code is None:
         code = _unmatched(moves_b, moves_a)
-    label = labels[code // len(moves)]
+    label = labels[code // stride]
     return Distinction((label,), f"one side offers {label} into a class "
                                  f"the other cannot reach")
 
@@ -168,19 +239,42 @@ def _unmatched(moves, answers):
 
 def bisimilar(lts_a: Lts, a: int, lts_b: Lts, b: int) -> BisimResult:
     """Decide strong bisimilarity of state a in lts_a and b in lts_b."""
-    shifted = b + lts_a.num_states
-    moves, preds, signals, labels = _refinement_input(lts_a, lts_b)
-    final, history = _refine(moves, preds, signals, a, shifted)
-    if final[a] == final[shifted]:
+    class_of = lts_a.quotient.class_of
+    k = len(lts_a.quotient.first)
+    qa = class_of[a]
+    codes = dict(lts_a.label_ids[1])
+    if lts_b is lts_a:
+        qb = class_of[b]
+        if qa == qb:
+            return BisimResult(True)
+        stride = k
+        moves, preds, signals = _quotient_input(lts_a, stride)
+        moves_b = _own_moves(lts_a, b, stride)
+    else:
+        qb = k + b
+        stride = k + lts_b.num_states
+        moves, preds, signals = _quotient_input(lts_a, stride)
+        moves += [[] for _ in range(lts_b.num_states)]
+        preds += [[] for _ in range(lts_b.num_states)]
+        signals += lts_b.state_signals
+        for t in lts_b.transitions:
+            code = codes.setdefault(t.label, len(codes))
+            moves[t.src + k].append((code * stride, t.tgt + k))
+            preds[t.tgt + k].append(t.src + k)
+        moves_b = moves[qb]
+    final, history = _refine(moves, preds, signals, qa, qb)
+    if final[qa] == final[qb]:
         return BisimResult(True)
-    return BisimResult(False, _explain(moves, labels, signals, a, shifted,
-                                       history))
+    emitted = lts_a.state_signals[a] ^ lts_b.state_signals[b]
+    return BisimResult(False, _explain(
+        history, qa, qb, _own_moves(lts_a, a, stride), moves_b, emitted,
+        list(codes), stride))
 
 
 def equivalence_classes(lts: Lts):
-    """Blocks of bisimilar states of a single system."""
-    final, _ = _refine(*_refinement_input(lts)[:3])
-    groups = {}
-    for s, bid in enumerate(final):
-        groups.setdefault(bid, []).append(s)
-    return list(groups.values())
+    """Blocks of bisimilar states of a single system, each in state order,
+    in order of their first states."""
+    groups = [[] for _ in lts.quotient.first]
+    for s, c in enumerate(lts.quotient.class_of):
+        groups[c].append(s)
+    return groups

@@ -112,6 +112,13 @@ class Lts:
         return [ids.setdefault(t.label, len(ids))
                 for t in self.transitions], ids
 
+    @cached_property
+    def quotient(self):
+        """The system's bisimulation quotient (`bisim.Quotient`), refined
+        on first use."""
+        from .bisim import quotient  # bisim imports this module
+        return quotient(self)
+
     @property
     def num_states(self) -> int:
         return len(self.states)

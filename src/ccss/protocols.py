@@ -17,7 +17,8 @@ from operator import getitem, itemgetter, not_
 
 from .errors import ComponentTooLarge, DynamicParallelism, ParameterOutOfRange
 from .terms import (
-    Action, Environment, Term, canonical, leaf_paths, subterm_at,
+    Action, Environment, Ident, IndexedSum, Par, Prefix, Relabel, Restrict,
+    SignalEmit, Sum, Term, canonical, leaf_paths, subterm_at,
 )
 from .syntax import SpecFile, parse, term_str
 # explore is not called here; perfbench/spans.py traces protocols.explore
@@ -89,6 +90,40 @@ def _component(state: State, role: Role) -> Term:
 # --------------------------------------------------------------------------
 # role tagging
 
+def _may_name_noncrit(env: Environment, agent: Term) -> bool:
+    """Whether an action base starting with `noncrit` occurs in the
+    component's term, in an equation its identifiers reach (every
+    equation of each name and arity) or as a relabelling target.  This
+    over-approximates the component's actions, so a component for which
+    it is false holds no role."""
+    stack, seen = [agent], set()
+    while stack:
+        term = stack.pop()
+        if isinstance(term, Prefix):
+            if (not term.action.is_tau
+                    and term.action.name.base.startswith("noncrit")):
+                return True
+            stack.append(term.body)
+        elif isinstance(term, Sum):
+            stack.extend(term.branches)
+        elif isinstance(term, Par):
+            stack += (term.left, term.right)
+        elif isinstance(term, Relabel):
+            f = term.relabelling
+            if any(new.base.startswith("noncrit")
+                   for _, new in f.handshake_map + f.signal_map):
+                return True
+            stack.append(term.body)
+        elif isinstance(term, (IndexedSum, Restrict, SignalEmit)):
+            stack.append(term.body)
+        elif isinstance(term, Ident):
+            key = (term.name.base, len(term.name.params))
+            if key not in seen:
+                seen.add(key)
+                stack.extend(body for _, body in env.equations.get(key, ()))
+    return False
+
+
 def _local_graph(engine: SosEngine, agent: Term, leaf: tuple) -> tuple:
     """The component's own states, as whole terms numbered breadth-first
     from its canonical form, and per state its (label, target) moves in
@@ -146,11 +181,15 @@ def roles_from_file(spec: SpecFile) -> ProtocolModel:
     behavior contains a pair of actions whose names start with `noncrit`
     and `crit` (same suffix and parameters) is treated as one process of
     a mutual-exclusion protocol.  The generators build their models with
-    it too."""
+    it too.  A component whose term and reachable equations name no
+    `noncrit*` action is not walked."""
     engine = SosEngine(spec.env)
     roles = []
     for leaf in leaf_paths(spec.root):
-        graph = _local_graph(engine, subterm_at(spec.root, leaf), leaf)
+        agent = subterm_at(spec.root, leaf)
+        if not _may_name_noncrit(spec.env, agent):
+            continue
+        graph = _local_graph(engine, agent, leaf)
         noncrit = {}
         crits = {}
         for out in graph[1]:

@@ -32,6 +32,9 @@ over the full relation, the reference for partition refinement.
 rounds of `ccss.bisim._refine`, which signs again only the predecessors
 of states that changed block.  Both work on `_disjoint_union`, two
 systems merged into one state list of (label, target) moves.
+`union_refinement_input` codes that union as the int input of
+`ccss.bisim._refine`, the reference for the input `ccss.bisim.bisimilar`
+builds from one system's cached quotient and the other system.
 `term_explore` explores whole state terms, one SOS call per state, the
 reference for the skeleton explorer `ccss.lts.explore`.  `oracle_sccs`
 is Tarjan's algorithm over dicts and a successor function, the
@@ -323,6 +326,30 @@ def _disjoint_union(lts_a, lts_b):
         out[t.src + shift].append((t.label, t.tgt + shift))
     signals = list(lts_a.state_signals) + list(lts_b.state_signals)
     return out, signals, shift
+
+
+def union_refinement_input(*systems):
+    """The systems as one state list, each system's ids shifted past the
+    ones before it, coded as the input of `ccss.bisim._refine`: per state
+    its moves, as (label id * n, target) pairs of ints, its predecessors
+    (one per transition into it), its emission set, and the labels by
+    id."""
+    n = sum(lts.num_states for lts in systems)
+    moves = [[] for _ in range(n)]
+    preds = [[] for _ in range(n)]
+    label_ids = {}
+    shift = 0
+    for lts in systems:
+        for t in lts.transitions:
+            src, tgt = t.src + shift, t.tgt + shift
+            code = label_ids.get(t.label)
+            if code is None:
+                code = label_ids[t.label] = len(label_ids) * n
+            moves[src].append((code, tgt))
+            preds[tgt].append(src)
+        shift += lts.num_states
+    signals = [e for lts in systems for e in lts.state_signals]
+    return moves, preds, signals, list(label_ids)
 
 
 def naive_bisimilar(lts_a, a, lts_b, b):

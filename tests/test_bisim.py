@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccss import protocols
-from ccss.bisim import (
-    BisimResult, _refine, _refinement_input, bisimilar,
-    equivalence_classes,
-)
+from ccss.bisim import BisimResult, _refine, bisimilar, equivalence_classes
 from ccss.lts import Lts, Transition, explore
 from ccss.syntax import parse_term
 from ccss.terms import HANDSHAKE, Action, Name, Par, Sum
 
 from _oracle import (
     _disjoint_union, naive_bisimilar, oracle_explain, oracle_refine,
+    union_refinement_input,
 )
 from _randterms import ENV, SIGNALS, random_term
 
@@ -125,12 +123,14 @@ def _oracle_classes(lts):
 
 
 def assert_encodes_the_union(lts_a, lts_b):
-    """The refinement's int input is the reference's union of the two
-    systems: per state the same moves in the same order, with one code
-    (a multiple of the state count) per label, which the label list
-    decodes, and one predecessor entry per transition into the state."""
+    """The reference int input of the two full systems, which the quotient
+    path is held to, is their union: per state the same moves in the same
+    order, with one code (a multiple of the state count) per label, which
+    the label list decodes, and one predecessor entry per transition into
+    the state."""
     out, signals, _ = _disjoint_union(lts_a, lts_b)
-    moves, preds, own_signals, labels = _refinement_input(lts_a, lts_b)
+    moves, preds, own_signals, labels = union_refinement_input(lts_a,
+                                                               lts_b)
     n = len(out)
     assert own_signals == signals
     assert len(moves) == len(preds) == n
@@ -240,3 +240,98 @@ def test_two_states_of_one_system_give_the_reference_result(seed):
         result = bisimilar(lts, p, lts, q)
         assert result == _oracle_result(lts, p, lts, q)
         assert result.equivalent == (class_of[p] == class_of[q])
+
+
+# -- the quotient each system keeps --------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_the_cached_quotient_is_the_reference_partition(seed):
+    """Classes are numbered by their first states and are the reference's
+    blocks; each class's moves are the distinct (label id, class) pairs of
+    every member's transitions, and its predecessors their inverse."""
+    rng = random.Random(seed)
+    lts = explore(ENV, random_term(rng, depth=rng.choice((3, 4))),
+                  max_states=5000)
+    q = lts.quotient
+    assert lts.quotient is q
+    classes = _oracle_classes(lts)
+    assert equivalence_classes(lts) == classes
+    assert list(q.first) == [block[0] for block in classes]
+    assert all(q.class_of[s] == c for c, block in enumerate(classes)
+               for s in block)
+    label_of, _ = lts.label_ids
+    into = [[] for _ in classes]
+    for c in range(len(classes)):
+        lo, hi = q.move_start[c], q.move_start[c + 1]
+        want = sorted(zip(q.move_label[lo:hi], q.move_class[lo:hi]))
+        assert len(set(want)) == len(want)
+        for s in classes[c]:
+            assert sorted({(label_of[i], q.class_of[lts.targets[i]])
+                           for i in lts.outgoing(s)}) == want
+        for _, d in want:
+            into[d].append(c)
+    assert [sorted(q.preds[q.pred_start[c]:q.pred_start[c + 1]])
+            for c in range(len(classes))] == into
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: protocols.filter_lock(2, "ccss"),
+    lambda: protocols.peterson2("ccs"),
+], ids=["filter2-ccss", "peterson2-ccs"])
+def test_many_queries_against_one_cached_system_give_the_reference_results(
+        maker):
+    model = maker()
+    lts = explore(model.env, model.root)
+    rng = random.Random(11)
+    cached = lts.quotient
+    for kind in ("shuffled", "fresh", "relabelled") * 3:
+        copy = _copy(rng, lts, kind)
+        pairs = [(lts.initial, copy.initial)] + [
+            (rng.randrange(lts.num_states), rng.randrange(copy.num_states))
+            for _ in range(6)]
+        for a, b in pairs:
+            assert bisimilar(lts, a, copy, b) == _oracle_result(lts, a,
+                                                                copy, b)
+        assert lts.quotient is cached
+        assert "quotient" not in vars(copy)
+
+
+def test_a_system_queried_second_then_first_gives_the_reference_results():
+    model = protocols.peterson2("ccss")
+    lts = explore(model.env, model.root)
+    rng = random.Random(5)
+    for kind in ("shuffled", "relabelled"):
+        other = _copy(rng, lts, kind)
+        pairs = [(lts.initial, other.initial)] + [
+            (rng.randrange(lts.num_states), rng.randrange(other.num_states))
+            for _ in range(8)]
+        for a, b in pairs:
+            assert bisimilar(other, b, lts, a) == _oracle_result(other, b,
+                                                                 lts, a)
+        for a, b in pairs:
+            assert bisimilar(lts, a, other, b) == _oracle_result(lts, a,
+                                                                 other, b)
+        assert equivalence_classes(other) == _oracle_classes(other)
+
+
+def test_an_lts_built_from_another_ones_lists_keeps_its_own_quotient():
+    """A system shares the other's state and signal lists but not its
+    cache: one relabelled transition gives it its own classes."""
+    model = protocols.filter_lock(2, "ccs")
+    lts = explore(model.env, model.root)
+    assert equivalence_classes(lts) == _oracle_classes(lts)
+    twin = Lts(lts.states, lts.initial, lts.transitions, lts.state_signals)
+    assert "quotient" not in vars(twin)
+    assert twin.quotient is not lts.quotient
+    assert equivalence_classes(twin) == equivalence_classes(lts)
+    trans = list(lts.transitions)
+    t = trans[0]
+    trans[0] = Transition(t.src, Action(HANDSHAKE, Name("fresh", ())),
+                          t.tgt, t.participants, t.signal_partner)
+    changed = Lts(lts.states, lts.initial, trans, lts.state_signals)
+    assert equivalence_classes(changed) == _oracle_classes(changed)
+    assert equivalence_classes(changed) != equivalence_classes(lts)
+    assert bisimilar(changed, t.src, lts, t.src) == _oracle_result(
+        changed, t.src, lts, t.src)
+    assert not bisimilar(changed, t.src, lts, t.src)

@@ -189,6 +189,8 @@ def test_explore_matches_the_term_explorer_on_a_spawning_model():
     "system = (a.0 + b.0)[b/a] | 'b.0\n",
     "system = ((a.0 + b.0) | c.0)[b/a]\n",
     "system = (((a.0 + b.0) | c.0)[b/a]) | 'b.0\n",
+    # a root without a Par keeps both derivations too
+    "system = (a.0 + b.0)[b/a]\n",
     # an identifier that unfolds to a Par, and emissions above a Par
     "A = a.0 | b.0\nsystem = A | 'a.0\n",
     "signals { s, t }\n"

@@ -8,6 +8,7 @@ from ccss.lts import explore
 from ccss.syntax import parse
 from ccss.terms import subterm_at, validate
 from ccss import protocols
+from ccss.errors import ComponentTooLarge
 
 from test_lts import benchmark_catalog
 
@@ -190,3 +191,18 @@ def test_role_predicates_agree_with_the_subterm_of_the_whole_state(
                 assert list(model.flags(lts.states, r, terms)) == [
                     term in terms for term in column]
     assert spawned
+
+
+def test_a_component_that_names_no_noncrit_action_is_not_walked(
+        monkeypatch):
+    """Role tagging skips the three-state counter C, which names no
+    `noncrit*` action, so the cap of two local states is never met; a
+    relabelling into a `noncrit*` name still gets its component walked."""
+    monkeypatch.setattr(protocols, "_AGENT_MAX_STATES", 2)
+    model = protocols.roles_from_file(parse(
+        "P = noncritP.critP.P\nC = a.b.c.C\nsystem = P | C\n"))
+    assert [(r.name, r.leaf) for r in model.roles] == [("P", ("L",))]
+    with pytest.raises(ComponentTooLarge):
+        protocols.roles_from_file(parse(
+            "P = noncritP.critP.P\nC = a.b.c.C\n"
+            "system = P | C[noncritC/a, critC/b]\n"))
