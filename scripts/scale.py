@@ -19,10 +19,14 @@ import random
 import sys
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# the benchmark's workloads module holds the shuffled copy; it imports the
+# oracle from tests and its helpers from perfbench
+sys.path[:0] = [str(ROOT / d) for d in ("src", "tests", "perfbench")]
 
 from ccss import bisim, protocols, verify
-from ccss.lts import Lts, Transition
+from ccss.lts import Lts
+from workloads import shuffled_copy
 
 MODELS = {
     "filter N=4": lambda flavor: protocols.filter_lock(4, flavor),
@@ -70,21 +74,6 @@ def timed(check, model):
     return verdict, lts, explore_s, total - explore_s
 
 
-def shuffled(lts: Lts, seed: int) -> Lts:
-    """A copy of the system with its states and transitions permuted."""
-    rng = random.Random(seed)
-    perm = list(range(lts.num_states))
-    rng.shuffle(perm)
-    states, signals = [None] * len(perm), [None] * len(perm)
-    for old, new in enumerate(perm):
-        states[new] = lts.states[old]
-        signals[new] = lts.state_signals[old]
-    trans = [Transition(perm[t.src], t.label, perm[t.tgt])
-             for t in lts.transitions]
-    rng.shuffle(trans)
-    return Lts(states, perm[lts.initial], trans, signals, lts.truncated)
-
-
 def bisimulation(lts: Lts):
     """The number of classes, the seconds `equivalence_classes` took,
     whether a shuffled copy is bisimilar, and the seconds that query
@@ -92,7 +81,7 @@ def bisimulation(lts: Lts):
     started = time.perf_counter()
     classes = len(bisim.equivalence_classes(lts))
     classes_s = time.perf_counter() - started
-    copy = shuffled(lts, 0)
+    copy = shuffled_copy(random.Random(0), lts, False)
     started = time.perf_counter()
     same = bisim.bisimilar(lts, lts.initial, copy, copy.initial).equivalent
     return classes, classes_s, same, time.perf_counter() - started

@@ -16,13 +16,13 @@ deduplicated (label, class) moves and predecessors, and
 quotient together with B ("reduce, then compare").  A state is
 bisimilar to its class, so it is k-step bisimilar to it for every k, and
 the query separates its two states in the round that refining the two
-full systems together would.  Two states of one system are decided by
-their classes; when those differ, the quotient alone is refined for the
-evidence.  The evidence is read from the last two rounds and the two
-states' own moves, in transition order and mapped through the class map,
-so it is the evidence of the two full systems.  The tests compare the
-refinement with the reference that signs every state of the two full
-systems every round, and the verdict with a naive fixpoint oracle.
+full systems together would.  Two states of one system take the same
+path, with the system as B.  The evidence is read from the rounds and
+the two states' own moves in transition order, a's mapped through the
+class map, so it is the evidence of the two full systems.  The tests
+compare the refinement with the reference that signs every state of the
+two full systems every round, and the verdict with a naive fixpoint
+oracle.
 """
 
 from __future__ import annotations
@@ -121,8 +121,6 @@ def _refine(moves, preds, signals, a=None, b=None):
         for p in touched:
             signed.setdefault(block_of[p], []).append(p)
     return block_of, history
-
-
 
 
 class Quotient(NamedTuple):
@@ -239,35 +237,24 @@ def _unmatched(moves, answers):
 
 def bisimilar(lts_a: Lts, a: int, lts_b: Lts, b: int) -> BisimResult:
     """Decide strong bisimilarity of state a in lts_a and b in lts_b."""
-    class_of = lts_a.quotient.class_of
     k = len(lts_a.quotient.first)
-    qa = class_of[a]
+    qa, qb = lts_a.quotient.class_of[a], k + b
+    stride = k + lts_b.num_states
     codes = dict(lts_a.label_ids[1])
-    if lts_b is lts_a:
-        qb = class_of[b]
-        if qa == qb:
-            return BisimResult(True)
-        stride = k
-        moves, preds, signals = _quotient_input(lts_a, stride)
-        moves_b = _own_moves(lts_a, b, stride)
-    else:
-        qb = k + b
-        stride = k + lts_b.num_states
-        moves, preds, signals = _quotient_input(lts_a, stride)
-        moves += [[] for _ in range(lts_b.num_states)]
-        preds += [[] for _ in range(lts_b.num_states)]
-        signals += lts_b.state_signals
-        for t in lts_b.transitions:
-            code = codes.setdefault(t.label, len(codes))
-            moves[t.src + k].append((code * stride, t.tgt + k))
-            preds[t.tgt + k].append(t.src + k)
-        moves_b = moves[qb]
+    moves, preds, signals = _quotient_input(lts_a, stride)
+    moves += [[] for _ in range(lts_b.num_states)]
+    preds += [[] for _ in range(lts_b.num_states)]
+    signals += lts_b.state_signals
+    for t in lts_b.transitions:
+        code = codes.setdefault(t.label, len(codes))
+        moves[t.src + k].append((code * stride, t.tgt + k))
+        preds[t.tgt + k].append(t.src + k)
     final, history = _refine(moves, preds, signals, qa, qb)
     if final[qa] == final[qb]:
         return BisimResult(True)
     emitted = lts_a.state_signals[a] ^ lts_b.state_signals[b]
     return BisimResult(False, _explain(
-        history, qa, qb, _own_moves(lts_a, a, stride), moves_b, emitted,
+        history, qa, qb, _own_moves(lts_a, a, stride), moves[qb], emitted,
         list(codes), stride))
 
 

@@ -17,8 +17,8 @@ from operator import getitem, itemgetter, not_
 
 from .errors import ComponentTooLarge, DynamicParallelism, ParameterOutOfRange
 from .terms import (
-    Action, Environment, Ident, IndexedSum, Par, Prefix, Relabel, Restrict,
-    SignalEmit, Sum, Term, canonical, leaf_paths, subterm_at,
+    Action, Environment, Ident, IndexedSum, Nil, Par, Prefix, Relabel,
+    Restrict, SignalEmit, Sum, Term, canonical, leaf_paths, subterm_at,
 )
 from .syntax import SpecFile, parse, term_str
 # explore is not called here; perfbench/spans.py traces protocols.explore
@@ -93,7 +93,8 @@ def _component(state: State, role: Role) -> Term:
 def _may_name_noncrit(env: Environment, agent: Term) -> bool:
     """Whether an action base starting with `noncrit` occurs in the
     component's term, in an equation its identifiers reach (every
-    equation of each name and arity) or as a relabelling target.  This
+    equation of each name and arity) or as a relabelling target; a term
+    of any constructor not named here counts as one.  This
     over-approximates the component's actions, so a component for which
     it is false holds no role."""
     stack, seen = [agent], set()
@@ -121,6 +122,8 @@ def _may_name_noncrit(env: Environment, agent: Term) -> bool:
             if key not in seen:
                 seen.add(key)
                 stack.extend(body for _, body in env.equations.get(key, ()))
+        elif not isinstance(term, Nil):
+            return True  # a constructor not listed here: walk the component
     return False
 
 

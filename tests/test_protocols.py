@@ -6,7 +6,7 @@ import pytest
 
 from ccss.lts import explore
 from ccss.syntax import parse
-from ccss.terms import subterm_at, validate
+from ccss.terms import Nil, Term, subterm_at, validate
 from ccss import protocols
 from ccss.errors import ComponentTooLarge
 
@@ -206,3 +206,14 @@ def test_a_component_that_names_no_noncrit_action_is_not_walked(
         protocols.roles_from_file(parse(
             "P = noncritP.critP.P\nC = a.b.c.C\n"
             "system = P | C[noncritC/a, critC/b]\n"))
+
+
+def test_a_term_constructor_the_noncrit_scan_does_not_know_is_walked():
+    """The scan answers yes for a constructor it does not list, so a later
+    constructor cannot hide a role from role tagging."""
+    class Unlisted(Term):
+        pass
+
+    env = parse("system = 0\n").env
+    assert not protocols._may_name_noncrit(env, Nil())
+    assert protocols._may_name_noncrit(env, Unlisted())
