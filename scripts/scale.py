@@ -8,8 +8,8 @@ line per model gives its number of bisimulation classes and whether a
 copy with states and transitions shuffled is bisimilar to it, with the
 seconds each took.  Exits 1 when a verdict differs from `EXPECTED`, a
 class count from `CLASSES`, or the copy is not bisimilar.  Takes about
-a minute and 200 MB; the bisimulation query against the copy of filter
-N=4 (73,439 states in its refinement) needs the most memory.
+35 s and 160 MB of memory (max RSS, CPython 3.11.7 on a 2-vCPU x86_64
+VM).
 
     python scripts/scale.py
 """

@@ -6,8 +6,11 @@ same signals.  The checker is round-based partition refinement by
 transition signatures (Kanellakis-Smolka) over moves coded as ints.
 Each round signs again only the predecessors of the states that changed
 block in the round before (every other state keeps the signature its
-block shared), and a query about two states stops at the round that
-separates them.
+block shared).  `_rounds` yields the rounds one at a time and keeps no
+history: each round gives the block ids, updated in place, and the
+block each state that moved in it left, which is all the evidence
+needs of the round before.  A query about two states stops at the
+round that separates them.
 
 Each system is refined on its own at most once: `Lts.quotient` keeps its
 partition as flat ints, the class of each state and the quotient's
@@ -17,12 +20,12 @@ quotient together with B ("reduce, then compare").  A state is
 bisimilar to its class, so it is k-step bisimilar to it for every k, and
 the query separates its two states in the round that refining the two
 full systems together would.  Two states of one system take the same
-path, with the system as B.  The evidence is read from the rounds and
-the two states' own moves in transition order, a's mapped through the
-class map, so it is the evidence of the two full systems.  The tests
-compare the refinement with the reference that signs every state of the
-two full systems every round, and the verdict with a naive fixpoint
-oracle.
+path, with the system as B.  The evidence is read from the separating
+round and the two states' own moves in transition order, a's mapped
+through the class map, so it is the evidence of the two full systems.
+The tests compare every round with the reference that signs every state
+of the two full systems every round, and the verdict with a naive
+fixpoint oracle.
 """
 
 from __future__ import annotations
@@ -55,36 +58,39 @@ class BisimResult:
         return self.equivalent
 
 
-def _refine(moves, preds, signals, a=None, b=None):
-    """Round-based partition refinement.  Returns the final block id per
-    state and one snapshot of the block ids per round (for evidence).
+def _rounds(moves, preds, signals):
+    """Round-based partition refinement, one round at a time.  After each
+    round yields the block id per state, as one list updated in place,
+    and a dict `left` that maps each state that changed block in that
+    round to the block it left, so a state's id in the round before is
+    `left.get(s, blocks[s])`.
 
-    Round 0 groups the states by emission set.  In each later round a
-    state's signature is the set of its moves, each coded as label id * n
-    + target block, read from the previous round's ids; a block splits
-    into its groups of equal signatures.  Round 1 signs every state.  A
-    split keeps the old id for its largest group (Hopcroft's rule), so a
-    state's id changes exactly when it leaves its block, into a new
-    block, and as few states as possible do.  So after round 1 only a
-    predecessor of a state that moved in the previous round has a new
-    signature, one with a move into a new block; only those are signed
-    again.  The other members of their block keep the signature the
-    whole block shared, and stay together, apart from the signed ones.
-    The rounds are those of signing every state every round, up to the
-    names of the blocks.  Given `a` and `b`, the refinement stops at the
-    round that separates them.
+    Round 0 groups the states by emission set; its `left` is empty.  In
+    each later round a state's signature is the set of its moves, each
+    coded as label id * n + target block, read from the previous round's
+    ids; a block splits into its groups of equal signatures.  Round 1
+    signs every state.  A split keeps the old id for its largest group
+    (Hopcroft's rule), so a state's id changes exactly when it leaves its
+    block, into a new block, and as few states as possible do.  So after
+    round 1 only a predecessor of a state that moved in the previous
+    round has a new signature, one with a move into a new block; only
+    those are signed again.  The other members of their block keep the
+    signature the whole block shared, and stay together, apart from the
+    signed ones.  The rounds are those of signing every state every
+    round, up to the names of the blocks, and they end with the last
+    round that splits a block.
 
     A signature is a frozenset of ints, which hashes and compares in C;
     it lives only while its block is signed."""
     ids = {}
-    block_of = [ids.setdefault(key, len(ids)) for key in signals]
+    blocks = [ids.setdefault(key, len(ids)) for key in signals]
     members = [[] for _ in ids]
-    for s, bid in enumerate(block_of):
+    for s, bid in enumerate(blocks):
         members[bid].append(s)
-    history = [list(block_of)]
+    yield blocks, {}
     touched = set()  # the states signed again; empty in round 1
     signed = dict(enumerate(members))
-    while a is None or block_of[a] == block_of[b]:
+    while True:
         splits = []
         for bid, subset in signed.items():
             block = members[bid]
@@ -93,7 +99,7 @@ def _refine(moves, preds, signals, a=None, b=None):
             groups = {}
             for s in subset:
                 sig = frozenset(
-                    {code + block_of[tgt] for code, tgt in moves[s]})
+                    {code + blocks[tgt] for code, tgt in moves[s]})
                 groups.setdefault(sig, []).append(s)
             groups = list(groups.values())
             if len(subset) < len(block):
@@ -104,8 +110,8 @@ def _refine(moves, preds, signals, a=None, b=None):
                 continue
             splits.append((bid, groups))
         if not splits:
-            break
-        moved = []
+            return
+        left = {}
         for bid, groups in splits:
             groups.sort(key=len, reverse=True)
             members[bid] = groups[0]
@@ -113,14 +119,13 @@ def _refine(moves, preds, signals, a=None, b=None):
                 new = len(members)
                 members.append(group)
                 for s in group:
-                    block_of[s] = new
-                moved.extend(group)
-        history.append(list(block_of))
-        touched = {p for s in moved for p in preds[s]}
+                    blocks[s] = new
+                    left[s] = bid
+        yield blocks, left
+        touched = {p for s in left for p in preds[s]}
         signed = {}
         for p in touched:
-            signed.setdefault(block_of[p], []).append(p)
-    return block_of, history
+            signed.setdefault(blocks[p], []).append(p)
 
 
 class Quotient(NamedTuple):
@@ -152,7 +157,8 @@ def quotient(lts: Lts) -> Quotient:
     for s, out in enumerate(moves):
         for _, t in out:
             preds[t].append(s)
-    final, _ = _refine(moves, preds, lts.state_signals)
+    for final, _ in _rounds(moves, preds, lts.state_signals):
+        pass
     names = {}
     class_of = array("i", [names.setdefault(b, len(names)) for b in final])
     first = array("i")
@@ -201,24 +207,22 @@ def _own_moves(lts: Lts, state: int, stride: int) -> list:
             for i in lts.outgoing(state)]
 
 
-def _explain(history, a: int, b: int, moves_a, moves_b, emitted, labels,
-             stride: int) -> Distinction:
-    """Why states a and b of a refinement are not bisimilar, read from its
-    rounds and the two states' moves (label id * stride, target) in
-    transition order.  In the first round that separates the two states
-    either their emission sets differ (round 0; `emitted` is their
+def _explain(blocks, left, a: int, b: int, moves_a, moves_b, emitted,
+             labels, stride: int) -> Distinction:
+    """Why states a and b of a refinement are not bisimilar, read from the
+    first round that separates them (its `blocks` and `left`, as
+    `_rounds` yields them) and the two states' moves (label id * stride,
+    target) in transition order.  In that round either their emission
+    sets differ (round 0, whose `left` is empty; `emitted` is their
     symmetric difference), or one of them has a move with a label into a
     block of the round before that the other cannot match with a move of
     that label into the same block.  The evidence names that signal, or
     that one label: its trace is empty or holds the label alone."""
-    first = next(k for k, blocks in enumerate(history)
-                 if blocks[a] != blocks[b])
-    if first == 0:
+    if not left:
         name = sorted(map(str, emitted))[0]
         return Distinction((), f"emission of {name} differs")
-    prev = history[first - 1]
-    moves_a = [(code, prev[t]) for code, t in moves_a]
-    moves_b = [(code, prev[t]) for code, t in moves_b]
+    moves_a = [(code, left.get(t, blocks[t])) for code, t in moves_a]
+    moves_b = [(code, left.get(t, blocks[t])) for code, t in moves_b]
     code = _unmatched(moves_a, moves_b)
     if code is None:
         code = _unmatched(moves_b, moves_a)
@@ -249,13 +253,15 @@ def bisimilar(lts_a: Lts, a: int, lts_b: Lts, b: int) -> BisimResult:
         code = codes.setdefault(t.label, len(codes))
         moves[t.src + k].append((code * stride, t.tgt + k))
         preds[t.tgt + k].append(t.src + k)
-    final, history = _refine(moves, preds, signals, qa, qb)
-    if final[qa] == final[qb]:
+    for blocks, left in _rounds(moves, preds, signals):
+        if blocks[qa] != blocks[qb]:
+            break
+    else:
         return BisimResult(True)
     emitted = lts_a.state_signals[a] ^ lts_b.state_signals[b]
     return BisimResult(False, _explain(
-        history, qa, qb, _own_moves(lts_a, a, stride), moves[qb], emitted,
-        list(codes), stride))
+        blocks, left, qa, qb, _own_moves(lts_a, a, stride), moves[qb],
+        emitted, list(codes), stride))
 
 
 def equivalence_classes(lts: Lts):

@@ -24,7 +24,7 @@ from .sos import SosEngine
 from .syntax import term_str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     src: int
     label: Action

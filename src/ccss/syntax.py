@@ -318,10 +318,15 @@ class _Parser:
         handshake, signal = [], []
         if self.accept("]"):
             return Relabelling.make()  # identity relabelling
+        renamed = {}  # old -> new
         while True:
+            start = self.i
             new = self.name(scope)
             self.expect("/")
             old = self.name(scope)
+            if renamed.setdefault(old, new) != new:
+                self.error(f"{old} is relabelled to both {renamed[old]} "
+                           f"and {new}", start)
             if old.base in self.signals or new.base in self.signals:
                 signal.append((old, new))
             else:

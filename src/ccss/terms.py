@@ -9,12 +9,26 @@ may appear inside name parameters and guards until substituted away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional, Union
 
 from .errors import ArityMismatch, UnguardedRecursion, UnknownAgent
 
 
-def _cached_hash(cls):
+def _node(cls):
+    """Declare `cls` a frozen, slotted dataclass whose hash is computed
+    once, when an instance is built, from its type and its fields, and
+    kept in the extra field `_h`."""
+    annotations = cls.__dict__.get("__annotations__", {})
+    values = attrgetter(*annotations) if annotations else lambda self: ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_h", hash((type(self), values(self))))
+
+    cls.__annotations__ = {**annotations, "_h": "int"}
+    cls._h = field(init=False, repr=False, compare=False)
+    cls.__post_init__ = __post_init__
+    cls = dataclass(frozen=True, slots=True)(cls)
     cls.__hash__ = lambda self: self._h
     return cls
 
@@ -25,17 +39,12 @@ def _cached_hash(cls):
 Atom = Union[int, str]  # integer indices or enum symbols like "true", "A"
 
 
-@_cached_hash
-@dataclass(frozen=True, slots=True)
+@_node
 class Var:
     """An index variable reference inside a name parameter, plus offset."""
 
     var: str
     offset: int = 0
-    _h: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((Var, self.var, self.offset)))
 
     def __str__(self):
         if self.offset > 0:
@@ -48,17 +57,12 @@ class Var:
 Param = Union[Atom, Var]
 
 
-@_cached_hash
-@dataclass(frozen=True, slots=True)
+@_node
 class Name:
     """A (possibly indexed) name: base identifier plus atomic parameters."""
 
     base: str
     params: tuple = ()
-    _h: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((Name, self.base, self.params)))
 
     @property
     def concrete(self) -> bool:
@@ -75,15 +79,10 @@ SIGNAL = "sig"
 INTERNAL = "tau"
 
 
-@_cached_hash
-@dataclass(frozen=True, slots=True)
+@_node
 class Action:
     kind: str
     name: Optional[Name] = None
-    _h: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((Action, self.kind, self.name)))
 
     @property
     def is_tau(self) -> bool:
@@ -130,31 +129,21 @@ def sig(base: str, *params: Param) -> Action:
 # --------------------------------------------------------------------------
 # guards on indexed-sum variables
 
-@_cached_hash
-@dataclass(frozen=True, slots=True)
+@_node
 class Cmp:
     op: str  # one of = != < <= > >=
     lhs: Param
     rhs: Param
-    _h: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((Cmp, self.op, self.lhs, self.rhs)))
 
     def __str__(self):
         return f"{self.lhs} {self.op} {self.rhs}"
 
 
-@_cached_hash
-@dataclass(frozen=True, slots=True)
+@_node
 class BoolOp:
     op: str  # "and" | "or"
     left: "Guard"
     right: "Guard"
-    _h: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((BoolOp, self.op, self.left, self.right)))
 
     def __str__(self):
         return f"({self.left} {self.op} {self.right})"
@@ -193,41 +182,26 @@ class Term:
     __slots__ = ()
 
 
-@_cached_hash
-@dataclass(frozen=True, slots=True)
+@_node
 class Nil(Term):
-    _h: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(Nil))
+    """The inactive process 0."""
 
 
 NIL = Nil()
 
 
-@_cached_hash
-@dataclass(frozen=True, slots=True)
+@_node
 class Prefix(Term):
     action: Action
     body: Term
-    _h: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((Prefix, self.action, self.body)))
 
 
-@_cached_hash
-@dataclass(frozen=True, slots=True)
+@_node
 class Sum(Term):
     branches: tuple  # of Term, length >= 2 when built via mk_sum
-    _h: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((Sum,) + self.branches))
 
 
-@_cached_hash
-@dataclass(frozen=True, slots=True)
+@_node
 class IndexedSum(Term):
     """A finite guarded choice: sum var in lo..hi [when guard] . body."""
 
@@ -236,50 +210,26 @@ class IndexedSum(Term):
     hi: int
     guard: Optional[Guard]
     body: Term
-    _h: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_h",
-            hash((IndexedSum, self.var, self.lo, self.hi, self.guard, self.body)),
-        )
 
 
-@_cached_hash
-@dataclass(frozen=True, slots=True)
+@_node
 class Par(Term):
     left: Term
     right: Term
-    _h: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((Par, self.left, self.right)))
 
 
-@_cached_hash
-@dataclass(frozen=True, slots=True)
+@_node
 class Restrict(Term):
     body: Term
     names: frozenset  # of Name (handshake names and signals)
-    _h: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((Restrict, self.body, self.names)))
 
 
-@_cached_hash
-@dataclass(frozen=True, slots=True)
+@_node
 class Relabelling:
     """Finite relabelling; handshake and signal maps with disjoint domains."""
 
     handshake_map: tuple  # sorted tuple of (Name, Name) pairs, old -> new
     signal_map: tuple
-    _h: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_h", hash((Relabelling, self.handshake_map, self.signal_map))
-        )
 
     @staticmethod
     def make(handshake=(), signal=()) -> "Relabelling":
@@ -302,36 +252,21 @@ class Relabelling:
         return Action(action.kind, self.apply_name(action.name, False))
 
 
-@_cached_hash
-@dataclass(frozen=True, slots=True)
+@_node
 class Relabel(Term):
     body: Term
     relabelling: Relabelling
-    _h: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((Relabel, self.body, self.relabelling)))
 
 
-@_cached_hash
-@dataclass(frozen=True, slots=True)
+@_node
 class Ident(Term):
     name: Name
-    _h: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((Ident, self.name)))
 
 
-@_cached_hash
-@dataclass(frozen=True, slots=True)
+@_node
 class SignalEmit(Term):
     body: Term
     signal: Name
-    _h: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((SignalEmit, self.body, self.signal)))
 
 
 # constructors that keep a few easy invariants -----------------------------

@@ -29,11 +29,11 @@ and only meant for systems with a handful of actions.
 `naive_bisimilar` re-decides strong bisimilarity as a greatest fixpoint
 over the full relation, the reference for partition refinement.
 `oracle_refine` signs every state in every round, the reference for the
-rounds of `ccss.bisim._refine`, which signs again only the predecessors
+rounds of `ccss.bisim._rounds`, which signs again only the predecessors
 of states that changed block.  Both work on `_disjoint_union`, two
 systems merged into one state list of (label, target) moves.
 `union_refinement_input` codes that union as the int input of
-`ccss.bisim._refine`, the reference for the input `ccss.bisim.bisimilar`
+`ccss.bisim._rounds`, the reference for the input `ccss.bisim.bisimilar`
 builds from one system's cached quotient and the other system.
 `term_explore` explores whole state terms, one SOS call per state, the
 reference for the skeleton explorer `ccss.lts.explore`.  `oracle_sccs`
@@ -330,7 +330,7 @@ def _disjoint_union(lts_a, lts_b):
 
 def union_refinement_input(*systems):
     """The systems as one state list, each system's ids shifted past the
-    ones before it, coded as the input of `ccss.bisim._refine`: per state
+    ones before it, coded as the input of `ccss.bisim._rounds`: per state
     its moves, as (label id * n, target) pairs of ints, its predecessors
     (one per transition into it), its emission set, and the labels by
     id."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccss import protocols
-from ccss.bisim import BisimResult, _refine, bisimilar, equivalence_classes
+from ccss.bisim import BisimResult, _rounds, bisimilar, equivalence_classes
 from ccss.lts import Lts, Transition, explore
 from ccss.syntax import parse_term
 from ccss.terms import HANDSHAKE, Action, Name, Par, Sum
@@ -152,21 +152,20 @@ def assert_encodes_the_union(lts_a, lts_b):
 
 def assert_refines_like_the_oracle(lts_a, lts_b, pairs):
     """Every round of the full refinement is the reference's round up to
-    renaming; a query stops at the first round that separates its pair
-    and gives the reference's result and evidence."""
-    out, signals, shift = _disjoint_union(lts_a, lts_b)
-    want_final, want = oracle_refine(out, signals)
-    given = assert_encodes_the_union(lts_a, lts_b)
-    final, got = _refine(*given)
+    renaming, and its `left` names exactly the states that changed block
+    in it, each with its block of the round before; a query gives the
+    reference's result and evidence."""
+    out, signals, _ = _disjoint_union(lts_a, lts_b)
+    _, want = oracle_refine(out, signals)
+    got = []
+    for blocks, left in _rounds(*assert_encodes_the_union(lts_a, lts_b)):
+        before = got[-1] if got else blocks
+        assert left == {s: old for s, old in enumerate(before)
+                        if old != blocks[s]}
+        got.append(list(blocks))
     assert len(got) == len(want)
     assert [_renamed(r) for r in got] == [_renamed(r) for r in want]
-    assert _renamed(final) == _renamed(want_final)
     for a, b in pairs:
-        _, early = _refine(*given, a, b + shift)
-        split = next((k for k, r in enumerate(want)
-                      if r[a] != r[b + shift]), len(want) - 1)
-        assert [_renamed(r) for r in early] == [
-            _renamed(r) for r in want[:split + 1]]
         assert bisimilar(lts_a, a, lts_b, b) == _oracle_result(
             lts_a, a, lts_b, b)
     assert equivalence_classes(lts_a) == _oracle_classes(lts_a)

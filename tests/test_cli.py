@@ -297,6 +297,19 @@ def test_unguarded_recursion_is_a_usage_error_for_parse_as_for_lts(
         assert "UnguardedRecursion" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["parse", "{file}"], ["lts", "{file}"], ["bisim", "{file}", "{file}"],
+    ["just", "{file}", "--lasso", ";"], ["verify", "--safety", "{file}"],
+], ids=["parse", "lts", "bisim", "just", "verify"])
+def test_a_name_relabelled_to_two_names_is_a_usage_error(tmp_path, capsys,
+                                                         command):
+    path = tmp_path / "twice.ccss"
+    path.write_text("system = (b.0)[a/b, c/b]\n")
+    assert main([a.format(file=path) for a in command]) == 2
+    assert capsys.readouterr().err == (
+        "error: ParseError: 1:21: b is relabelled to both a and c\n")
+
+
 def test_every_bundled_model_parses(capsys):
     for path in sorted((ROOT / "models").glob("*.ccss")):
         assert main(["parse", str(path)]) == 0, path.name

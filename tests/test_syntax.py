@@ -146,6 +146,18 @@ ERRORS = {
     "relabelled action": (
         "A = a.0\nsystem = A[b/a] | a[c/a].0\n",
         ParseError, "2:25: expected a declaration"),
+    "one name relabelled to two": (
+        "A = b.0\nsystem = (b.0)[a/b, c/b]\n",
+        ParseError, "2:21: b is relabelled to both a and c"),
+    "one name relabelled to two, in the other order": (
+        "A = b.0\nsystem = (b.0)[c/b, a/b]\n",
+        ParseError, "2:21: b is relabelled to both c and a"),
+    "one signal relabelled to two": (
+        "signals { s, t, u }\nsystem = ((s.0) ^ t)[t/s,\n  u/s]\n",
+        ParseError, "3:3: s is relabelled to both t and u"),
+    "one indexed name relabelled to two": (
+        "A = a.0\nsystem = A[b/a[1], a[2]/a[2], c/a[1]]\n",
+        ParseError, "2:31: a[1] is relabelled to both b and c"),
 }
 
 

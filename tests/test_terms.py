@@ -1,10 +1,13 @@
 """Term model: actions, guards, substitution, environments, validation."""
 
+import dataclasses
+
 import pytest
 
+from ccss import terms
 from ccss.errors import ArityMismatch, UnknownAgent
 from ccss.terms import (
-    Action, BoolOp, Cmp, Environment, Ident, IndexedSum, NIL, Name, Par,
+    Action, BoolOp, Cmp, Environment, Ident, IndexedSum, NIL, Name, Nil, Par,
     Prefix, Relabel, Relabelling, Restrict, SignalEmit, Sum, TAU, Var,
     act, coact, sig, canonical, contains_par, eval_guard, indexed_branches,
     leaf_paths, subterm_at, substitute, validate,
@@ -30,6 +33,53 @@ def test_structural_equality_and_hashing():
     assert lhs == rhs
     assert hash(lhs) == hash(rhs)
     assert len({lhs, rhs}) == 1
+
+
+# one way to build an instance of each node class, afresh on every call
+NODES = {
+    Var: lambda: Var("k", 1),
+    Name: lambda: Name("a", (1, Var("k", 0))),
+    Action: lambda: coact("a", 1),
+    Cmp: lambda: Cmp("<", Var("k", 0), 2),
+    BoolOp: lambda: BoolOp("or", Cmp("=", 1, Var("k", 0)), Cmp(">", 2, 1)),
+    Nil: lambda: Nil(),
+    Prefix: lambda: Prefix(act("a"), Nil()),
+    Sum: lambda: Sum((Prefix(act("a"), Nil()), Prefix(sig("s"), Nil()))),
+    IndexedSum: lambda: IndexedSum("k", 1, 3, Cmp("!=", Var("k", 0), 2),
+                                   Prefix(act("a", Var("k", 0)), Nil())),
+    Par: lambda: Par(Prefix(act("a"), Nil()), Ident(Name("A", (1,)))),
+    Restrict: lambda: Restrict(Prefix(act("a"), Nil()),
+                               frozenset({Name("a"), Name("s")})),
+    Relabelling: lambda: Relabelling.make([(Name("a"), Name("b"))],
+                                          [(Name("s"), Name("t"))]),
+    Relabel: lambda: Relabel(Prefix(act("a"), Nil()),
+                             Relabelling.make([(Name("a"), Name("b"))])),
+    Ident: lambda: Ident(Name("A", (1,))),
+    SignalEmit: lambda: SignalEmit(Prefix(act("a"), Nil()), Name("s")),
+}
+
+
+def test_every_node_class_is_in_the_contract_table():
+    assert set(NODES) == {
+        cls for cls in vars(terms).values()
+        if isinstance(cls, type) and "_h" in getattr(cls, "__slots__", ())}
+
+
+@pytest.mark.parametrize("cls", NODES, ids=lambda cls: cls.__name__)
+def test_node_contract(cls):
+    """A node is a frozen, slotted dataclass whose hash is computed when
+    it is built and is no part of its repr or equality."""
+    a, b = NODES[cls](), NODES[cls]()
+    assert type(a) is cls and a is not b
+    assert a == b and hash(a) == hash(b)
+    assert "_h" not in repr(a)
+    object.__setattr__(b, "_h", hash(a) + 1)
+    assert a == b
+    for f in dataclasses.fields(a):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, f.name, getattr(a, f.name))
+    assert not hasattr(a, "__dict__")
+    assert hash(dataclasses.replace(a)) == hash(NODES[cls]())
 
 
 def test_substitute_resolves_variable_offsets():
