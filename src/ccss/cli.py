@@ -14,9 +14,9 @@ import json
 import os
 import sys
 
-from .errors import CcssError, ParameterOutOfRange
+from .errors import CcssError, InvalidModel, ParameterOutOfRange
 from .terms import validate
-from .syntax import parse, spec_str, term_str, action_str
+from .syntax import parse, spec_str, term_str
 from .sos import SosEngine
 from .lts import explore, export_dot, export_json
 from .bisim import bisimilar
@@ -49,8 +49,13 @@ def _max_states(args) -> int:
 
 
 def _load(path: str):
+    """The parsed file, which `validate` must accept."""
     with open(path, "rb") as handle:
-        return parse(handle.read())
+        spec = parse(handle.read())
+    report = validate(spec.env, spec.root)
+    if not report.ok:
+        raise InvalidModel(str(report))
+    return spec
 
 
 def _fail(message: str) -> int:
@@ -61,12 +66,7 @@ def _fail(message: str) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_parse(args) -> int:
-    spec = _load(args.file)
-    report = validate(spec.env, spec.root)
-    if not report.ok:
-        print(report, file=sys.stderr)
-        return EXIT_USAGE
-    sys.stdout.write(spec_str(spec))
+    sys.stdout.write(spec_str(_load(args.file)))
     return EXIT_OK
 
 
@@ -101,7 +101,7 @@ def cmd_bisim(args) -> int:
         print("bisimilar")
         return EXIT_OK
     ev = result.evidence
-    trace = " ".join(action_str(a) for a in ev.trace) or "(initial state)"
+    trace = " ".join(map(str, ev.trace)) or "(initial state)"
     print(f"not bisimilar: after {trace}: {ev.reason}")
     return EXIT_VIOLATED
 
@@ -216,7 +216,7 @@ def cmd_step(args) -> int:
             parts = ", ".join(sorted("/".join(p) for p in d.participants))
             extra = (f" (reads emission at {'/'.join(d.signal_partner)})"
                      if d.signal_partner else "")
-            out.write(f"  [{i}] {action_str(d.label)} -> "
+            out.write(f"  [{i}] {d.label} -> "
                       f"{term_str(d.target)}  participants: {parts}{extra}\n")
         if not derivations:
             out.write("  (no transitions)\n")

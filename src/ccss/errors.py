@@ -42,6 +42,11 @@ class ComponentTooLarge(CcssError):
     or a critical state, so no roles are given."""
 
 
+class InvalidModel(CcssError):
+    """A parsed file that `terms.validate` rejects; the message lists
+    every violation."""
+
+
 class ParameterOutOfRange(CcssError):
     """A protocol generator was called with unsupported parameters."""
 

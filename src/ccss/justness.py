@@ -34,7 +34,6 @@ from typing import Optional
 from .terms import Action, Environment, SIGNAL
 from .sos import SosEngine
 from .lts import LEAF, PAR, RELABEL, RESTRICT, Lts, Shape
-from .syntax import action_str
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ class JustnessVerdict:
     def to_json(self):
         return {
             "just": self.just,
-            "minimalY": (sorted(action_str(a) for a in self.minimal_y)
+            "minimalY": (sorted(map(str, self.minimal_y))
                          if self.minimal_y is not None else None),
             "witness": self.witness.to_json() if self.witness else None,
         }
@@ -195,12 +194,12 @@ def analyze_configuration(engine: SosEngine, env: Environment, shape: Shape,
                 s = s | {node[1]}
             stack.append((x, c, r, s))
     x = stack[0][0]
-    bad = sorted((a for a in x if not env.is_blocking(a)), key=action_str)
+    bad = sorted((a for a in x if not env.is_blocking(a)), key=str)
     if bad:
         clause = ("finite path enables τ" if bad[0].is_tau else
                   "finite path enables a non-blocking action")
         return JustnessVerdict(False, witness=Witness(
-            "(root)", clause, tuple(action_str(a) for a in bad)))
+            "(root)", clause, tuple(map(str, bad))))
     return JustnessVerdict(True, minimal_y=x)
 
 
@@ -217,7 +216,7 @@ def _par_witness(address: tuple, left: tuple, right: tuple):
         if offending:
             return JustnessVerdict(False, witness=Witness(
                 "/".join(address) or "(root)", clause,
-                tuple(sorted(map(action_str, offending)))))
+                tuple(sorted(map(str, offending)))))
     raise AssertionError("no clause holds")
 
 

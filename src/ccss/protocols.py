@@ -12,13 +12,13 @@ handshake, `ccss` variables emit their value as a signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import getitem, itemgetter, not_
 
 from .errors import ComponentTooLarge, DynamicParallelism, ParameterOutOfRange
 from .terms import (
-    Action, Environment, Ident, IndexedSum, Nil, Par, Prefix, Relabel,
-    Restrict, SignalEmit, Sum, Term, canonical, leaf_paths, subterm_at,
+    Action, Environment, Prefix, Relabel, Term, canonical, leaf_paths,
+    reachable, subterm_at,
 )
 from .syntax import SpecFile, parse, term_str
 # explore is not called here; perfbench/spans.py traces protocols.explore
@@ -46,13 +46,12 @@ class ProtocolModel:
     env: Environment
     root: Term
     roles: tuple
-    source: str
-    meta: dict = field(default_factory=dict)
+    source: str = ""
 
     @property
     def mode(self) -> str:
-        """Justness mode matching the variable flavor."""
-        return "ccss" if self.meta.get("flavor", "ccss") == "ccss" else "ccs"
+        """Justness mode: `ccss` when the model declares signals."""
+        return "ccss" if self.env.declared_signals else "ccs"
 
     def in_model(self, states: list) -> bytearray:
         """Per state: 1 when no role's component is an overflow term."""
@@ -93,37 +92,19 @@ def _component(state: State, role: Role) -> Term:
 def _may_name_noncrit(env: Environment, agent: Term) -> bool:
     """Whether an action base starting with `noncrit` occurs in the
     component's term, in an equation its identifiers reach (every
-    equation of each name and arity) or as a relabelling target; a term
-    of any constructor not named here counts as one.  This
+    equation of each name and arity) or as a relabelling target.  This
     over-approximates the component's actions, so a component for which
     it is false holds no role."""
-    stack, seen = [agent], set()
-    while stack:
-        term = stack.pop()
+    for term, _ in reachable(env, agent):
         if isinstance(term, Prefix):
             if (not term.action.is_tau
                     and term.action.name.base.startswith("noncrit")):
                 return True
-            stack.append(term.body)
-        elif isinstance(term, Sum):
-            stack.extend(term.branches)
-        elif isinstance(term, Par):
-            stack += (term.left, term.right)
         elif isinstance(term, Relabel):
             f = term.relabelling
             if any(new.base.startswith("noncrit")
                    for _, new in f.handshake_map + f.signal_map):
                 return True
-            stack.append(term.body)
-        elif isinstance(term, (IndexedSum, Restrict, SignalEmit)):
-            stack.append(term.body)
-        elif isinstance(term, Ident):
-            key = (term.name.base, len(term.name.params))
-            if key not in seen:
-                seen.add(key)
-                stack.extend(body for _, body in env.equations.get(key, ()))
-        elif not isinstance(term, Nil):
-            return True  # a constructor not listed here: walk the component
     return False
 
 
@@ -209,9 +190,12 @@ def roles_from_file(spec: SpecFile) -> ProtocolModel:
                 name = ("P" + "_".join(str(p) for p in key[1])
                         if key[1] else (key[0] or "P"))
                 roles.append(_tag_role(name, graph, nc, crits[key], leaf))
-    return ProtocolModel(spec.env, spec.root, tuple(roles), "",
-                         {"family": "file", "flavor":
-                          "ccss" if spec.env.declared_signals else "ccs"})
+    return ProtocolModel(spec.env, spec.root, tuple(roles))
+
+
+def _model(source: str) -> ProtocolModel:
+    """A generated model: `source` parsed, its roles inferred."""
+    return replace(roles_from_file(parse(source)), source=source)
 
 
 # --------------------------------------------------------------------------
@@ -249,13 +233,11 @@ system = (X_true | R | W) \\ {assign_x_true, assign_x_false, noti_x_true, noti_x
 
 
 def example1() -> ProtocolModel:
-    return replace(roles_from_file(parse(_EX1)), source=_EX1,
-                   meta={"family": "example1", "flavor": "ccs"})
+    return _model(_EX1)
 
 
 def example2() -> ProtocolModel:
-    return replace(roles_from_file(parse(_EX2)), source=_EX2,
-                   meta={"family": "example2", "flavor": "ccss"})
+    return _model(_EX2)
 
 
 # --------------------------------------------------------------------------
@@ -301,9 +283,7 @@ def peterson2(flavor: str = "ccss") -> ProtocolModel:
     lines.append(
         "system = (A | B | ReadyA_false | ReadyB_false | Turn_A) \\ {"
         + ", ".join(internal) + "}")
-    source = "\n".join(lines) + "\n"
-    return replace(roles_from_file(parse(source)), source=source,
-                   meta={"family": "peterson2", "flavor": flavor, "N": 2})
+    return _model("\n".join(lines) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -356,9 +336,7 @@ def filter_lock(n: int, flavor: str = "ccss", max_n: int = 4) -> ProtocolModel:
                   + [f"Last[{j}]_1" for j in range(1, n)])
     lines.append("system = (" + " | ".join(components) + ") \\ {"
                  + ", ".join(internal) + "}")
-    source = "\n".join(lines) + "\n"
-    return replace(roles_from_file(parse(source)), source=source,
-                   meta={"family": "filter", "flavor": flavor, "N": n})
+    return _model("\n".join(lines) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -427,10 +405,7 @@ def bakery(n: int = 2, ticket_bound: int = 4,
                   + [f"Num[{i}]_0" for i in procs])
     lines.append("system = (" + " | ".join(components) + ") \\ {"
                  + ", ".join(internal) + "}")
-    source = "\n".join(lines) + "\n"
-    return replace(roles_from_file(parse(source)), source=source,
-                   meta={"family": "bakery", "flavor": flavor, "N": n,
-                         "ticketBound": k_max})
+    return _model("\n".join(lines) + "\n")
 
 
 # --------------------------------------------------------------------------

@@ -315,7 +315,8 @@ class _Parser:
         return names
 
     def rename_list(self, scope) -> Relabelling:
-        handshake, signal = [], []
+        """The pairs up to `]`, each listed once; a pair given twice is
+        one pair."""
         if self.accept("]"):
             return Relabelling.make()  # identity relabelling
         renamed = {}  # old -> new
@@ -327,14 +328,13 @@ class _Parser:
             if renamed.setdefault(old, new) != new:
                 self.error(f"{old} is relabelled to both {renamed[old]} "
                            f"and {new}", start)
-            if old.base in self.signals or new.base in self.signals:
-                signal.append((old, new))
-            else:
-                handshake.append((old, new))
             if not self.accept(","):
                 break
         self.expect("]")
-        return Relabelling.make(handshake, signal)
+        signal = {old: new for old, new in renamed.items()
+                  if old.base in self.signals or new.base in self.signals}
+        return Relabelling.make(renamed.items() - signal.items(),
+                                signal.items())
 
     # -- names, parameters and guards -----------------------------------------
 
@@ -443,39 +443,15 @@ def parse_term(text, signals=(), ranges=None, scope=frozenset()) -> Term:
 _PREC_SUM, _PREC_PAR, _PREC_PREFIX, _PREC_POST = 0, 1, 2, 3
 
 
-def _param_str(p, tail: bool) -> str:
-    if isinstance(p, Var):
-        if p.offset:
-            return f"({p})" if tail else f"[{p}]"
-        return f"_{p.var}" if tail else f"[{p.var}]"
-    if isinstance(p, int) and (p >= 0 or not tail):
-        return f"_{p}" if tail else f"[{p}]"
-    return f"({p})" if tail else f"[{p}]"
-
-
-def name_str(name: Name) -> str:
-    out = name.base
-    for i, p in enumerate(name.params):
-        out += _param_str(p, tail=i > 0)
-    return out
-
-
-def action_str(action: Action) -> str:
-    if action.is_tau:
-        return "tau"
-    prefix = "'" if action.kind == COHANDSHAKE else ""
-    return prefix + name_str(action.name)
-
-
 def term_str(term: Term, prec: int = _PREC_SUM) -> str:
     if isinstance(term, type(NIL)):
         return "0"
     if isinstance(term, Ident):
-        return name_str(term.name)
+        return str(term.name)
     if isinstance(term, Prefix):
         parts = []
         while isinstance(term, Prefix):
-            parts.append(action_str(term.action))
+            parts.append(str(term.action))
             term = term.body
         text = ".".join(parts) + "." + term_str(term, _PREC_POST)
         return _wrap(text, _PREC_PREFIX, prec)
@@ -492,20 +468,18 @@ def term_str(term: Term, prec: int = _PREC_SUM) -> str:
                 + term_str(term.right, _PREC_PREFIX))
         return _wrap(text, _PREC_PAR, prec)
     if isinstance(term, Restrict):
-        names = ", ".join(sorted(name_str(n) for n in term.names))
+        names = ", ".join(sorted(map(str, term.names)))
         return term_str(term.body, _PREC_POST) + " \\ {" + names + "}"
     if isinstance(term, Relabel):
         f = term.relabelling
-        pairs = [f"{name_str(new)}/{name_str(old)}"
-                 for old, new in f.handshake_map + f.signal_map]
+        pairs = [f"{new}/{old}" for old, new in f.handshake_map + f.signal_map]
         body = term_str(term.body, _PREC_POST)
         if isinstance(term.body, SignalEmit):
             # '^ s[...]' would read the bracket as a parameter of s
             body = f"({body})"
         return body + "[" + ", ".join(pairs) + "]"
     if isinstance(term, SignalEmit):
-        return (term_str(term.body, _PREC_POST) + " ^ "
-                + name_str(term.signal))
+        return f"{term_str(term.body, _PREC_POST)} ^ {term.signal}"
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -523,6 +497,6 @@ def spec_str(spec: SpecFile) -> str:
     for rname, (lo, hi) in sorted(spec.ranges.items()):
         lines.append(f"range {rname} = {lo}..{hi}")
     for name, body in env.order:
-        lines.append(f"{name_str(name)} = {term_str(body)}")
+        lines.append(f"{name} = {term_str(body)}")
     lines.append(f"system = {term_str(spec.root)}")
     return "\n".join(lines) + "\n"

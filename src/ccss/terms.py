@@ -69,7 +69,18 @@ class Name:
         return not any(isinstance(p, Var) for p in self.params)
 
     def __str__(self):
-        return self.base + "".join(f"[{p}]" for p in self.params)
+        """Concrete syntax: the first parameter in brackets, the rest after
+        underscores, in parentheses unless a plain variable or int >= 0."""
+        out = self.base
+        for i, p in enumerate(self.params):
+            if not i:
+                out += f"[{p}]"
+            elif (isinstance(p, Var) and not p.offset
+                  or isinstance(p, int) and p >= 0):
+                out += f"_{p}"
+            else:
+                out += f"_({p})"
+        return out
 
 
 # action kinds
@@ -527,6 +538,33 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
+def reachable(env: Environment, root: Term):
+    """Every subterm of `root` and of every equation its identifiers reach
+    (each equation once per base and arity), depth first and left to
+    right, as (subterm, where) pairs; `where` is "system" or
+    "equation <base>".  Raises `TypeError` on a node that is no term."""
+    stack, seen = [(root, "system")], set()
+    while stack:
+        term, where = stack.pop()
+        yield term, where
+        if isinstance(term, (Prefix, IndexedSum, Restrict, Relabel,
+                             SignalEmit)):
+            stack.append((term.body, where))
+        elif isinstance(term, Sum):
+            stack.extend((b, where) for b in reversed(term.branches))
+        elif isinstance(term, Par):
+            stack += ((term.right, where), (term.left, where))
+        elif isinstance(term, Ident):
+            key = (term.name.base, len(term.name.params))
+            if key not in seen:
+                seen.add(key)
+                where = f"equation {term.name.base}"
+                stack.extend((body, where) for _, body
+                             in reversed(env.equations.get(key, ())))
+        elif not isinstance(term, Nil):
+            raise TypeError(f"not a term: {term!r}")
+
+
 def validate(env: Environment, root: Term) -> ValidationReport:
     """Well-formedness checks: resolvable identifiers, the blocking rules
     for restriction and relabelling, declared signals, disjointness of
@@ -535,32 +573,17 @@ def validate(env: Environment, root: Term) -> ValidationReport:
     may be guarded for some arguments and not for others, so unguarded
     recursion through one is left to the SOS engine, which raises
     `UnguardedRecursion` when it meets it."""
-    out = []
-    seen = set()
-
-    def check_name_use(action: Action, where: str):
-        if action.is_tau:
-            return
-        base = action.name.base
-        if action.is_signal and base not in env.declared_signals:
-            out.append(Violation("UndeclaredSignal", f"{action.name} read in {where}"))
-        if action.is_handshake and base in env.declared_signals:
-            out.append(Violation("SignalAsHandshake", f"{action.name} in {where}"))
-
-    def walk(term: Term, where: str):
-        if isinstance(term, Prefix):
-            check_name_use(term.action, where)
-            walk(term.body, where)
-        elif isinstance(term, Sum):
-            for b in term.branches:
-                walk(b, where)
-        elif isinstance(term, IndexedSum):
-            walk(term.body, where)
-        elif isinstance(term, Par):
-            walk(term.left, where)
-            walk(term.right, where)
-        elif isinstance(term, Restrict):
-            walk(term.body, where)
+    out, reached = [], set()
+    signals = env.declared_signals
+    for term, where in reachable(env, root):
+        if isinstance(term, Prefix) and not term.action.is_tau:
+            action = term.action
+            if action.is_signal and action.name.base not in signals:
+                out.append(Violation("UndeclaredSignal",
+                                     f"{action.name} read in {where}"))
+            if action.is_handshake and action.name.base in signals:
+                out.append(Violation("SignalAsHandshake",
+                                     f"{action.name} in {where}"))
         elif isinstance(term, Relabel):
             f = term.relabelling
             for old, new in f.handshake_map + f.signal_map:
@@ -569,28 +592,22 @@ def validate(env: Environment, root: Term) -> ValidationReport:
                         "RelabelIntoBlocking", f"{old} -> {new} in {where}"))
             for old, new in f.signal_map:
                 for n in (old, new):
-                    if n.base not in env.declared_signals:
-                        out.append(Violation("UndeclaredSignal", f"{n} relabelled in {where}"))
-            walk(term.body, where)
+                    if n.base not in signals:
+                        out.append(Violation("UndeclaredSignal",
+                                             f"{n} relabelled in {where}"))
         elif isinstance(term, SignalEmit):
-            if term.signal.base not in env.declared_signals:
+            if term.signal.base not in signals:
                 out.append(Violation(
                     "UndeclaredSignal", f"emission of {term.signal} in {where}"))
-            walk(term.body, where)
         elif isinstance(term, Ident):
             key = (term.name.base, len(term.name.params))
-            if key in seen:
-                return
-            seen.add(key)
-            if key not in env.equations:
-                out.append(Violation("UnknownAgent", f"{term.name} in {where}"))
-                return
-            for _, body in env.equations[key]:
-                walk(body, f"equation {term.name.base}")
-
-    walk(root, "system")
+            if key not in reached:
+                reached.add(key)
+                if key not in env.equations:
+                    out.append(Violation("UnknownAgent",
+                                         f"{term.name} in {where}"))
     cycle = _unguarded_cycle(env, sorted(
-        base for base, arity in seen
+        base for base, arity in reached
         if arity == 0 and (base, 0) in env.equations))
     if cycle:
         out.append(Violation("UnguardedRecursion", " -> ".join(cycle)))

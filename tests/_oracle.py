@@ -55,7 +55,6 @@ from itertools import product
 
 from ccss.justness import JustnessVerdict, Witness
 from ccss.lts import LEAF, PAR, RELABEL, RESTRICT
-from ccss.syntax import action_str
 from ccss.terms import (
     SIGNAL, Par, Relabel, Restrict, SignalEmit, contains_par,
     STEP_LEFT, STEP_RIGHT, STEP_RESTRICT, STEP_RELABEL, STEP_EMIT,
@@ -246,7 +245,7 @@ def reference_analyze_configuration(engine, env, shape, leaves, movers,
                 if offending:
                     return JustnessVerdict(False, witness=Witness(
                         "/".join(node[1]) or "(root)", clause,
-                        tuple(sorted(action_str(a) for a in offending))))
+                        tuple(sorted(map(str, offending)))))
             stack.append((xl | xr, sl | sr))
         else:
             x, s = stack.pop()
@@ -260,12 +259,12 @@ def reference_analyze_configuration(engine, env, shape, leaves, movers,
                 s = s | {node[1]}
             stack.append((x, s))
     x = stack[0][0]
-    bad = sorted((a for a in x if not env.is_blocking(a)), key=action_str)
+    bad = sorted((a for a in x if not env.is_blocking(a)), key=str)
     if bad:
         clause = ("finite path enables τ" if bad[0].is_tau else
                   "finite path enables a non-blocking action")
         return JustnessVerdict(False, witness=Witness(
-            "(root)", clause, tuple(action_str(a) for a in bad)))
+            "(root)", clause, tuple(map(str, bad))))
     return JustnessVerdict(True, minimal_y=x)
 
 

@@ -9,8 +9,16 @@ import sys
 import pytest
 
 from ccss.cli import main
+from ccss.syntax import parse
+from ccss.terms import NIL, act
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+# every command that reads a model FILE
+FILE_COMMANDS = pytest.mark.parametrize("command", [
+    ["parse", "{file}"], ["lts", "{file}"], ["bisim", "{file}", "{file}"],
+    ["just", "{file}", "--lasso", ";"], ["verify", "--safety", "{file}"],
+    ["step", "{file}"],
+], ids=["parse", "lts", "bisim", "just", "verify", "step"])
 
 
 @pytest.fixture
@@ -273,7 +281,6 @@ def test_safety_ignores_bad_states_reachable_only_through_excluded_ones(
 
 @pytest.mark.parametrize("command, text", [
     ("parse", "system = " + "(" * 3000 + "0" + ")" * 3000 + "\n"),
-    ("parse", "system = " + "a." * 5000 + "0\n"),
     ("lts", "system = " + " | ".join(["a.0"] * 3000) + "\n"),
 ])
 def test_too_deeply_nested_input_is_a_usage_error(tmp_path, capsys,
@@ -282,6 +289,20 @@ def test_too_deeply_nested_input_is_a_usage_error(tmp_path, capsys,
     path.write_text(text)
     assert main([command, str(path)]) == 2
     assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_a_long_prefix_chain_parses_and_prints(tmp_path, capsys):
+    """Parsing, validating and printing a prefix chain recurse on none of
+    its prefixes; the printed chain reads back as the same term, compared
+    prefix by prefix (`==` on it would recurse)."""
+    path = tmp_path / "long.ccss"
+    path.write_text("system = " + "a." * 5000 + "0\n")
+    assert main(["parse", str(path)]) == 0
+    term = parse(capsys.readouterr().out).root
+    for _ in range(5000):
+        assert term.action == act("a")
+        term = term.body
+    assert term == NIL
 
 
 @pytest.mark.parametrize("text", [
@@ -297,10 +318,7 @@ def test_unguarded_recursion_is_a_usage_error_for_parse_as_for_lts(
         assert "UnguardedRecursion" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [
-    ["parse", "{file}"], ["lts", "{file}"], ["bisim", "{file}", "{file}"],
-    ["just", "{file}", "--lasso", ";"], ["verify", "--safety", "{file}"],
-], ids=["parse", "lts", "bisim", "just", "verify"])
+@FILE_COMMANDS
 def test_a_name_relabelled_to_two_names_is_a_usage_error(tmp_path, capsys,
                                                          command):
     path = tmp_path / "twice.ccss"
@@ -308,6 +326,45 @@ def test_a_name_relabelled_to_two_names_is_a_usage_error(tmp_path, capsys,
     assert main([a.format(file=path) for a in command]) == 2
     assert capsys.readouterr().err == (
         "error: ParseError: 1:21: b is relabelled to both a and c\n")
+
+
+@FILE_COMMANDS
+def test_every_command_that_reads_a_file_validates_it(tmp_path, capsys,
+                                                      command):
+    path = tmp_path / "blocking.ccss"
+    path.write_text("blocking {x}\nsystem = (a.0)[x/a]\n")
+    assert main([a.format(file=path) for a in command]) == 2
+    assert capsys.readouterr().err == (
+        "error: InvalidModel: RelabelIntoBlocking: a -> x in system\n")
+
+
+def test_a_relabelling_pair_listed_twice_prints_once(tmp_path, capsys):
+    path = tmp_path / "twice.ccss"
+    path.write_text("system = (b.0)[a/b, a/b]\n")
+    assert main(["parse", str(path)]) == 0
+    assert capsys.readouterr().out == "system = (b.0)[a/b]\n"
+
+
+def test_indexed_names_print_as_written(tmp_path, capsys):
+    """States, emissions, labels, evidence and errors spell a name with
+    tail parameters as the parser reads it."""
+    emit, two, three, missing = (tmp_path / f"{n}.ccss" for n in
+                                 ("emit", "two", "three", "missing"))
+    emit.write_text("signals { s }\nsystem = (a[1]_2.0) ^ s[1]_1\n")
+    two.write_text("system = a[1]_2.0\n")
+    three.write_text("system = a[1]_3.0\n")
+    missing.write_text("system = Y[1]_2\n")
+    assert main(["lts", "--dot", str(emit)]) == 0
+    dot = capsys.readouterr().out
+    assert '"(a[1]_2.0) ^ s[1]_1\\n^s[1]_1"' in dot
+    assert '[label="a[1]_2"]' in dot
+    assert main(["bisim", str(two), str(three)]) == 1
+    assert capsys.readouterr().out == (
+        "not bisimilar: after a[1]_2: one side offers a[1]_2 into a class "
+        "the other cannot reach\n")
+    assert main(["lts", str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        "error: InvalidModel: UnknownAgent: Y[1]_2 in system\n")
 
 
 def test_every_bundled_model_parses(capsys):

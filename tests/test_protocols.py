@@ -209,11 +209,12 @@ def test_a_component_that_names_no_noncrit_action_is_not_walked(
 
 
 def test_a_term_constructor_the_noncrit_scan_does_not_know_is_walked():
-    """The scan answers yes for a constructor it does not list, so a later
+    """The scan raises on a constructor it does not know, so a later
     constructor cannot hide a role from role tagging."""
     class Unlisted(Term):
         pass
 
     env = parse("system = 0\n").env
     assert not protocols._may_name_noncrit(env, Nil())
-    assert protocols._may_name_noncrit(env, Unlisted())
+    with pytest.raises(TypeError, match="not a term"):
+        protocols._may_name_noncrit(env, Unlisted())

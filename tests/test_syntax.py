@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ccss.errors import ParseError, ScopeError
 from ccss.terms import (
     NIL, Name, Par, Prefix, Restrict, Sum, SignalEmit, Relabel, Ident,
-    IndexedSum, act, coact, sig, TAU,
+    IndexedSum, Var, act, coact, sig, TAU,
 )
 from ccss import syntax
 from ccss.syntax import parse, parse_term, spec_str, term_str
@@ -53,6 +53,26 @@ def test_indexed_sum_with_guard():
 def test_parameter_syntax_bracketed_head_and_underscore_tail():
     term = rt("get[1]_2.0")
     assert term == Prefix(act("get", 1, 2), NIL)
+
+
+@pytest.mark.parametrize("params, text", [
+    ((1,), "a[1]"), ((1, 2), "a[1]_2"), ((1, 2, 3), "a[1]_2_3"),
+    ((-1,), "a[-1]"), ((1, -1), "a[1]_(-1)"), ((-1, -2, 0), "a[-1]_(-2)_0"),
+    ((Var("i"),), "a[i]"), ((Var("i", 1),), "a[i+1]"),
+    ((1, Var("i")), "a[1]_i"), ((1, Var("i", -2)), "a[1]_(i-2)"),
+    ((Var("i", 1), 2, Var("i", 3)), "a[i+1]_2_(i+3)"),
+])
+def test_names_print_as_the_parser_reads_them(params, text):
+    name = Name("a", params)
+    assert str(name) == text
+    assert parse_term(str(name), scope={"i"}) == Ident(name)
+    for action in (act("a", *params), coact("a", *params)):
+        assert parse_term(f"{action}.0", scope={"i"}) == Prefix(action, NIL)
+
+
+def test_a_relabelling_pair_listed_twice_is_one_pair():
+    assert rt("(b.0)[a/b, a/b]") == rt("(b.0)[a/b]")
+    assert rt("(s.0)[t/s, a/b, t/s]") == rt("(s.0)[a/b, t/s]")
 
 
 def test_identifier_with_parameters_vs_relabelling():

@@ -10,7 +10,7 @@ from ccss.terms import (
     Action, BoolOp, Cmp, Environment, Ident, IndexedSum, NIL, Name, Nil, Par,
     Prefix, Relabel, Relabelling, Restrict, SignalEmit, Sum, TAU, Var,
     act, coact, sig, canonical, contains_par, eval_guard, indexed_branches,
-    leaf_paths, subterm_at, substitute, validate,
+    leaf_paths, reachable, subterm_at, substitute, validate,
 )
 
 
@@ -158,6 +158,21 @@ def test_canonical_collapses_identifier_aliases():
     env.define(Name("B", ()), Par(Prefix(act("a"), NIL), NIL))
     out = canonical(env, Ident(Name("A", ())))
     assert out == Ident(Name("B", ()))
+
+
+def test_reachable_walks_each_equation_once_depth_first():
+    x, y = Ident(Name("X", ())), Ident(Name("Y", (1,)))
+    ax, by = Prefix(act("a"), x), Prefix(act("b"), y)
+    env = Environment()
+    env.define(Name("X", ()), Sum((ax, by)))
+    env.define(Name("Y", (Var("i"),)), NIL)
+    env.define(Name("Y", (2,)), x)
+    root = Par(x, y)
+    assert list(reachable(env, root)) == [
+        (root, "system"), (x, "system"), (Sum((ax, by)), "equation X"),
+        (ax, "equation X"), (x, "equation X"), (by, "equation X"),
+        (y, "equation X"), (NIL, "equation Y"), (x, "equation Y"),
+        (y, "system")]
 
 
 def test_validate_flags_undeclared_signal():
