@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Mutation check: each planted fault must fail the tests named for it.
+
+Each mutant in `MUTANTS` replaces one exact piece of source text.  The
+script first runs every named test on an unchanged copy of `src` and
+`tests` (with `pyproject.toml`), where they must pass; then, for each
+mutant, it copies them again to a temporary directory, applies the
+mutant and runs its tests there.  A mutant is killed when one of its
+tests fails.  Exits 1 when a mutant survives, when its source text is
+gone or found more than once (a change that rewrites mutated code must
+update the mutant here), or when a named test does not pass unchanged;
+exits 0 when every mutant is killed.  Takes about 15 s (CPython 3.11,
+2-vCPU x86_64 VM).
+
+    python scripts/mutants.py [NAME ...]
+
+With names, only those mutants run.
+"""
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the root of the checkout
+    old: str  # exact source text, found once in the file
+    new: str
+    tests: tuple  # pytest ids, of which at least one must fail
+
+
+MUTANTS = [
+    Mutant("alternatives always empty", "src/ccss/lts.py",
+           "        for steps in self._out:\n",
+           "        for steps in ():\n",
+           ("tests/test_lts.py::"
+            "test_source_and_alternative_columns_group_the_transitions",
+            "tests/test_justness.py::"
+            "test_steps_with_alternative_derivations_match_the_reference")),
+    Mutant("validate skips the source check", "src/ccss/justness.py",
+           "            if sources[i] != at:\n"
+           "                raise ValueError(f\"stem breaks",
+           "            if False:\n"
+           "                raise ValueError(f\"stem breaks",
+           ("tests/test_justness.py::"
+            "test_lasso_validate_reports_where_the_path_breaks",)),
+    Mutant("_path ignores its mask", "src/ccss/verify.py",
+           "            if tgt in parent or not mask[i]:\n",
+           "            if tgt in parent:\n",
+           ("tests/test_verify.py::"
+            "test_path_is_a_shortest_allowed_path_to_a_goal",)),
+    Mutant("justness signal clauses swapped", "src/ccss/justness.py",
+           "            (\"X ∩ Z′ ≠ ∅\", [Action(SIGNAL, n) for n in rl & sr]),\n"
+           "            (\"X′ ∩ Z ≠ ∅\", [Action(SIGNAL, n) for n in rr & sl])",
+           "            (\"X′ ∩ Z ≠ ∅\", [Action(SIGNAL, n) for n in rr & sl]),\n"
+           "            (\"X ∩ Z′ ≠ ∅\", [Action(SIGNAL, n) for n in rl & sr])",
+           ("tests/test_justness.py::"
+            "test_configuration_verdicts_match_the_reference_above_a_par",)),
+    Mutant("no dedup at the topmost Par", "src/ccss/lts.py",
+           "        out = list(dict.fromkeys(out))\n",
+           "        out = list(out)\n",
+           ("tests/test_lts.py::"
+            "test_explore_matches_the_term_explorer_on_edge_cases",)),
+]
+
+
+def _copy(where: pathlib.Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, where / name, ignore=ignore)
+        else:
+            shutil.copy2(source, where / name)
+
+
+def _pytest(where: pathlib.Path, tests) -> int:
+    """pytest's exit code for these tests in the copy at `where`: 0 when
+    all pass, 1 when one fails, anything else when they did not run."""
+    env = dict(os.environ, PYTHONPATH=str(where / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *tests], cwd=where, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL).returncode
+
+
+def main(names) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"no mutant named {', '.join(sorted(unknown))}")
+        return 2
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    with tempfile.TemporaryDirectory() as tmp:
+        where = pathlib.Path(tmp)
+        _copy(where)
+        tests = list(dict.fromkeys(t for m in mutants for t in m.tests))
+        code = _pytest(where, tests)
+        if code != 0:
+            print(f"the named tests do not pass unchanged (pytest exit "
+                  f"{code})")
+            return 1
+    failed = 0
+    for mutant in mutants:
+        text = (ROOT / mutant.file).read_text(encoding="utf-8")
+        found = text.count(mutant.old)
+        if found != 1:
+            print(f"GONE      {mutant.name}: its source text is in "
+                  f"{mutant.file} {found} times, not once")
+            failed += 1
+            continue
+        with tempfile.TemporaryDirectory() as tmp:
+            where = pathlib.Path(tmp)
+            _copy(where)
+            (where / mutant.file).write_text(
+                text.replace(mutant.old, mutant.new), encoding="utf-8")
+            code = _pytest(where, mutant.tests)
+        if code == 1:
+            print(f"killed    {mutant.name}")
+        else:
+            print(f"SURVIVED  {mutant.name} (pytest exit {code})")
+            failed += 1
+    print(f"{len(mutants) - failed} of {len(mutants)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -22,8 +22,8 @@ and the signals it emits.  They are computed once per leaf term and mode
 and kept in the `SosEngine`, beside the derivations they summarize, so
 the side-conditions at each parallel composition are set intersections
 and the sets are unions; offending actions are built only for a
-witness.  A cycle step's alternative derivations are the entries with
-its source, label id and target (`Lts.label_ids`, `Lts.targets`).
+witness.  A cycle step's alternative derivations are read from
+`Lts.alternatives`, built once per system.
 """
 
 from __future__ import annotations
@@ -56,26 +56,24 @@ class Lasso:
         if steps and not (0 <= min(steps) and max(steps) < count):
             bad = next(i for i in steps if not 0 <= i < count)
             raise ValueError(f"no transition {bad}")
+        sources, targets = lts.sources, lts.targets
         for i in self.stem:
-            t = lts.transitions[i]
-            if t.src != at:
+            if sources[i] != at:
                 raise ValueError(f"stem breaks at transition {i}: "
-                                 f"expected source {at}, got {t.src}")
-            at = t.tgt
+                                 f"expected source {at}, got {sources[i]}")
+            at = targets[i]
         anchor = at
         for i in self.cycle:
-            t = lts.transitions[i]
-            if t.src != at:
+            if sources[i] != at:
                 raise ValueError(f"cycle breaks at transition {i}")
-            at = t.tgt
+            at = targets[i]
         if self.cycle and at != anchor:
             raise ValueError("cycle does not return to its start state")
         return anchor
 
     def anchor(self, lts: Lts) -> int:
         """The state where the cycle starts (or the path ends)."""
-        return (lts.transitions[self.stem[-1]].tgt if self.stem
-                else lts.initial)
+        return lts.targets[self.stem[-1]] if self.stem else lts.initial
 
     def advance(self) -> "Lasso":
         """The lasso presenting the suffix after one transition."""
@@ -236,20 +234,19 @@ def is_just(lts: Lts, env: Environment, lasso: Lasso, mode: str = "ccss",
     enumeration of the choices first meets it."""
     engine = engine or SosEngine(env)
     shape, leaves = lts.states[lasso.validate(lts)]
-    label_of, targets, trans = lts.label_ids[0], lts.targets, lts.transitions
     # A step with one derivation adds its slots to every choice, which
     # commutes with the other steps' choices and keeps their order, so
     # those slots are added once, at the end.
     moved, mover_sets = set(), [frozenset()]
-    for i in lasso.cycle:
-        label, target = label_of[i], targets[i]
-        choices = [trans[j].components for j in lts.outgoing(trans[i].src)
-                   if label_of[j] == label and targets[j] == target]
-        if len(choices) == 1:
-            moved |= choices[0]
-        else:
-            mover_sets = list(dict.fromkeys(
-                m | c for m in mover_sets for c in choices))
+    if lasso.cycle:
+        alternatives, trans = lts.alternatives, lts.transitions
+        for i in lasso.cycle:
+            choices = alternatives.get(i)
+            if choices is None:
+                moved |= trans[i].components
+            else:
+                mover_sets = list(dict.fromkeys(
+                    m | c for m in mover_sets for c in choices))
     if moved:
         mover_sets = list(dict.fromkeys(m | moved for m in mover_sets))
     for movers in mover_sets:

@@ -566,14 +566,15 @@ def reachable(env: Environment, root: Term):
 
 
 def validate(env: Environment, root: Term) -> ValidationReport:
-    """Well-formedness checks: resolvable identifiers, the blocking rules
-    for restriction and relabelling, declared signals, disjointness of
-    the signal and handshake alphabets, and guarded recursion among the
+    """Well-formedness checks: resolvable identifiers (a call without
+    index variables must match some equation's parameters), the blocking
+    rules for restriction and relabelling, declared signals, disjointness
+    of the signal and handshake alphabets, and guarded recursion among the
     parameterless equations the root reaches.  A parameterised equation
     may be guarded for some arguments and not for others, so unguarded
     recursion through one is left to the SOS engine, which raises
     `UnguardedRecursion` when it meets it."""
-    out, reached = [], set()
+    out, reached, called = [], set(), set()
     signals = env.declared_signals
     for term, where in reachable(env, root):
         if isinstance(term, Prefix) and not term.action.is_tau:
@@ -600,12 +601,21 @@ def validate(env: Environment, root: Term) -> ValidationReport:
                 out.append(Violation(
                     "UndeclaredSignal", f"emission of {term.signal} in {where}"))
         elif isinstance(term, Ident):
-            key = (term.name.base, len(term.name.params))
+            name = term.name
+            key = (name.base, len(name.params))
             if key not in reached:
                 reached.add(key)
                 if key not in env.equations:
-                    out.append(Violation("UnknownAgent",
-                                         f"{term.name} in {where}"))
+                    out.append(Violation("UnknownAgent", f"{name} in {where}"))
+            # a call with index variables is resolved, and checked, by
+            # the SOS engine once they are bound
+            if key in env.equations and name.concrete and name not in called:
+                called.add(name)
+                if all(_match_params(lhs.params, name.params) is None
+                       for lhs, _ in env.equations[key]):
+                    out.append(Violation(
+                        "UnknownAgent",
+                        f"{name}: no equation matches these parameters"))
     cycle = _unguarded_cycle(env, sorted(
         base for base, arity in reached
         if arity == 0 and (base, 0) in env.equations))

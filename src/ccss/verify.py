@@ -25,9 +25,9 @@ fails it and no other is confirmed, the verdict is "unknown", never
 "holds".
 
 The per-state and per-edge loops read int columns, not `Transition`s:
-transition targets and label ids (`Lts.targets`, `Lts.label_ids`), per
-role an edge mask (target not excluded, label not the crit action) and
-per-state role flags (`ProtocolModel.flags`).
+transition sources, targets and label ids (`Lts.sources`, `Lts.targets`,
+`Lts.label_ids`), per role an edge mask (target not excluded, label not
+the crit action) and per-state role flags (`ProtocolModel.flags`).
 """
 
 from __future__ import annotations
@@ -218,10 +218,11 @@ def _cycle_through(lts: Lts, inside, anchor: int, required: list) -> list:
     (the edges of one strongly connected component)."""
     walk = []
     at = anchor
+    sources, targets = lts.sources, lts.targets
     for i in required:
-        walk += _path(lts, at, {lts.transitions[i].src}, inside)
+        walk += _path(lts, at, {sources[i]}, inside)
         walk.append(i)
-        at = lts.transitions[i].tgt
+        at = targets[i]
     return walk + _path(lts, at, {anchor}, inside)
 
 
@@ -237,7 +238,7 @@ def check_liveness(model: ProtocolModel,
     trans = lts.transitions
     targets = lts.targets
     label_of, label_id = lts.label_ids
-    sources = [t.src for t in trans]
+    sources = lts.sources
     # states with a self-loop, and states with only blocking moves
     looped = set(compress(sources, map(eq, sources, targets)))
     moving = [not env.is_blocking(a) for a in label_id]

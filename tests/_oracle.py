@@ -47,6 +47,9 @@ element, the reference for `ccss.justness.analyze_configuration`, which
 reads per-leaf set summaries and tests them by set intersection.
 `oracle_explain` reads bisimulation evidence from label objects, the
 reference for `ccss.bisim._explain`, which reads int moves.
+`reference_is_just` scans each cycle step's siblings among the
+`Transition`s, the reference for `ccss.justness.is_just`, which reads
+them from `Lts.alternatives`.
 """
 
 from __future__ import annotations
@@ -312,6 +315,40 @@ def oracle_is_just(lts, env, lasso, mode="ccss", engine=None,
         if config(movers):
             return True
     return False
+
+
+def reference_is_just(lts, env, lasso, mode="ccss", engine=None):
+    """The verdict of `ccss.justness.is_just`, finding each cycle step's
+    alternative derivations by scanning its source's outgoing
+    `Transition`s for entries with its label and target, the reference
+    for `is_just`, which reads them from `Lts.alternatives`.  Every
+    distinct set of moving slots is tried, in the order an enumeration of
+    the choices first meets it; a step with one derivation adds its
+    slots to every choice at the end."""
+    from ccss.justness import analyze_configuration
+    from ccss.sos import SosEngine
+    engine = engine or SosEngine(env)
+    trans = lts.transitions
+    anchor = lts.initial
+    for i in lasso.stem:
+        anchor = trans[i].tgt
+    shape, leaves = lts.states[anchor]
+    moved, mover_sets = set(), [frozenset()]
+    for i in lasso.cycle:
+        choices = [u.components for u in _alternatives(lts, trans[i])]
+        if len(choices) == 1:
+            moved |= choices[0]
+        else:
+            mover_sets = list(dict.fromkeys(
+                m | c for m in mover_sets for c in choices))
+    if moved:
+        mover_sets = list(dict.fromkeys(m | moved for m in mover_sets))
+    for movers in mover_sets:
+        verdict = analyze_configuration(engine, env, shape, leaves, movers,
+                                        mode)
+        if verdict.just:
+            break
+    return verdict
 
 
 def _disjoint_union(lts_a, lts_b):

@@ -3,6 +3,8 @@
 Terms are recursion-free (no agent identifiers), at most DEPTH levels deep,
 over a small handshake alphabet and signal alphabet, so that every
 generated system has a finite state space that explores in milliseconds.
+Such a system has no cycle; `random_system` gives recursive ones, whose
+runs loop.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from __future__ import annotations
 import random
 
 from ccss.terms import (
-    Action, Environment, Name, Nil, NIL, Par, Prefix, Relabel, Relabelling,
-    Restrict, SignalEmit, Sum, TAU, act, coact, sig,
+    Action, Environment, Ident, Name, Nil, NIL, Par, Prefix, Relabel,
+    Relabelling, Restrict, SignalEmit, Sum, TAU, act, coact, sig,
 )
 
 HANDSHAKES = ("a", "b", "c", "d")
@@ -79,3 +81,54 @@ def random_term(rng: random.Random, depth: int = DEPTH,
 def sample_terms(count: int, seed: int = 20260826, **kwargs):
     rng = random.Random(seed)
     return [random_term(rng, **kwargs) for _ in range(count)]
+
+
+def random_system(rng: random.Random, agents: int = 3, depth: int = 3,
+                  alphabet=("a", "b"), signals=SIGNALS):
+    """(environment, root) of a recursive system with a static parallel
+    structure: `agents` Par-free agents A0, A1, ..., each calling agents
+    only under a prefix, and a root that composes calls to them with
+    Par, Restrict, Relabel (which may merge two labels) and SignalEmit.
+    A random part of the alphabet blocks."""
+    names = [Name(f"A{k}", ()) for k in range(agents)]
+    everything = alphabet + signals
+    env = make_env(rng.sample(everything, rng.randint(0, len(everything))))
+    for name in names:
+        env.define(name, _agent(rng, depth, alphabet, signals, names))
+    return env, _composition(rng, depth - 1, alphabet, signals, names)
+
+
+def _agent(rng, depth, alphabet, signals, names):
+    roll = rng.random()
+    if depth == 0 or roll < 0.5:
+        action = random_action(rng, alphabet, signals)
+        body = (Ident(rng.choice(names)) if depth <= 1 or rng.random() < 0.4
+                else _agent(rng, depth - 1, alphabet, signals, names))
+        return Prefix(action, body)
+    if roll < 0.8:
+        return Sum((_agent(rng, depth - 1, alphabet, signals, names),
+                    _agent(rng, depth - 1, alphabet, signals, names)))
+    if roll < 0.9 and signals:
+        return SignalEmit(_agent(rng, depth - 1, alphabet, signals, names),
+                          Name(rng.choice(signals), ()))
+    return NIL
+
+
+def _composition(rng, depth, alphabet, signals, names):
+    op = rng.choices(("call", "par", "restrict", "relabel", "emit"),
+                     weights=(2, 4, 1, 1, 1))[0] if depth > 0 else "call"
+    if op == "call":
+        return Ident(rng.choice(names))
+    body = _composition(rng, depth - 1, alphabet, signals, names)
+    if op == "par":
+        return Par(body, _composition(rng, depth - 1, alphabet, signals,
+                                      names))
+    if op == "restrict":
+        return Restrict(body, frozenset([Name(rng.choice(alphabet), ())]))
+    if op == "relabel":
+        old = rng.sample(alphabet, rng.randint(1, len(alphabet)))
+        return Relabel(body, Relabelling.make(
+            [(Name(n, ()), Name(rng.choice(alphabet), ())) for n in old]))
+    if signals:
+        return SignalEmit(body, Name(rng.choice(signals), ()))
+    return body

@@ -338,6 +338,17 @@ def test_every_command_that_reads_a_file_validates_it(tmp_path, capsys,
         "error: InvalidModel: RelabelIntoBlocking: a -> x in system\n")
 
 
+@FILE_COMMANDS
+def test_a_call_no_equation_matches_is_a_usage_error(tmp_path, capsys,
+                                                     command):
+    path = tmp_path / "unmatched.ccss"
+    path.write_text("Y[2] = a.0\nsystem = Y[1]\n")
+    assert main([a.format(file=path) for a in command]) == 2
+    assert capsys.readouterr().err == (
+        "error: InvalidModel: UnknownAgent: "
+        "Y[1]: no equation matches these parameters\n")
+
+
 def test_a_relabelling_pair_listed_twice_prints_once(tmp_path, capsys):
     path = tmp_path / "twice.ccss"
     path.write_text("system = (b.0)[a/b, a/b]\n")

@@ -8,13 +8,15 @@ from hypothesis import example, given, settings, strategies as st
 from ccss.justness import Lasso, analyze_configuration, is_complete, is_just
 from ccss.lts import explore
 from ccss.sos import SosEngine
-from ccss.syntax import parse_term
+from ccss.syntax import parse, parse_term
 from ccss.terms import Environment, Ident, Name, subterm_at
 from ccss import protocols
 
 from _lassos import enumerate_lassos
-from _oracle import oracle_is_just, reference_analyze_configuration
-from _randterms import random_term
+from _oracle import (
+    oracle_is_just, reference_analyze_configuration, reference_is_just,
+)
+from _randterms import random_system, random_term
 
 
 def _reader_lasso(model):
@@ -294,3 +296,73 @@ def test_finite_path_completeness_matches_the_whole_term_derivations():
                 want = all(ENV.is_blocking(d.label)
                            for d in engine.transitions(lts.term(state)))
                 assert is_complete(lts, ENV, Lasso(stem, ())) == want
+
+
+def assert_lassos_match_the_reference(lts, env, lassos):
+    """`is_just` and then `is_complete` give the verdicts of
+    `reference_is_just` on each lasso and on every rotation of its cycle;
+    returns the cycle steps asked about."""
+    engine = SosEngine(env)
+    steps = set()
+    for lasso in lassos:
+        rotations = [Lasso(lasso.stem + lasso.cycle[:r],
+                           lasso.cycle[r:] + lasso.cycle[:r])
+                     for r in range(max(1, len(lasso.cycle)))]
+        for rotated in rotations:
+            want = reference_is_just(lts, env, rotated, engine=engine)
+            assert is_just(lts, env, rotated, engine=engine) == want, rotated
+            if rotated.cycle:
+                complete = want.just
+            else:
+                anchor = rotated.anchor(lts)
+                complete = all(env.is_blocking(d.label) for d in
+                               engine.transitions(lts.term(anchor)))
+            assert is_complete(lts, env, rotated, engine=engine) == complete
+            steps.update(rotated.cycle)
+    return steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+# systems where some cycle step has alternative derivations
+@example(1)
+@example(4)
+def test_lasso_verdicts_match_the_reference(seed):
+    rng = random.Random(seed)
+    env, root = random_system(rng)
+    lts = explore(env, root, max_states=300)
+    lassos = list(enumerate_lassos(lts, max_stem=2, max_cycle=3))
+    assert_lassos_match_the_reference(
+        lts, env, rng.sample(lassos, min(len(lassos), 20)))
+
+
+@pytest.mark.parametrize("equations,text", [
+    # either copy of A does each a
+    ("A = a.A", "A | A"),
+    # the relabelling merges A's a and B's b into one label
+    ("A = a.A\nB = b.B", "(A | B)[a/b]"),
+], ids=["twin-copies", "merging-relabel"])
+def test_steps_with_alternative_derivations_match_the_reference(equations,
+                                                                text):
+    spec = parse(f"{equations}\nsystem = {text}\n")
+    lts = explore(spec.env, spec.root)
+    lassos = list(enumerate_lassos(lts, max_stem=1, max_cycle=3))
+    steps = assert_lassos_match_the_reference(lts, spec.env, lassos)
+    assert steps & lts.alternatives.keys()
+
+
+def test_lasso_validate_reports_where_the_path_breaks():
+    env = Environment()
+    lts = explore(env, parse_term("a.b.0 + c.0", signals=()))
+    a, b, c = (next(i for i, t in enumerate(lts.transitions)
+                    if str(t.label) == name) for name in "abc")
+    assert Lasso((a, b), ()).validate(lts) == lts.transitions[b].tgt
+    for lasso, message in (
+            (Lasso((b,), ()), f"stem breaks at transition {b}: expected "
+                              f"source 0, got {lts.transitions[a].tgt}"),
+            (Lasso((a,), (c,)), f"cycle breaks at transition {c}"),
+            (Lasso((), (a,)), "cycle does not return to its start state"),
+            (Lasso((a, 7), ()), "no transition 7")):
+        with pytest.raises(ValueError) as error:
+            lasso.validate(lts)
+        assert str(error.value) == message

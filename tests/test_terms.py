@@ -215,6 +215,21 @@ def test_validate_leaves_guarded_and_parameterised_recursion_alone():
                              Ident(Name("P", (1,))))).ok
 
 
+def test_validate_flags_a_call_no_equation_matches():
+    n = Var("n", 0)
+    env = Environment()
+    env.define(Name("Y", (2,)), Prefix(act("a"), NIL))
+    env.define(Name("P", (n, 0)), Prefix(act("a"), Ident(Name("Y", (n,)))))
+    # Y[n] is checked once P's call binds n, by the SOS engine
+    assert validate(env, Ident(Name("P", (2, 0)))).ok
+    report = validate(env, Par(Ident(Name("P", (2, 1))),
+                               Par(Ident(Name("Y", (1,))),
+                                   Ident(Name("Y", (1,))))))
+    assert [str(v) for v in report.violations] == [
+        "UnknownAgent: P[2]_1: no equation matches these parameters",
+        "UnknownAgent: Y[1]: no equation matches these parameters"]
+
+
 def test_validate_accepts_a_well_formed_system():
     env = Environment(signals=("s",), blocking=("a",))
     term = Restrict(

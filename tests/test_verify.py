@@ -339,3 +339,24 @@ def test_verdicts_do_not_depend_on_label_identity(monkeypatch):
     got = [(check_safety(m).to_json(), check_liveness(m).to_json())
            for m in models]
     assert got == want
+
+
+def test_verdicts_build_only_the_columns_they_read(monkeypatch):
+    """Safety reads no source column and no alternatives; liveness reads
+    sources, and alternatives only to confirm a witness cycle."""
+    explored = []
+
+    def keep(env, root, **kwargs):
+        explored.append(explore(env, root, **kwargs))
+        return explored[-1]
+
+    def built():
+        return {"sources", "alternatives"} & vars(explored.pop()).keys()
+
+    monkeypatch.setattr(verify, "explore", keep)
+    assert check_safety(protocols.peterson2("ccs")).holds
+    assert built() == set()
+    assert check_liveness(protocols.peterson2("ccss")).holds
+    assert built() == {"sources"}
+    assert check_liveness(protocols.peterson2("ccs")).status == "violated"
+    assert built() == {"sources", "alternatives"}
