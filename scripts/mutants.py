@@ -57,6 +57,37 @@ MUTANTS = [
            "            if tgt in parent:\n",
            ("tests/test_verify.py::"
             "test_path_is_a_shortest_allowed_path_to_a_goal",)),
+    Mutant("_path searches LIFO", "src/ccss/verify.py",
+           "        s = queue.popleft()\n",
+           "        s = queue.pop()\n",
+           ("tests/test_verify.py::"
+            "test_path_is_a_shortest_allowed_path_to_a_goal",)),
+    Mutant("pending anchor dropped", "src/ccss/verify.py",
+           "            elif waiting:\n"
+           "                anchor = min(waiting)\n",
+           "",
+           ("tests/test_verify.py::"
+            "test_a_witness_cycle_starts_at_a_pending_state_of_its_scc",)),
+    Mutant("unconfirmed witness ignored", "src/ccss/verify.py",
+           "                unconfirmed = unconfirmed or role.name\n",
+           "",
+           ("tests/test_verify.py::"
+            "test_unconfirmed_witness_gives_unknown_not_holds",)),
+    Mutant("dead ends before cycles", "src/ccss/verify.py",
+           "        comp_of = [-1] * lts.num_states\n",
+           "        for s in stuck:\n"
+           "            stem = ws.stem({s}) if pending[s] else None\n"
+           "            if stem is not None:\n"
+           "                lasso = Lasso(tuple(stem), ())\n"
+           "                return LivenessVerdict(\"violated\", True, "
+           "role.name, (\n"
+           "                    lasso, is_just(lts, env, lasso, mode, "
+           "ws.engine)),\n"
+           "                    excluded)\n"
+           "        comp_of = [-1] * lts.num_states\n",
+           ("tests/test_verify.py::"
+            "test_configurations_under_different_parallel_structure_"
+            "stay_apart",)),
     Mutant("justness signal clauses swapped", "src/ccss/justness.py",
            "            (\"X ∩ Z′ ≠ ∅\", [Action(SIGNAL, n) for n in rl & sr]),\n"
            "            (\"X′ ∩ Z ≠ ∅\", [Action(SIGNAL, n) for n in rr & sl])",

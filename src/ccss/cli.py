@@ -130,44 +130,39 @@ def cmd_just(args) -> int:
 # --------------------------------------------------------------------------
 # verification
 
-_MAKERS = {
-    "example1": lambda n, flavor, bound: protocols.example1(),
-    "example2": lambda n, flavor, bound: protocols.example2(),
-    "peterson2": lambda n, flavor, bound: protocols.peterson2(flavor),
-    "filter": lambda n, flavor, bound: protocols.filter_lock(n, flavor),
-    "bakery": lambda n, flavor, bound: protocols.bakery(n, bound, flavor),
+# each model's generator and the options it takes, with their defaults;
+# a model without --n has two processes and accepts --n 2
+_MODELS = {
+    "example1": (protocols.example1, {}),
+    "example2": (protocols.example2, {}),
+    "peterson2": (protocols.peterson2, {"flavor": "ccss"}),
+    "filter": (protocols.filter_lock, {"flavor": "ccss", "n": 2}),
+    "bakery": (protocols.bakery,
+               {"flavor": "ccss", "n": 2, "ticket_bound": 4}),
 }
-_TWO_PROCESS = ("example1", "example2", "peterson2")  # no N to choose
-_ONE_FLAVOR = ("example1", "example2")  # handshakes, signals
 
 
 def _get_model(args):
     """The model of --model, or of FILE with its roles inferred.  An
     option the model does not take is an error, never ignored."""
-    given = [option for option, value in (
-        ("--flavor", args.flavor), ("--n", args.n),
-        ("--ticket-bound", args.ticket_bound)) if value is not None]
+    given = {name: value for name in ("flavor", "n", "ticket_bound")
+             if (value := getattr(args, name)) is not None}
+    flags = [f"--{name.replace('_', '-')} {value}"
+             for name, value in given.items()]
     if not args.model:
         if not args.file:
             raise CcssError("need a FILE or --model")
         if given:
-            raise CcssError(f"{given[0]} needs --model, not a FILE")
+            raise CcssError(f"{flags[0]} needs --model, not a FILE")
         return protocols.roles_from_file(_load(args.file))
-    if args.model not in _MAKERS:
-        raise CcssError(f"unknown model {args.model!r}")
     if args.file:
         raise CcssError("give a FILE or --model, not both")
-    if args.model in _TWO_PROCESS and args.n not in (None, 2):
-        raise ParameterOutOfRange(
-            f"{args.model} has two processes, not --n {args.n}")
-    if args.model in _ONE_FLAVOR and args.flavor is not None:
-        raise ParameterOutOfRange(f"{args.model} has one flavor, not "
-                                  f"--flavor {args.flavor}")
-    if args.model != "bakery" and args.ticket_bound is not None:
-        raise ParameterOutOfRange(f"{args.model} has no --ticket-bound")
-    return _MAKERS[args.model](
-        2 if args.n is None else args.n, args.flavor or "ccss",
-        4 if args.ticket_bound is None else args.ticket_bound)
+    make, defaults = _MODELS[args.model]
+    for (name, value), flag in zip(given.items(), flags):
+        if name not in defaults and (name, value) != ("n", 2):
+            raise ParameterOutOfRange(f"{args.model} does not take {flag}")
+    return make(**{name: given.get(name, default)
+                   for name, default in defaults.items()})
 
 
 def cmd_verify(args) -> int:
@@ -294,12 +289,12 @@ def _build_parser() -> argparse.ArgumentParser:
     what.add_argument("--safety", action="store_true")
     what.add_argument("--liveness", action="store_true")
     p.add_argument("file", nargs="?")
-    p.add_argument("--model", choices=sorted(_MAKERS))
+    p.add_argument("--model", choices=sorted(_MODELS))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", parents=[modelled],
                        help="emit a bundled model as .ccss text")
-    p.add_argument("--model", choices=sorted(_MAKERS), required=True)
+    p.add_argument("--model", choices=sorted(_MODELS), required=True)
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_gen, file=None)
 

@@ -100,7 +100,7 @@ class SosEngine:
                 ds, es, _ = self._entry(b, stack)
                 derivations.extend(ds)
                 emitters.extend(es)
-            return _dedup(derivations), tuple(emitters)
+            return tuple(dict.fromkeys(derivations)), tuple(emitters)
         if isinstance(term, Par):
             return self._par(term, stack)
         if isinstance(term, Ident):
@@ -174,16 +174,6 @@ class SosEngine:
                             TAU, Par(term.left, dr.target),
                             _prefix_paths(dr.participants, STEP_RIGHT),
                             signal_partner=(STEP_LEFT,) + addr))
-        return _dedup(out), (
+        return tuple(dict.fromkeys(out)), (
             tuple((n, (STEP_LEFT,) + p) for n, p in left_emit)
             + tuple((n, (STEP_RIGHT,) + p) for n, p in right_emit))
-
-
-def _dedup(derivations) -> tuple:
-    seen = set()
-    out = []
-    for d in derivations:
-        if d not in seen:
-            seen.add(d)
-            out.append(d)
-    return tuple(out)

@@ -17,12 +17,13 @@ per-SCC configuration (touched components moving, all others resting at
 their — necessarily constant — subterms) decides the existence question
 exactly.  Components are the leaf slots of the SCC's own shape (every
 state of an SCC has one), so components spawned before the cycle count.
-Terminal violations (a maximal state with only blocking actions enabled
-while a role is stuck mid-protocol) are checked separately.  The search
-is exhaustive whenever exploration was not truncated.  Every witness
-cycle is confirmed by the full lasso justness check; when some witness
-fails it and no other is confirmed, the verdict is "unknown", never
-"holds".
+Per role, cycles come first, in the order Tarjan's algorithm finds the
+SCCs; the first witness cycle that the full lasso justness check
+confirms is reported.  Only then are dead ends tried (a maximal state
+with only blocking actions enabled while the role is stuck
+mid-protocol).  The search is exhaustive whenever exploration was not
+truncated.  When some witness cycle fails the check and no other
+witness is confirmed, the verdict is "unknown", never "holds".
 
 The per-state and per-edge loops read int columns, not `Transition`s:
 transition sources, targets and label ids (`Lts.sources`, `Lts.targets`,
@@ -229,9 +230,10 @@ def _cycle_through(lts: Lts, inside, anchor: int, required: list) -> list:
 def check_liveness(model: ProtocolModel,
                    max_states: int = 1_000_000) -> LivenessVerdict:
     ws = _prepare(model, max_states)
+    excluded = ws.ok.count(0)
     if ws.lts.truncated:
         return LivenessVerdict("unknown", exhaustive=False,
-                               excluded_states=ws.ok.count(0))
+                               excluded_states=excluded)
     mode = model.mode
     env = model.env
     lts = ws.lts
@@ -247,11 +249,8 @@ def check_liveness(model: ProtocolModel,
     unconfirmed = None  # role of the first witness that is_just rejected
 
     for role in model.roles:
-        candidates = []  # (score, kind, payload); cycles preferred
         crit = label_id.get(role.crit, -1)
         noncrit = label_id.get(role.noncrit, -1)
-        other_crits = {label_id.get(r.crit) for r in model.roles
-                       if r is not role}
         # the role's edges: no crit action, no excluded target
         mask = bytearray(map(and_, ws.ok_edges,
                              map(crit.__ne__, label_of)))
@@ -267,53 +266,25 @@ def check_liveness(model: ProtocolModel,
             anchor = min(comp)
             # the role must be stuck mid-protocol on this cycle
             noncrit_edges = [i for i in edges if label_of[i] == noncrit]
-            pending_states = [s for s in comp if pending[s]]
-            if not edges or not noncrit_edges and not pending_states:
+            waiting = [s for s in comp if pending[s]]
+            if not edges or not noncrit_edges and not waiting:
                 continue
             # every state of the SCC has the anchor's shape: a Par never
             # disappears, so none can appear on a cycle either
             shape, leaves = lts.states[anchor]
             touched = frozenset().union(*(trans[i].components
                                           for i in edges))
-            verdict = analyze_configuration(ws.engine, env, shape, leaves,
-                                            touched, mode)
-            if not verdict.just:
+            if not analyze_configuration(ws.engine, env, shape, leaves,
+                                         touched, mode).just:
                 continue
-            # prefer informative witnesses: cycles over dead ends, then
-            # SCCs showing the most other roles completing their rounds,
-            # then ones where this role performs no transition at all
-            other = len(other_crits.intersection([label_of[i]
-                                                  for i in edges]))
-            role_rests = role.leaf not in {shape.addresses[slot]
-                                           for slot in touched}
-            candidates.append(((1, other, role_rests), "cycle",
-                               (edges, anchor, noncrit_edges,
-                                pending_states)))
-        # terminal violations: a maximal, only-blocking state reached
-        # while the role is still mid-protocol
-        candidates += [((0, 0, True), "terminal", s) for s in stuck
-                       if pending[s]]
-        for score, kind, payload in sorted(candidates,
-                                           key=lambda c: c[0], reverse=True):
-            if kind == "terminal":
-                stem = ws.stem({payload})
-                if stem is None:
-                    continue  # only reachable through excluded states
-                lasso = Lasso(tuple(stem), ())
-                verdict = is_just(lts, env, lasso, mode, ws.engine)
-                return LivenessVerdict(
-                    "violated", exhaustive=True, role=role.name,
-                    counterexample=(lasso, verdict),
-                    excluded_states=ws.ok.count(0))
-            edges, anchor, noncrit_edges, pending = payload
             # build a witness cycle covering every touched component
             required = []
             covered = frozenset()
-            if noncrit_edges and not pending:
+            if noncrit_edges and not waiting:
                 required.append(noncrit_edges[0])
                 covered = trans[noncrit_edges[0]].components
-            elif pending:
-                anchor = min(pending)
+            elif waiting:
+                anchor = min(waiting)
             inside = bytearray(len(trans))
             for i in edges:
                 inside[i] = 1
@@ -323,18 +294,25 @@ def check_liveness(model: ProtocolModel,
             walk = _cycle_through(lts, inside, anchor, required)
             stem = ws.stem({anchor})
             if stem is None:
-                continue
+                continue  # only reachable through excluded states
             lasso = Lasso(tuple(stem), tuple(walk))
-            full = is_just(lts, env, lasso, mode, ws.engine)
-            if not full.just:
+            verdict = is_just(lts, env, lasso, mode, ws.engine)
+            if not verdict.just:
                 unconfirmed = unconfirmed or role.name
                 continue
-            return LivenessVerdict(
-                "violated", exhaustive=True, role=role.name,
-                counterexample=(lasso, full),
-                excluded_states=ws.ok.count(0))
+            return LivenessVerdict("violated", True, role.name,
+                                   (lasso, verdict), excluded)
+        # dead ends: a maximal, only-blocking state reached while the
+        # role is still mid-protocol
+        for s in stuck:
+            stem = ws.stem({s}) if pending[s] else None
+            if stem is not None:
+                lasso = Lasso(tuple(stem), ())
+                return LivenessVerdict("violated", True, role.name, (
+                    lasso, is_just(lts, env, lasso, mode, ws.engine)),
+                    excluded)
     if unconfirmed is not None:
         return LivenessVerdict("unknown", exhaustive=True, role=unconfirmed,
-                               excluded_states=ws.ok.count(0))
+                               excluded_states=excluded)
     return LivenessVerdict("holds", exhaustive=True,
-                           excluded_states=ws.ok.count(0))
+                           excluded_states=excluded)

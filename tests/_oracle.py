@@ -39,7 +39,9 @@ builds from one system's cached quotient and the other system.
 reference for the skeleton explorer `ccss.lts.explore`.  `oracle_sccs`
 is Tarjan's algorithm over dicts and a successor function, the
 reference for `ccss.verify._sccs`, which runs on int arrays and an edge
-mask.  It resolves each
+mask.  `oracle_liveness` judges every strongly connected set of a role's
+edges, the reference for the per-SCC search of
+`ccss.verify.check_liveness`.  `term_explore` resolves each
 transition's components by address prefix: the leaf above each
 participant.  `reference_analyze_configuration` rebuilds every resting
 leaf's label and emission sets and tests each Par's clauses element by
@@ -155,18 +157,18 @@ def oracle_config(engine, env, state_term, movers, mode="ccss"):
             just_bases, sig_bases = set(), set()
             sig_pairs = (tuple(product(ls, rs)) if mode == "ccss"
                          else ((0, 0),))
+            # per set: the complements of its handshakes, the signals it
+            # reads
+            zbar = {z: acts.mask(a.complement() for a in acts.decode(z)
+                                 if a.is_handshake) for z in rj}
+            reads = {y: sigs.mask(a.name for a in acts.decode(y)
+                                  if a.is_signal) for y in lj | rj}
             for x, z in product(lj, rj):
-                zbar = acts.mask(a.complement()
-                                 for a in acts.decode(z) if a.is_handshake)
-                if x & zbar:
+                if x & zbar[z]:
                     continue
                 for xp, zp in sig_pairs:
                     if mode == "ccss":
-                        xreads = sigs.mask(a.name for a in acts.decode(x)
-                                           if a.is_signal)
-                        zreads = sigs.mask(a.name for a in acts.decode(z)
-                                           if a.is_signal)
-                        if xreads & zp or xp & zreads:
+                        if reads[x] & zp or xp & reads[z]:
                             continue
                     just_bases.add(x | z)
             for xp, zp in product(ls, rs):
@@ -350,6 +352,112 @@ def reference_is_just(lts, env, lasso, mode="ccss", engine=None):
             break
     return verdict
 
+
+MAX_EDGES = 16
+
+
+class SearchTooLarge(Exception):
+    pass
+
+
+def _strongly_connected(chosen, ends):
+    """Whether the edges in `chosen` (a bitmask over `ends`, each edge a
+    (source bit, target bit) pair) form one strongly connected graph over
+    the states they touch."""
+    edges = [ends[k] for k in range(len(ends)) if chosen >> k & 1]
+    nodes = 0
+    for src, tgt in edges:
+        nodes |= src | tgt
+    for flip in (False, True):
+        reached = nodes & -nodes  # the lowest state
+        grown = True
+        while grown:
+            grown = False
+            for src, tgt in edges:
+                a, b = (tgt, src) if flip else (src, tgt)
+                if reached & a and not reached & b:
+                    reached |= b
+                    grown = True
+        if reached != nodes:
+            return False
+    return True
+
+
+def oracle_liveness(model):
+    """Per role, in order: (name, just cycles, dead ends), by brute force,
+    the reference for `ccss.verify.check_liveness`, which searches the
+    strongly connected components of each role's graph.  A role's edges
+    are the transitions without its crit label into states that are not
+    excluded, from states reached from the initial one without entering
+    an excluded state.  Its just cycles are the subsets of those edges
+    that form one strongly connected graph, have a noncrit edge or a
+    pending state, and are just when the components their edges move
+    keep moving and every other component rests (`oracle_config`,
+    judged at the subset's lowest state).  Its dead ends are the
+    reached, pending states whose actions all block.  A subset is a
+    closed walk, not a simple cycle: a run that takes two loops in turn
+    may be just when neither loop alone is.
+
+    Such a subset only holds edges whose source and target reach each
+    other, between states of one class of mutually reachable states, so
+    the subsets of each class's edges are enumerated; `SearchTooLarge` is
+    raised when a class has more than `MAX_EDGES` edges."""
+    from ccss.lts import explore
+    from ccss.sos import SosEngine
+    env = model.env
+    engine = SosEngine(env)
+    lts = explore(env, model.root, engine=engine)
+    trans = lts.transitions
+    ok = model.in_model(lts.states)
+
+    def reach(source, edges):
+        """The states reachable from source over these edges."""
+        found, frontier = {source}, [source]
+        while frontier:
+            s = frontier.pop()
+            for t in edges:
+                if t.src == s and t.tgt not in found:
+                    found.add(t.tgt)
+                    frontier.append(t.tgt)
+        return found
+
+    reached = reach(lts.initial, [t for t in trans if ok[t.tgt]])
+    stuck = [s for s in sorted(reached)
+             if all(env.is_blocking(t.label) for t in trans if t.src == s)]
+    verdicts = {}
+    out = []
+    for role in model.roles:
+        pending = model.flags(lts.states, role, role.pending_terms)
+        edges = [t for t in trans if t.src in reached and ok[t.tgt]
+                 and t.label != role.crit]
+        ahead = {s: reach(s, edges) for s in reached}
+        classes = {}
+        for t in edges:
+            if t.src in ahead[t.tgt]:
+                cls = frozenset(s for s in ahead[t.src] if t.src in ahead[s])
+                classes.setdefault(cls, []).append(t)
+        cycles = 0
+        for group in classes.values():
+            if len(group) > MAX_EDGES:
+                raise SearchTooLarge(
+                    f"role {role.name}: {len(group)} edges in one class")
+            ends = [(1 << t.src, 1 << t.tgt) for t in group]
+            for chosen in range(1, 1 << len(group)):
+                if not _strongly_connected(chosen, ends):
+                    continue
+                walk = [t for k, t in enumerate(group) if chosen >> k & 1]
+                states = {t.src for t in walk}
+                if not (any(t.label == role.noncrit for t in walk)
+                        or any(pending[s] for s in states)):
+                    continue
+                key = (min(states),
+                       frozenset(p for t in walk for p in t.participants))
+                if key not in verdicts:
+                    verdicts[key] = oracle_config(
+                        engine, env, lts.term(key[0]), key[1], model.mode)[0]
+                cycles += verdicts[key]
+        out.append((role.name, cycles, sum(pending[s] for s in stuck)))
+    return out
 
 def _disjoint_union(lts_a, lts_b):
     """Merge two systems into one state list; b's ids are shifted.  Per

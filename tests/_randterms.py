@@ -132,3 +132,44 @@ def _composition(rng, depth, alphabet, signals, names):
     if signals:
         return SignalEmit(body, Name(rng.choice(signals), ()))
     return body
+
+
+def random_role_source(rng: random.Random) -> str:
+    """The source of a small mutual-exclusion system: one or two roles,
+    each `X = noncritX.WX` with a waiting agent `WX` that busy-waits,
+    enters `critX` or gets stuck, beside plain agents over `a`, `b`
+    and the signal `s`, three components at most.  Sometimes a gate
+    component `'critA.G` and a restriction of `critA` turn A's crit
+    action into tau, so that A's pending and non-pending states share
+    cycles; random names are restricted and some actions block."""
+    steps = ["a", "'a", "b", "'b", "s", "tau"]
+    roles = ["A", "B"][:rng.randint(1, 2)]
+    lines = ["signals { s }",
+             "blocking { " + ", ".join(
+                 [f"noncrit{x}" for x in roles]
+                 + rng.sample(["a", "b", "s"], rng.randint(0, 3))) + " }"]
+    for x in roles:
+        branches = []
+        for _ in range(rng.randint(1, 2)):
+            step = rng.choice(steps)
+            branches.append(rng.choice([
+                f"{step}.W{x}", f"{step}.crit{x}.{x}", f"crit{x}.{x}",
+                f"{step}.0"]))
+        lines += [f"{x} = noncrit{x}.W{x}", f"W{x} = " + " + ".join(branches)]
+    parts = list(roles)
+    for k in range(rng.randint(0, 2 - len(roles) // 2)):
+        body = " + ".join(f"{rng.choice(steps)}.V{k}"
+                          for _ in range(rng.randint(1, 2)))
+        lines.append(f"V{k} = ({body}) ^ s" if rng.random() < 0.4
+                     else f"V{k} = {body}")
+        parts.append(f"V{k}")
+    hidden = rng.sample(["a", "b"], rng.randint(0, 2))
+    if len(parts) < 3 and rng.random() < 0.25:
+        lines.append("G = 'critA.G")
+        parts.append("G")
+        hidden.append("critA")
+    system = " | ".join(parts)
+    if hidden:
+        system = f"({system}) \\ {{{', '.join(hidden)}}}"
+    lines.append(f"system = {system}")
+    return "\n".join(lines) + "\n"

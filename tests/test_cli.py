@@ -162,7 +162,8 @@ def test_an_option_the_model_does_not_take_is_refused(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
-    option = next((word for word in argv.split()
+    words = argv.split()
+    option = next((f"{word} {value}" for word, value in zip(words, words[1:])
                    if word in ("--flavor", "--n", "--ticket-bound")),
                   "FILE or --model")
     assert line.startswith("error:") and option in line

@@ -19,8 +19,10 @@ from ccss import protocols, verify
 from ccss.errors import CcssError
 from ccss.syntax import parse
 
-from _oracle import oracle_sccs
-from _randterms import ENV as RAND_ENV, sample_terms
+from _oracle import (
+    SearchTooLarge, oracle_is_just, oracle_liveness, oracle_sccs,
+)
+from _randterms import ENV as RAND_ENV, random_role_source, sample_terms
 
 
 def replay(model, lts, lasso):
@@ -198,6 +200,90 @@ def test_configurations_under_different_parallel_structure_stay_apart():
     assert verdict.status == "violated"
     lasso, justness = verdict.counterexample
     assert lasso.cycle and justness.just
+
+
+# Hiding critA masks no edge of A's graph, so its one SCC holds both the
+# state before noncritA and the pending state after it.
+MIXED = """\
+blocking { noncritA }
+A = noncritA.critA.A
+C = 'critA.C
+system = (A | C) \\ {critA}
+"""
+
+
+def test_a_witness_cycle_starts_at_a_pending_state_of_its_scc():
+    model = protocols.roles_from_file(parse(MIXED))
+    (role,) = model.roles
+    verdict = check_liveness(model)
+    assert verdict.status == "violated" and verdict.role == "A"
+    lasso, justness = verdict.counterexample
+    assert justness.just and lasso.cycle
+    lts = explore(model.env, model.root)
+    replay(model, lts, lasso)
+    anchor = lts.states[lasso.anchor(lts)]
+    assert model.flags([anchor], role, role.pending_terms)[0]
+    assert model.flags([lts.states[lts.initial]], role,
+                       role.pending_terms)[0] == 0
+
+
+def assert_liveness_matches_the_oracle(model):
+    """`check_liveness` starves the first role that the brute-force
+    search starves, or none; its witness is a cycle when that role has a
+    just one, replays, and the oracle finds it just and `is_complete`
+    complete.  The oracle's outcome: "holds", "cycle" or "dead end"."""
+    per_role = oracle_liveness(model)
+    starved = [(name, "cycle" if cycles else "dead end")
+               for name, cycles, dead_ends in per_role
+               if cycles or dead_ends]
+    verdict = check_liveness(model)
+    if not starved:
+        assert (verdict.status, verdict.role) == ("holds", None)
+        return "holds"
+    (role, kind), *_ = starved
+    assert (verdict.status, verdict.role) == ("violated", role)
+    lasso, justness = verdict.counterexample
+    assert bool(lasso.cycle) == (kind == "cycle")  # cycles come first
+    lts = explore(model.env, model.root)
+    replay(model, lts, lasso)
+    assert justness.just
+    assert oracle_is_just(lts, model.env, lasso, model.mode)
+    assert is_complete(lts, model.env, lasso, mode=model.mode)
+    return kind
+
+
+# Once A waits, each of B's and C's loops alone leaves the other copy
+# resting with its action enabled; only a walk taking both is just.
+TWO_LOOPS = """\
+blocking { noncritA, req }
+A = noncritA.req.critA.A
+B = b.B
+C = c.C
+system = A | B | C
+"""
+
+
+@pytest.mark.parametrize("source", [
+    BROKEN, SPAWNING, BRANCHES, MIXED, TWO_LOOPS,
+    protocols.example1().source, protocols.example2().source,
+], ids=["broken", "spawning", "branches", "mixed", "two-loops", "example1",
+        "example2"])
+def test_liveness_matches_the_brute_force_search(source):
+    model = protocols.roles_from_file(parse(source))
+    assert assert_liveness_matches_the_oracle(model) in ("holds", "cycle")
+
+
+def test_liveness_matches_the_brute_force_search_on_random_systems():
+    outcomes = []
+    for seed in range(200):
+        model = protocols.roles_from_file(parse(random_role_source(
+            random.Random(seed))))
+        try:
+            outcomes.append(assert_liveness_matches_the_oracle(model))
+        except SearchTooLarge:
+            continue  # more than the oracle's edge budget
+    assert len(outcomes) >= 50
+    assert {"holds", "cycle", "dead end"} <= set(outcomes)
 
 
 def test_unconfirmed_witness_gives_unknown_not_holds(monkeypatch, capsys):
