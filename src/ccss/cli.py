@@ -58,6 +58,17 @@ def _load(path: str):
     return spec
 
 
+def _explore(spec, args, **kwargs):
+    """The explored system of a loaded file, under the state cap; warns
+    when the cap truncated it."""
+    lts = explore(spec.env, spec.root, max_states=_max_states(args),
+                  **kwargs)
+    if lts.truncated:
+        print("warning: exploration truncated at the state limit",
+              file=sys.stderr)
+    return lts
+
+
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
@@ -71,11 +82,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_lts(args) -> int:
-    spec = _load(args.file)
-    lts = explore(spec.env, spec.root, max_states=_max_states(args))
-    if lts.truncated:
-        print("warning: exploration truncated at the state limit",
-              file=sys.stderr)
+    lts = _explore(_load(args.file), args)
     if args.dot:
         print(export_dot(lts))
     else:
@@ -109,8 +116,9 @@ def cmd_bisim(args) -> int:
 def cmd_just(args) -> int:
     spec = _load(args.file)
     engine = SosEngine(spec.env)
-    lts = explore(spec.env, spec.root, max_states=_max_states(args),
-                  engine=engine)
+    # transitions dropped at the cap shift the indices of later ones, so
+    # the lasso must name those of `ccss lts` under the same cap
+    lts = _explore(spec, args, engine=engine)
     try:
         stem_part, _, cycle_part = args.lasso.partition(";")
         stem = tuple(int(x) for x in stem_part.split(",") if x.strip())
@@ -167,6 +175,9 @@ def _get_model(args):
 
 def cmd_verify(args) -> int:
     model = _get_model(args)
+    if not model.roles:
+        print("warning: no component has a noncrit*/crit* action pair, so "
+              "the verdict covers no process", file=sys.stderr)
     if args.safety:
         verdict = check_safety(model, max_states=_max_states(args))
         print(json.dumps(verdict.to_json(), indent=2))

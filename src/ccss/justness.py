@@ -22,8 +22,12 @@ and the signals it emits.  They are computed once per leaf term and mode
 and kept in the `SosEngine`, beside the derivations they summarize, so
 the side-conditions at each parallel composition are set intersections
 and the sets are unions; offending actions are built only for a
-witness.  A cycle step's alternative derivations are read from
-`Lts.alternatives`, built once per system.
+witness.
+
+A lasso's transition indices name derivations, not (source, label,
+target) triples: where two derivations share a triple, the index says
+which components move, so a run presented by its transitions gets one
+verdict however its cycle is written (rotated or repeated).
 """
 
 from __future__ import annotations
@@ -227,34 +231,14 @@ def is_just(lts: Lts, env: Environment, lasso: Lasso, mode: str = "ccss",
     the anchor where its cycle starts.  Every cycle state has the anchor's
     shape (a Par never disappears, and a node above a Par appears only
     with a new Par, so a cycle neither adds nor drops a node), and a slot
-    that no cycle transition moves keeps its leaf.  When a cycle
-    transition admits several derivations (entries with its source, label
-    and target), the path is just if some choice of derivations is:
-    every distinct set of moving slots is tried, in the order an
-    enumeration of the choices first meets it."""
+    that no cycle transition moves keeps its leaf.  Each transition index
+    names one derivation, so the moving slots are the components of the
+    cycle's own transitions."""
     engine = engine or SosEngine(env)
     shape, leaves = lts.states[lasso.validate(lts)]
-    # A step with one derivation adds its slots to every choice, which
-    # commutes with the other steps' choices and keeps their order, so
-    # those slots are added once, at the end.
-    moved, mover_sets = set(), [frozenset()]
-    if lasso.cycle:
-        alternatives, trans = lts.alternatives, lts.transitions
-        for i in lasso.cycle:
-            choices = alternatives.get(i)
-            if choices is None:
-                moved |= trans[i].components
-            else:
-                mover_sets = list(dict.fromkeys(
-                    m | c for m in mover_sets for c in choices))
-    if moved:
-        mover_sets = list(dict.fromkeys(m | moved for m in mover_sets))
-    for movers in mover_sets:
-        verdict = analyze_configuration(engine, env, shape, leaves, movers,
-                                        mode)
-        if verdict.just:
-            break
-    return verdict
+    trans = lts.transitions
+    movers = frozenset().union(*(trans[i].components for i in lasso.cycle))
+    return analyze_configuration(engine, env, shape, leaves, movers, mode)
 
 
 def is_complete(lts: Lts, env: Environment, lasso: Lasso,

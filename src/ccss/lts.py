@@ -4,7 +4,8 @@ An explored state is its parallel shape and its leaf terms (`State`);
 its canonical term is built on demand (`Lts.term`).  Every derivation
 found by the semantics becomes its own transition entry, so a single
 (source, label, target) triple can occur several times with different
-provenance; each records the leaf slots it moves, for justness.
+provenance; each records the leaf slots it moves, so a transition index
+names one derivation and justness reads the moving components from it.
 """
 
 from __future__ import annotations
@@ -108,30 +109,6 @@ class Lts:
     def targets(self) -> list:
         """Each transition's target state, by index."""
         return [t.tgt for t in self.transitions]
-
-    @cached_property
-    def alternatives(self) -> dict:
-        """The alternative derivations of a step: each transition that
-        shares its (source, label id, target) with another entry maps to
-        the `components` of every entry with that triple, in index order.
-        A step with one derivation is absent, so a system without a
-        repeated triple keeps an empty dict.  Entries that share a triple
-        share a source, so each state's outgoing steps are grouped only
-        when two of them share a (label id, target) pair."""
-        label, target = self.label_ids[0].__getitem__, self.targets.__getitem__
-        out = {}
-        for steps in self._out:
-            pairs = set(zip(map(label, steps), map(target, steps)))
-            if len(pairs) == len(steps):
-                continue
-            groups = {}
-            for i in steps:
-                groups.setdefault((label(i), target(i)), []).append(i)
-            for group in groups.values():
-                if len(group) > 1:
-                    out.update(dict.fromkeys(group, [
-                        self.transitions[i].components for i in group]))
-        return out
 
     @cached_property
     def label_ids(self) -> tuple:

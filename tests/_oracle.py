@@ -49,9 +49,10 @@ element, the reference for `ccss.justness.analyze_configuration`, which
 reads per-leaf set summaries and tests them by set intersection.
 `oracle_explain` reads bisimulation evidence from label objects, the
 reference for `ccss.bisim._explain`, which reads int moves.
-`reference_is_just` scans each cycle step's siblings among the
-`Transition`s, the reference for `ccss.justness.is_just`, which reads
-them from `Lts.alternatives`.
+`oracle_is_just` takes a lasso's moving components from the
+participant addresses of its cycle's transitions and judges them on the
+anchor's whole term, the reference for `ccss.justness.is_just`, which
+reads leaf slots (`Transition.components`) and the anchor's shape.
 """
 
 from __future__ import annotations
@@ -158,11 +159,12 @@ def oracle_config(engine, env, state_term, movers, mode="ccss"):
             sig_pairs = (tuple(product(ls, rs)) if mode == "ccss"
                          else ((0, 0),))
             # per set: the complements of its handshakes, the signals it
-            # reads
+            # reads (a name that no subterm emits is in no Z' or X')
             zbar = {z: acts.mask(a.complement() for a in acts.decode(z)
                                  if a.is_handshake) for z in rj}
             reads = {y: sigs.mask(a.name for a in acts.decode(y)
-                                  if a.is_signal) for y in lj | rj}
+                                  if a.is_signal and a.name in sigs.pos)
+                     for y in lj | rj}
             for x, z in product(lj, rj):
                 if x & zbar[z]:
                     continue
@@ -273,84 +275,24 @@ def reference_analyze_configuration(engine, env, shape, leaves, movers,
     return JustnessVerdict(True, minimal_y=x)
 
 
-def _alternatives(lts, t):
-    """All transitions with the same (source, label, target) triple."""
-    siblings = (lts.transitions[i] for i in lts.outgoing(t.src))
-    return [u for u in siblings if u.label == t.label and u.tgt == t.tgt]
-
-
-def oracle_is_just(lts, env, lasso, mode="ccss", engine=None,
-                   max_assignments=4096, cache=None):
-    """Exhaustive justness verdict for an ultimately periodic run.
-
-    Mirrors the run-level quantifier structure: the run is just iff *some*
-    choice of derivation for each cycle step yields a configuration that
-    some fully enumerated Y certifies.
-    """
+def oracle_is_just(lts, env, lasso, mode="ccss", engine=None, cache=None):
+    """Exhaustive justness verdict for an ultimately periodic run: the
+    components whose projection is infinite are the participants of the
+    cycle's own transitions (each transition index names one derivation),
+    and the run is just iff some fully enumerated Y certifies that
+    configuration at the anchor's whole term.  `cache` keeps verdicts by
+    (anchor term, movers, mode) across calls."""
     from ccss.sos import SosEngine
     engine = engine or SosEngine(env)
-    anchor = lasso.validate(lts)
-    anchor_term = lts.term(anchor)
-
-    def config(movers):
-        if cache is not None:
-            key = (anchor_term, movers, mode)
-            if key not in cache:
-                cache[key] = oracle_config(engine, env, anchor_term,
-                                           movers, mode)[0]
-            return cache[key]
+    anchor_term = lts.term(lasso.validate(lts))
+    movers = frozenset(p for i in lasso.cycle
+                       for p in lts.transitions[i].participants)
+    if cache is None:
         return oracle_config(engine, env, anchor_term, movers, mode)[0]
-
-    if not lasso.cycle:
-        return config(frozenset())
-    options = [_alternatives(lts, lts.transitions[i]) for i in lasso.cycle]
-    seen = set()
-    count = 0
-    for choice in product(*options):
-        count += 1
-        if count > max_assignments:
-            raise AssertionError("assignment budget exhausted")
-        movers = frozenset(p for t in choice for p in t.participants)
-        if movers in seen:
-            continue
-        seen.add(movers)
-        if config(movers):
-            return True
-    return False
-
-
-def reference_is_just(lts, env, lasso, mode="ccss", engine=None):
-    """The verdict of `ccss.justness.is_just`, finding each cycle step's
-    alternative derivations by scanning its source's outgoing
-    `Transition`s for entries with its label and target, the reference
-    for `is_just`, which reads them from `Lts.alternatives`.  Every
-    distinct set of moving slots is tried, in the order an enumeration of
-    the choices first meets it; a step with one derivation adds its
-    slots to every choice at the end."""
-    from ccss.justness import analyze_configuration
-    from ccss.sos import SosEngine
-    engine = engine or SosEngine(env)
-    trans = lts.transitions
-    anchor = lts.initial
-    for i in lasso.stem:
-        anchor = trans[i].tgt
-    shape, leaves = lts.states[anchor]
-    moved, mover_sets = set(), [frozenset()]
-    for i in lasso.cycle:
-        choices = [u.components for u in _alternatives(lts, trans[i])]
-        if len(choices) == 1:
-            moved |= choices[0]
-        else:
-            mover_sets = list(dict.fromkeys(
-                m | c for m in mover_sets for c in choices))
-    if moved:
-        mover_sets = list(dict.fromkeys(m | moved for m in mover_sets))
-    for movers in mover_sets:
-        verdict = analyze_configuration(engine, env, shape, leaves, movers,
-                                        mode)
-        if verdict.just:
-            break
-    return verdict
+    key = (anchor_term, movers, mode)
+    if key not in cache:
+        cache[key] = oracle_config(engine, env, anchor_term, movers, mode)[0]
+    return cache[key]
 
 
 MAX_EDGES = 16

@@ -203,6 +203,39 @@ def test_verify_reports_unknown_when_truncated(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["status"] == "unknown"
 
 
+def test_just_warns_when_exploration_was_truncated(tmp_path, capsys):
+    path = tmp_path / "loop.ccss"
+    path.write_text("A = a.A + b.B\nB = b.B\nsystem = A\n")
+    assert main(["just", str(path), "--lasso", ";0"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    # the cap drops the step into B; the loop keeps index 0
+    assert main(["just", str(path), "--lasso", ";0",
+                 "--max-states", "1"]) == 0
+    capped, err = capsys.readouterr()
+    assert err == "warning: exploration truncated at the state limit\n"
+    assert capped == out
+
+
+@pytest.mark.parametrize("property", ["--safety", "--liveness"])
+def test_verify_warns_when_the_model_has_no_role(tmp_path, capsys, property):
+    """A model without a `noncrit*`/`crit*` pair has no process to check:
+    the verdict is printed as before, with one warning on stderr."""
+    path = tmp_path / "plain.ccss"
+    path.write_text("A = a.A\nsystem = A | b.0\n")
+    warning = ("warning: no component has a noncrit*/crit* action pair, "
+               "so the verdict covers no process\n")
+    key, holds = (("holds", True) if property == "--safety"
+                  else ("status", "holds"))
+    for target in (["--model", "example1"], [str(path)]):
+        assert main(["verify", property, *target]) == 0
+        out, err = capsys.readouterr()
+        assert err == warning
+        assert json.loads(out)[key] == holds
+    assert main(["verify", property, "--model", "peterson2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_on_a_plain_file_infers_roles(tmp_path, capsys):
     path = tmp_path / "pet.ccss"
     assert main(["gen", "--model", "peterson2", "--flavor", "ccs",

@@ -57,19 +57,7 @@ def test_the_adjacency_is_derived_not_passed_in():
         for s in range(lts.num_states)]
 
 
-def brute_force_alternatives(lts):
-    """Per transition whose (source, label, target) another entry shares,
-    the components of every entry with that triple, in index order."""
-    out = {}
-    for i, t in enumerate(lts.transitions):
-        group = [u.components for u in lts.transitions
-                 if (u.src, u.label, u.tgt) == (t.src, t.label, t.tgt)]
-        if len(group) > 1:
-            out[i] = group
-    return out
-
-
-def test_source_and_alternative_columns_group_the_transitions():
+def test_the_source_column_lists_each_transitions_source():
     env = Environment()
     env.define(Name("A", ()), parse_term("a.A + b.A", signals=()))
     twins = explore(env, parse_term("A | A", signals=()))
@@ -77,22 +65,18 @@ def test_source_and_alternative_columns_group_the_transitions():
                          for term in sample_terms(40)]
     for lts in systems:
         assert lts.sources == [t.src for t in lts.transitions]
-        assert lts.alternatives == brute_force_alternatives(lts)
-    # each state has both copies do a and both do b
-    assert len(twins.alternatives) == len(twins.transitions)
-    # no repeated triple: nothing is kept
+    # each state has both copies do a and both do b: every (source,
+    # label, target) triple is two entries, one per moving copy
+    triples = [(t.src, t.label, t.tgt) for t in twins.transitions]
+    assert len(set(triples)) * 2 == len(triples)
+    assert len({t.components for t in twins.transitions}) == 2
+    # a system built from another's lists keeps its own columns
     model = protocols.example2()
     lts = explore(model.env, model.root)
-    assert len(set((t.src, t.label, t.tgt) for t in lts.transitions)) == len(
-        lts.transitions)
-    assert lts.alternatives == {}
-    # a system built from another's lists keeps its own columns
     doubled = Lts(lts.states, lts.initial, lts.transitions * 2,
                   lts.state_signals)
     assert doubled.sources == lts.sources * 2
-    assert doubled.alternatives == brute_force_alternatives(doubled)
-    assert len(doubled.alternatives) == len(doubled.transitions)
-    assert lts.alternatives == {} and len(lts.sources) == len(lts.transitions)
+    assert len(lts.sources) == len(lts.transitions)
 
 
 def test_state_signals_recorded_per_state():

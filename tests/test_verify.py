@@ -428,8 +428,9 @@ def test_verdicts_do_not_depend_on_label_identity(monkeypatch):
 
 
 def test_verdicts_build_only_the_columns_they_read(monkeypatch):
-    """Safety reads no source column and no alternatives; liveness reads
-    sources, and alternatives only to confirm a witness cycle."""
+    """Safety that finds no bad state builds no column; liveness builds
+    the adjacency and the source, target and label columns, and
+    confirming a witness cycle builds no further one."""
     explored = []
 
     def keep(env, root, **kwargs):
@@ -437,12 +438,14 @@ def test_verdicts_build_only_the_columns_they_read(monkeypatch):
         return explored[-1]
 
     def built():
-        return {"sources", "alternatives"} & vars(explored.pop()).keys()
+        fields = {f.name for f in dataclasses.fields(Lts)}
+        return vars(explored.pop()).keys() - fields
 
     monkeypatch.setattr(verify, "explore", keep)
     assert check_safety(protocols.peterson2("ccs")).holds
     assert built() == set()
     assert check_liveness(protocols.peterson2("ccss")).holds
-    assert built() == {"sources"}
+    columns = {"_out", "sources", "targets", "label_ids"}
+    assert built() == columns
     assert check_liveness(protocols.peterson2("ccs")).status == "violated"
-    assert built() == {"sources", "alternatives"}
+    assert built() == columns
