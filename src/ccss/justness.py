@@ -18,11 +18,12 @@ projection step: reading a signal involves only the reader.
 
 A resting leaf's part in the pass is four sets: its enabled labels, the
 complements of its handshake labels, the names its signal reads need
-and the signals it emits.  They are computed once per leaf term and mode
-and kept in the `SosEngine`, beside the derivations they summarize, so
+and the signals it emits.  They are computed once per leaf term and
+kept in the `SosEngine`, beside the derivations they summarize, so
 the side-conditions at each parallel composition are set intersections
 and the sets are unions; offending actions are built only for a
-witness.
+witness.  A model that declares no signals reads and emits none, so only
+the handshake clause, the justness of CCS, can fail there.
 
 A lasso's transition indices name derivations, not (source, label,
 target) triples: where two derivations share a triple, the index says
@@ -80,7 +81,9 @@ class Lasso:
         return lts.targets[self.stem[-1]] if self.stem else lts.initial
 
     def advance(self) -> "Lasso":
-        """The lasso presenting the suffix after one transition."""
+        """The suffix after one transition, read from the path's second
+        state (`validate` reads from the initial one): the stem shortened
+        or, with no stem, the cycle rotated; a bare finite path unchanged."""
         if self.stem:
             return Lasso(self.stem[1:], self.cycle)
         if self.cycle:
@@ -117,39 +120,31 @@ class JustnessVerdict:
 # --------------------------------------------------------------------------
 # bottom-up minimal-set analysis
 
-_NONE = frozenset()
-
-
-def _wants(labels: frozenset, mode: str) -> tuple:
+def _wants(labels: frozenset) -> tuple:
     """(the complements of the handshake labels, the names the signal
     reads need): what a subtree with these enabled labels synchronizes
-    with.  Signal reads count only in ccss mode."""
+    with."""
     return (frozenset([a.complement() for a in labels if a.is_handshake]),
-            frozenset([a.name for a in labels if a.kind == SIGNAL])
-            if mode == "ccss" else _NONE)
+            frozenset([a.name for a in labels if a.kind == SIGNAL]))
 
 
-def _summary(engine: SosEngine, term, mode: str) -> tuple:
+def _summary(engine: SosEngine, term) -> tuple:
     """A resting leaf's (enabled labels, complements of its handshakes,
     names its signal reads need, signals it emits), kept in the engine
-    once per leaf term and mode.  In ccs mode both signal sets are
-    empty, so the two signal clauses never hold."""
-    key = (term, mode)
-    summary = engine.summaries.get(key)
+    once per leaf term."""
+    summary = engine.summaries.get(term)
     if summary is None:
         labels = frozenset([d.label for d in engine.transitions(term)])
-        summary = engine.summaries[key] = (
-            labels, *_wants(labels, mode),
-            engine.signals(term) if mode == "ccss" else _NONE)
+        summary = engine.summaries[term] = (
+            labels, *_wants(labels), engine.signals(term))
     return summary
 
 
-_MOVING = (_NONE, _NONE, _NONE, _NONE)  # a leaf whose projection is infinite
+_MOVING = (frozenset(),) * 4  # a leaf whose projection is infinite
 
 
 def analyze_configuration(engine: SosEngine, env: Environment, shape: Shape,
-                          leaves: tuple, movers: frozenset,
-                          mode: str = "ccss") -> JustnessVerdict:
+                          leaves: tuple, movers: frozenset) -> JustnessVerdict:
     """Justness verdict for an ultimately periodic path whose cycle visits
     a state with this shape and these leaves, and moves exactly the slots
     in `movers` (every other leaf rests at its term).
@@ -165,7 +160,7 @@ def analyze_configuration(engine: SosEngine, env: Environment, shape: Shape,
         kind = node[0]
         if kind == LEAF:
             stack.append(_MOVING if node[1] in movers
-                         else _summary(engine, leaves[node[1]], mode))
+                         else _summary(engine, leaves[node[1]]))
         elif kind == PAR:
             right = stack.pop()
             left = stack[-1]
@@ -186,12 +181,12 @@ def analyze_configuration(engine: SosEngine, env: Environment, shape: Shape,
                 x = frozenset([a for a in x
                                if a.is_tau or a.name not in hidden])
                 s = s.difference(hidden)
-                c, r = _wants(x, mode)
+                c, r = _wants(x)
             elif kind == RELABEL:
                 f = node[1]
                 x = frozenset([f.apply(a) for a in x])
                 s = frozenset([f.apply_name(n, True) for n in s])
-                c, r = _wants(x, mode)
+                c, r = _wants(x)
             else:
                 s = s | {node[1]}
             stack.append((x, c, r, s))
@@ -225,7 +220,7 @@ def _par_witness(address: tuple, left: tuple, right: tuple):
 # --------------------------------------------------------------------------
 # full lasso verdicts
 
-def is_just(lts: Lts, env: Environment, lasso: Lasso, mode: str = "ccss",
+def is_just(lts: Lts, env: Environment, lasso: Lasso, mode=None,
             engine: Optional[SosEngine] = None) -> JustnessVerdict:
     """Decide justness of the path presented by the lasso from one state,
     the anchor where its cycle starts.  Every cycle state has the anchor's
@@ -233,24 +228,23 @@ def is_just(lts: Lts, env: Environment, lasso: Lasso, mode: str = "ccss",
     with a new Par, so a cycle neither adds nor drops a node), and a slot
     that no cycle transition moves keeps its leaf.  Each transition index
     names one derivation, so the moving slots are the components of the
-    cycle's own transitions."""
+    cycle's own transitions.  `mode` is unused; perfbench passes it."""
     engine = engine or SosEngine(env)
     shape, leaves = lts.states[lasso.validate(lts)]
     trans = lts.transitions
     movers = frozenset().union(*(trans[i].components for i in lasso.cycle))
-    return analyze_configuration(engine, env, shape, leaves, movers, mode)
+    return analyze_configuration(engine, env, shape, leaves, movers)
 
 
-def is_complete(lts: Lts, env: Environment, lasso: Lasso,
-                mode: str = "ccss",
+def is_complete(lts: Lts, env: Environment, lasso: Lasso, mode=None,
                 engine: Optional[SosEngine] = None) -> bool:
     """Whether the lasso presents an entire run: finite maximal paths must
     end where only blocking actions are enabled (progress), infinite
     paths must be just.  Unless exploration was truncated, every
     derivation of an explored state is one of its transitions, so the
-    enabled actions are read from the system itself."""
+    enabled actions are read from the system itself.  `mode` is unused."""
     if not lasso.terminal:
-        return is_just(lts, env, lasso, mode, engine).just
+        return is_just(lts, env, lasso, engine=engine).just
     anchor = lasso.validate(lts)
     if not lts.truncated:
         return all(env.is_blocking(lts.transitions[i].label)

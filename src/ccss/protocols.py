@@ -50,7 +50,7 @@ class ProtocolModel:
 
     @property
     def mode(self) -> str:
-        """Justness mode: `ccss` when the model declares signals."""
+        """`ccss` when the model declares signals; only perfbench reads it."""
         return "ccss" if self.env.declared_signals else "ccs"
 
     def in_model(self, states: list) -> bytearray:

@@ -60,7 +60,7 @@ class SosEngine:
     def __init__(self, env: Environment):
         self.env = env
         self._memo = {}  # term -> (derivations, emitters, signal names)
-        self.summaries = {}  # (leaf term, mode) -> justness summary
+        self.summaries = {}  # leaf term -> justness summary
 
     def transitions(self, term: Term) -> tuple:
         return self._entry(term, ())[0]

@@ -17,6 +17,9 @@ per-SCC configuration (touched components moving, all others resting at
 their — necessarily constant — subterms) decides the existence question
 exactly.  Components are the leaf slots of the SCC's own shape (every
 state of an SCC has one), so components spawned before the cycle count.
+The role is stuck on an SCC with a pending state or a noncrit edge: an
+edge with the role's noncrit label, of any component, as the brute-force
+reference reads it; with no pending state the witness takes one first.
 Per role, cycles come first, in the order Tarjan's algorithm finds the
 SCCs; the first witness cycle that the full lasso justness check
 confirms is reported.  Only then are dead ends tried (a maximal state
@@ -234,7 +237,6 @@ def check_liveness(model: ProtocolModel,
     if ws.lts.truncated:
         return LivenessVerdict("unknown", exhaustive=False,
                                excluded_states=excluded)
-    mode = model.mode
     env = model.env
     lts = ws.lts
     trans = lts.transitions
@@ -275,7 +277,7 @@ def check_liveness(model: ProtocolModel,
             touched = frozenset().union(*(trans[i].components
                                           for i in edges))
             if not analyze_configuration(ws.engine, env, shape, leaves,
-                                         touched, mode).just:
+                                         touched).just:
                 continue
             # build a witness cycle covering every touched component
             required = []
@@ -296,7 +298,7 @@ def check_liveness(model: ProtocolModel,
             if stem is None:
                 continue  # only reachable through excluded states
             lasso = Lasso(tuple(stem), tuple(walk))
-            verdict = is_just(lts, env, lasso, mode, ws.engine)
+            verdict = is_just(lts, env, lasso, engine=ws.engine)
             if not verdict.just:
                 unconfirmed = unconfirmed or role.name
                 continue
@@ -309,7 +311,7 @@ def check_liveness(model: ProtocolModel,
             if stem is not None:
                 lasso = Lasso(tuple(stem), ())
                 return LivenessVerdict("violated", True, role.name, (
-                    lasso, is_just(lts, env, lasso, mode, ws.engine)),
+                    lasso, is_just(lts, env, lasso, engine=ws.engine)),
                     excluded)
     if unconfirmed is not None:
         return LivenessVerdict("unknown", exhaustive=True, role=unconfirmed,

@@ -10,9 +10,8 @@ which it is Y-signalling), directly from the coinductive clauses:
     (and Y-signalling iff that state emits signals from Y only);
   * a run of P | Q is Y-just iff it decomposes into an X-just and
     X'-signalling run of P and a Z-just and Z'-signalling run of Q with
-    Y >= X u Z, X n comp(Z) = 0, X n Z' = 0 and X' n Z = 0 (the two signal
-    conditions are dropped in plain-handshake mode); it is Y-signalling
-    iff it decomposes with Y >= X' u Z';
+    Y >= X u Z, X n comp(Z) = 0, X n Z' = 0 and X' n Z = 0; it is
+    Y-signalling iff it decomposes with Y >= X' u Z';
   * a run of P \\ L is Y-just iff the inner run is (Y u L u comp(L))-just,
     and Y-signalling iff the inner run is (Y u L_sig)-signalling;
   * a run of P[f] is Y-just (Y-signalling) iff the inner run is
@@ -123,7 +122,7 @@ def _universes(engine, term):
     return _Index(sorted(actions, key=str)), _Index(sorted(signals, key=str))
 
 
-def oracle_config(engine, env, state_term, movers, mode="ccss"):
+def oracle_config(engine, env, state_term, movers):
     """(just?, root family of Y masks, action index).
 
     `movers` is the set of component addresses whose projection of the run
@@ -155,9 +154,8 @@ def oracle_config(engine, env, state_term, movers, mode="ccss"):
         if isinstance(term, Par):
             lj, ls = families(term.left, path + (STEP_LEFT,))
             rj, rs = families(term.right, path + (STEP_RIGHT,))
-            just_bases, sig_bases = set(), set()
-            sig_pairs = (tuple(product(ls, rs)) if mode == "ccss"
-                         else ((0, 0),))
+            just_bases = set()
+            sig_pairs = tuple(product(ls, rs))
             # per set: the complements of its handshakes, the signals it
             # reads (a name that no subterm emits is in no Z' or X')
             zbar = {z: acts.mask(a.complement() for a in acts.decode(z)
@@ -169,12 +167,9 @@ def oracle_config(engine, env, state_term, movers, mode="ccss"):
                 if x & zbar[z]:
                     continue
                 for xp, zp in sig_pairs:
-                    if mode == "ccss":
-                        if reads[x] & zp or xp & reads[z]:
-                            continue
-                    just_bases.add(x | z)
-            for xp, zp in product(ls, rs):
-                sig_bases.add(xp | zp)
+                    if not (reads[x] & zp or xp & reads[z]):
+                        just_bases.add(x | z)
+            sig_bases = {xp | zp for xp, zp in sig_pairs}
             return upward(just_bases, acts), upward(sig_bases, sigs)
         if isinstance(term, Restrict):
             cj, cs = families(term.body, path + (STEP_RESTRICT,))
@@ -208,8 +203,7 @@ def oracle_config(engine, env, state_term, movers, mode="ccss"):
         if isinstance(term, SignalEmit):
             cj, cs = families(term.body, path + (STEP_EMIT,))
             bit = sigs.mask([term.signal])
-            sig = frozenset(y for y in cs if bit >= 0 and y & bit == bit
-                            ) if mode == "ccss" else cs
+            sig = frozenset(y for y in cs if bit >= 0 and y & bit == bit)
             return cj, sig
         raise AssertionError(f"unexpected node {type(term).__name__}")
 
@@ -219,8 +213,7 @@ def oracle_config(engine, env, state_term, movers, mode="ccss"):
     return just, root_just, acts
 
 
-def reference_analyze_configuration(engine, env, shape, leaves, movers,
-                                    mode="ccss"):
+def reference_analyze_configuration(engine, env, shape, leaves, movers):
     """The justness verdict of `ccss.justness.analyze_configuration`,
     from one pass over the shape's post-order nodes that keeps, per
     subtree, X_min (the actions it must see blocked) and X'_min (the
@@ -236,19 +229,17 @@ def reference_analyze_configuration(engine, env, shape, leaves, movers,
             else:
                 stack.append((
                     frozenset(d.label for d in engine.transitions(term)),
-                    engine.signals(term) if mode == "ccss" else frozenset()))
+                    engine.signals(term)))
         elif kind == PAR:
             xr, sr = stack.pop()
             xl, sl = stack.pop()
-            clauses = [("X ∩ Z̄_H ≠ ∅", {a for a in xl if a.is_handshake
-                                         and a.complement() in xr})]
-            if mode == "ccss":
-                clauses += [
+            for clause, offending in (
+                    ("X ∩ Z̄_H ≠ ∅", {a for a in xl if a.is_handshake
+                                      and a.complement() in xr}),
                     ("X ∩ Z′ ≠ ∅",
                      {a for a in xl if a.kind == SIGNAL and a.name in sr}),
                     ("X′ ∩ Z ≠ ∅",
-                     {a for a in xr if a.kind == SIGNAL and a.name in sl})]
-            for clause, offending in clauses:
+                     {a for a in xr if a.kind == SIGNAL and a.name in sl})):
                 if offending:
                     return JustnessVerdict(False, witness=Witness(
                         "/".join(node[1]) or "(root)", clause,
@@ -275,23 +266,25 @@ def reference_analyze_configuration(engine, env, shape, leaves, movers,
     return JustnessVerdict(True, minimal_y=x)
 
 
-def oracle_is_just(lts, env, lasso, mode="ccss", engine=None, cache=None):
+def oracle_is_just(lts, env, lasso, mode=None, engine=None, cache=None):
     """Exhaustive justness verdict for an ultimately periodic run: the
     components whose projection is infinite are the participants of the
     cycle's own transitions (each transition index names one derivation),
     and the run is just iff some fully enumerated Y certifies that
     configuration at the anchor's whole term.  `cache` keeps verdicts by
-    (anchor term, movers, mode) across calls."""
+    (anchor term, movers) across calls.  `mode` is unused; it stays while
+    the benchmark harness (perfbench/workloads.py) passes it
+    positionally."""
     from ccss.sos import SosEngine
     engine = engine or SosEngine(env)
     anchor_term = lts.term(lasso.validate(lts))
     movers = frozenset(p for i in lasso.cycle
                        for p in lts.transitions[i].participants)
     if cache is None:
-        return oracle_config(engine, env, anchor_term, movers, mode)[0]
-    key = (anchor_term, movers, mode)
+        return oracle_config(engine, env, anchor_term, movers)[0]
+    key = (anchor_term, movers)
     if key not in cache:
-        cache[key] = oracle_config(engine, env, anchor_term, movers, mode)[0]
+        cache[key] = oracle_config(engine, env, anchor_term, movers)[0]
     return cache[key]
 
 
@@ -396,7 +389,7 @@ def oracle_liveness(model):
                        frozenset(p for t in walk for p in t.participants))
                 if key not in verdicts:
                     verdicts[key] = oracle_config(
-                        engine, env, lts.term(key[0]), key[1], model.mode)[0]
+                        engine, env, lts.term(key[0]), key[1])[0]
                 cycles += verdicts[key]
         out.append((role.name, cycles, sum(pending[s] for s in stuck)))
     return out

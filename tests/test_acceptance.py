@@ -92,8 +92,8 @@ def test_criterion_2_signal_example_equivalence_and_justness_flip():
                                for t in lts.transitions)
     assert shape(lts1) == shape(lts2)
     # the all-reads run flips from just to unjust
-    v1 = is_just(lts1, m1.env, rho1, mode=m1.mode)
-    v2 = is_just(lts2, m2.env, rho2, mode=m2.mode)
+    v1 = is_just(lts1, m1.env, rho1)
+    v2 = is_just(lts2, m2.env, rho2)
     assert v1.just
     assert not v2.just
     assert v2.witness.clause == "X ∩ Z̄_H ≠ ∅"
@@ -117,7 +117,7 @@ def test_criterion_4_liveness_dichotomy_between_flavors():
     lasso, justness = ccs.counterexample
     assert justness.just and justness.minimal_y == frozenset()
     lts = explore(model.env, model.root)
-    assert is_complete(lts, model.env, lasso, mode=model.mode)
+    assert is_complete(lts, model.env, lasso)
     _, ccss = _verdicts("peterson-ccss-live")
     assert ccss.status == "holds"
     assert ccss.exhaustive

@@ -29,7 +29,7 @@ def _reader_lasso(model):
 def test_reader_loop_is_just_with_handshake_variable():
     model = protocols.example1()
     lts, rho = _reader_lasso(model)
-    verdict = is_just(lts, model.env, rho, mode=model.mode)
+    verdict = is_just(lts, model.env, rho)
     assert verdict.just
     assert verdict.minimal_y == frozenset()
 
@@ -37,7 +37,7 @@ def test_reader_loop_is_just_with_handshake_variable():
 def test_reader_loop_is_unjust_with_signal_variable():
     model = protocols.example2()
     lts, rho = _reader_lasso(model)
-    verdict = is_just(lts, model.env, rho, mode=model.mode)
+    verdict = is_just(lts, model.env, rho)
     assert not verdict.just
     assert verdict.witness.clause == "X ∩ Z̄_H ≠ ∅"
     assert "assign_x_false" in verdict.witness.offending
@@ -79,7 +79,7 @@ def test_terminal_lasso_justness_matches_enabled_actions():
 def test_verdict_minimal_y_contains_only_blocking_actions():
     model = protocols.example1()
     lts, rho = _reader_lasso(model)
-    verdict = is_just(lts, model.env, rho, mode=model.mode)
+    verdict = is_just(lts, model.env, rho)
     assert all(model.env.is_blocking(a) for a in verdict.minimal_y)
 
 
@@ -177,7 +177,7 @@ def test_suffix_closure_justness_is_stable_under_advance(seed):
             # the same infinite run one step later; the verdict may not
             # change
             slid = Lasso(lasso.stem + lasso.cycle[:1],
-                         lasso.cycle[1:] + lasso.cycle[:1])
+                         Lasso((), lasso.cycle).advance().cycle)
             assert is_just(lts, env, slid).just == before
             # the verdict is a function of the run's tail, not of the stem
             key = (lasso.anchor(lts), frozenset(lasso.cycle))
@@ -248,24 +248,21 @@ def test_configuration_justness_is_monotone_in_the_mover_set(seed):
 def assert_configurations_match_the_reference(term, mover_sets):
     """Set summaries and intersections give the reference's verdict, its
     minimal Y and its witness (node, clause, offending actions) on every
-    explored state (up to a small cap), for each of `mover_sets(slots)`,
-    in both modes.  The summaries are kept once per resting leaf and mode
-    in the one shared engine, so a second pass asks the engine for no
-    derivations."""
+    explored state (up to a small cap), for each of `mover_sets(slots)`.
+    The summaries are kept once per resting leaf in the one shared
+    engine, so a second pass asks the engine for no derivations."""
     from _randterms import ENV
     engine = SosEngine(ENV)
     lts = explore(ENV, term, max_states=25, engine=engine)
     cases = []
     for shape, leaves in lts.states:
         for movers in mover_sets(range(len(leaves))):
-            for mode in ("ccss", "ccs"):
-                want = reference_analyze_configuration(
-                    engine, ENV, shape, leaves, movers, mode)
-                got = analyze_configuration(engine, ENV, shape, leaves,
-                                            movers, mode)
-                assert got == want, (shape.nodes, leaves, movers, mode)
-                cases.append((shape, leaves, movers, mode, got))
-    resting = {(leaves[s], mode) for _, leaves, movers, mode, _ in cases
+            want = reference_analyze_configuration(engine, ENV, shape,
+                                                   leaves, movers)
+            got = analyze_configuration(engine, ENV, shape, leaves, movers)
+            assert got == want, (shape.nodes, leaves, movers)
+            cases.append((shape, leaves, movers, got))
+    resting = {leaves[s] for _, leaves, movers, _ in cases
                for s in range(len(leaves)) if s not in movers}
     assert set(engine.summaries) <= resting
 
@@ -273,9 +270,9 @@ def assert_configurations_match_the_reference(term, mover_sets):
         raise AssertionError(f"summary of {term} not kept")
 
     engine.transitions = no_derivations
-    for shape, leaves, movers, mode, verdict in cases:
-        assert analyze_configuration(engine, ENV, shape, leaves, movers,
-                                     mode) == verdict
+    for shape, leaves, movers, verdict in cases:
+        assert analyze_configuration(engine, ENV, shape, leaves,
+                                     movers) == verdict
     return cases
 
 
@@ -317,26 +314,8 @@ def test_configuration_verdicts_match_the_reference_above_a_par(text, clause):
 
     term = parse_term(text, signals=("s", "t"))
     cases = assert_configurations_match_the_reference(term, every_subset)
-    shape, leaves, movers, mode, verdict = cases[0]  # initial, none moves
+    shape, leaves, movers, verdict = cases[0]  # initial, none moves
     assert (verdict.witness.clause if verdict.witness else None) == clause
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_handshake_mode_and_signal_mode_agree_without_signals(seed):
-    rng = random.Random(seed)
-    cycles = 0
-    for _ in range(20):  # draw until a system has a cycle within reach
-        env, root = random_system(rng, signals=())
-        lts = explore(env, root, max_states=2000)
-        for lasso in list(enumerate_lassos(lts, max_stem=1,
-                                           max_cycle=3))[:30]:
-            assert (is_just(lts, env, lasso, mode="ccs").just
-                    == is_just(lts, env, lasso, mode="ccss").just)
-            cycles += bool(lasso.cycle)
-        if cycles:
-            break
-    assert cycles
 
 
 def test_spot_check_against_brute_force_oracle():
@@ -462,3 +441,21 @@ def test_lasso_validate_reports_where_the_path_breaks():
         with pytest.raises(ValueError) as error:
             lasso.validate(lts)
         assert str(error.value) == message
+
+
+def test_advance_presents_the_suffix_from_the_second_state():
+    spec = parse("A = a.b.A\nsystem = A\n")
+    lts = explore(spec.env, spec.root)
+    a, b = (next(i for i, t in enumerate(lts.transitions)
+                 if str(t.label) == name) for name in "ab")
+    # the stem loses its first transition
+    assert Lasso((a, b), (a, b)).advance() == Lasso((b,), (a, b))
+    # with no stem, the cycle is rotated by one
+    rotated = Lasso((), (a, b)).advance()
+    assert rotated == Lasso((), (b, a))
+    # read from the path's second state, not from the initial one
+    with pytest.raises(ValueError, match=f"cycle breaks at transition {b}"):
+        rotated.validate(lts)
+    assert Lasso((a,), rotated.cycle).validate(lts) == lts.transitions[a].tgt
+    # a finite path with no stem has no suffix to present
+    assert Lasso((), ()).advance() == Lasso((), ())

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccss.cli import main
-from ccss.justness import JustnessVerdict, is_complete, is_just
+from ccss.justness import JustnessVerdict, Lasso, is_complete, is_just
 from ccss.lts import Lts, Transition, explore
 from ccss.sos import SosEngine
 from ccss.terms import TAU, Action
@@ -100,8 +100,8 @@ def test_peterson_handshake_liveness_counterexample_is_meaningful():
         for p in lts.transitions[idx].participants:
             assert p[:len(starved.leaf)] != starved.leaf
     # independent re-verification of the emitted lasso
-    assert is_just(lts, model.env, lasso, mode=model.mode).just
-    assert is_complete(lts, model.env, lasso, mode=model.mode)
+    assert is_just(lts, model.env, lasso).just
+    assert is_complete(lts, model.env, lasso)
 
 
 def test_peterson_signal_liveness_holds_exhaustively():
@@ -122,9 +122,9 @@ def test_liveness_counterexample_is_a_complete_just_run_starving_its_role():
     lts = explore(model.env, model.root)
     verdict = check_liveness(model)
     lasso, _ = verdict.counterexample
-    justness = is_just(lts, model.env, lasso, mode=model.mode)
+    justness = is_just(lts, model.env, lasso)
     assert justness.just
-    assert is_complete(lts, model.env, lasso, mode=model.mode)
+    assert is_complete(lts, model.env, lasso)
     assert justness.minimal_y == frozenset()
     # a role is starved when it has left its noncritical section (in the
     # cycle or at its start) but the cycle never enters its critical one
@@ -165,7 +165,7 @@ system = A | S
 
 def test_components_spawned_before_the_cycle_are_resolved_per_scc():
     model = protocols.roles_from_file(parse(SPAWNING))
-    assert model.mode == "ccs"
+    assert not model.env.declared_signals
     verdict = check_liveness(model)
     assert verdict.status == "violated"
     assert verdict.role == "A"
@@ -173,8 +173,8 @@ def test_components_spawned_before_the_cycle_are_resolved_per_scc():
     assert justness.just and lasso.cycle
     lts = explore(model.env, model.root)
     replay(model, lts, lasso)
-    assert is_just(lts, model.env, lasso, mode=model.mode).just
-    assert is_complete(lts, model.env, lasso, mode=model.mode)
+    assert is_just(lts, model.env, lasso).just
+    assert is_complete(lts, model.env, lasso)
 
 
 # Both branches spawn leaves at the same addresses with the same resting
@@ -195,7 +195,7 @@ system = A | S
 
 def test_configurations_under_different_parallel_structure_stay_apart():
     model = protocols.roles_from_file(parse(BRANCHES))
-    assert model.mode == "ccss"
+    assert model.env.declared_signals
     verdict = check_liveness(model)
     assert verdict.status == "violated"
     lasso, justness = verdict.counterexample
@@ -247,8 +247,8 @@ def assert_liveness_matches_the_oracle(model):
     lts = explore(model.env, model.root)
     replay(model, lts, lasso)
     assert justness.just
-    assert oracle_is_just(lts, model.env, lasso, model.mode)
-    assert is_complete(lts, model.env, lasso, mode=model.mode)
+    assert oracle_is_just(lts, model.env, lasso)
+    assert is_complete(lts, model.env, lasso)
     return kind
 
 
@@ -271,6 +271,55 @@ system = A | B | C
 def test_liveness_matches_the_brute_force_search(source):
     model = protocols.roles_from_file(parse(source))
     assert assert_liveness_matches_the_oracle(model) in ("holds", "cycle")
+
+
+# B's own noncritA loop is a noncrit edge of role A while A is not
+# pending: the witness cycle must take it, not B's tau loop, in which
+# noncritA never occurs.
+FOREIGN_NONCRIT = """\
+blocking { noncritA }
+A = noncritA.critA.A
+B = tau.B + noncritA.B
+system = A | B
+"""
+
+
+def test_a_noncrit_edge_of_another_component_starts_the_witness_cycle():
+    model = protocols.roles_from_file(parse(FOREIGN_NONCRIT))
+    assert oracle_liveness(model) == [("A", 2, 0)]
+    assert assert_liveness_matches_the_oracle(model) == "cycle"
+    verdict = check_liveness(model)
+    assert (verdict.status, verdict.role) == ("violated", "A")
+    lasso, _ = verdict.counterexample
+    assert lasso == Lasso((), (2,))
+    lts = explore(model.env, model.root)
+    (step,) = lasso.cycle
+    assert lts.transitions[step].label == model.roles[0].noncrit
+    assert model.flags([lts.states[lts.initial]], model.roles[0],
+                       model.roles[0].pending_terms)[0] == 0
+
+
+# The SCC of D's tau loop is pending and just, but it is reached only
+# through the excluded states overflow.C and C, so it gives no witness.
+BEHIND_EXCLUDED = """\
+blocking { noncritA, critA, overflow }
+A = noncritA.overflow.C
+C = tau.D
+D = tau.D + critA.A
+system = A
+"""
+
+
+def test_an_scc_reached_only_through_excluded_states_is_skipped():
+    model = protocols.roles_from_file(parse(BEHIND_EXCLUDED))
+    assert oracle_liveness(model) == [("A", 0, 0)]
+    assert assert_liveness_matches_the_oracle(model) == "holds"
+    verdict = check_liveness(model)
+    assert verdict.excluded_states == 2
+    ws = _prepare(model, 1_000_000)
+    (loop,) = [i for i, t in enumerate(ws.lts.transitions)
+               if t.src == t.tgt]
+    assert ws.stem({ws.lts.transitions[loop].src}) is None
 
 
 def test_liveness_matches_the_brute_force_search_on_random_systems():
