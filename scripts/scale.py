@@ -6,14 +6,16 @@ states explored, the seconds exploration takes, and the seconds each
 verdict spends after exploration (its search and witness).  A second
 line per model gives its number of bisimulation classes and whether a
 copy with states and transitions shuffled is bisimilar to it, with the
-seconds each took.  Exits 1 when a verdict differs from `EXPECTED`, a
-class count from `CLASSES`, or the copy is not bisimilar.  Takes about
-35 s and 160 MB of memory (max RSS, CPython 3.11.7 on a 2-vCPU x86_64
-VM).
+seconds each took, and a SHA-256 digest of the explored transitions.
+Exits 1 when a verdict differs from `EXPECTED`, a class count from
+`CLASSES`, a digest from `DIGESTS`, or the copy is not bisimilar.  Takes
+about 40 s and 160 MB of memory (max RSS, CPython 3.11.7 on a 2-vCPU
+x86_64 VM); the digests take about 1 s of it.
 
     python scripts/scale.py
 """
 
+import hashlib
 import pathlib
 import random
 import sys
@@ -49,6 +51,27 @@ CLASSES = {
     ("bakery N=3 K=4", "ccs"): 19353,
     ("bakery N=3 K=4", "ccss"): 19353,
 }
+# `digest` of each explored system: the same under PYTHONHASHSEED=0 and 1
+DIGESTS = {
+    ("filter N=4", "ccs"):
+        "013caf54bc2678b03fb19c6c16a258a6e649fa8f9ba709593ce16f86bc365c80",
+    ("filter N=4", "ccss"):
+        "d6c335e34aeb421ddf907481bede9224985ce1191b10ca36cd6f33e459349d48",
+    ("bakery N=3 K=4", "ccs"):
+        "b44fcf72e3e3da052c3c5bd86b7091086210def53185f957bb14b8175d27547d",
+    ("bakery N=3 K=4", "ccss"):
+        "caf2000a8c5ac41dd10bfadfb55795ffec7782cb3fc7c89d207cbf80eed2958f",
+}
+
+
+def digest(lts: Lts) -> str:
+    """SHA-256 over the transitions in index order, one line each: source,
+    label text, target and the sorted component slots."""
+    h = hashlib.sha256()
+    for t in lts.transitions:
+        h.update(f"{t.src} {t.label} {t.tgt} {sorted(t.components)}\n"
+                 .encode())
+    return h.hexdigest()
 
 
 def timed(check, model):
@@ -116,6 +139,10 @@ def main() -> int:
                   f" a shuffled copy is {'' if same else 'not '}bisimilar "
                   f"({bisim_s:.2f} s)"
                   f"{'' if classes == want else f' expected {want} classes'}")
+            found, pinned = digest(lts), DIGESTS[name, flavor]
+            wrong += found != pinned
+            print(f"{'':16} {'':6} transitions sha256 {found}"
+                  f"{'' if found == pinned else ' expected ' + pinned}")
     return 1 if wrong else 0
 
 

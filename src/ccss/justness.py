@@ -25,6 +25,19 @@ and the sets are unions; offending actions are built only for a
 witness.  A model that declares no signals reads and emits none, so only
 the handshake clause, the justness of CCS, can fail there.
 
+The steps above the leaves are kept in the engine too, in
+`compositions` (hash-consing): a Par's pair of child summaries maps to
+their union or to a clash, a Restrict, Relabel or SignalEmit node with
+its child's summary to the node's summary, and the root's X with the
+blocking set to the verdict; an unjust Par's verdict is kept per Par
+node, so its witness names its own address.  Each value is built once
+and is the one object every later call with its key gets, so keys hash
+the frozensets' cached hashes and match by identity, and a configuration
+met again is one dictionary hit per node.  The memo holds one entry per
+distinct key met, so it is bounded by the distinct resting-leaf
+combinations the caller asks about: on the benchmark's models it stops
+growing below 200 entries per system.
+
 A lasso's transition indices name derivations, not (source, label,
 target) triples: where two derivations share a triple, the index says
 which components move, so a run presented by its transitions gets one
@@ -141,6 +154,7 @@ def _summary(engine: SosEngine, term) -> tuple:
 
 
 _MOVING = (frozenset(),) * 4  # a leaf whose projection is infinite
+_CLASH = object()  # a Par whose side-condition fails
 
 
 def analyze_configuration(engine: SosEngine, env: Environment, shape: Shape,
@@ -154,7 +168,10 @@ def analyze_configuration(engine: SosEngine, env: Environment, shape: Shape,
     and the names its signal reads need (both derived from X_min), and
     X'_min (the signals it keeps emitting).  At a Par the three clauses
     are set intersections; the first Par where one is non-empty is the
-    witness."""
+    witness.  Each step is read from, or written to, the engine's
+    `compositions` (its keys are listed above `_compose`), so a
+    configuration met again is a walk of dictionary hits."""
+    memo = engine.compositions
     stack = []
     for node in shape.nodes:
         kind = node[0]
@@ -166,31 +183,72 @@ def analyze_configuration(engine: SosEngine, env: Environment, shape: Shape,
             left = stack[-1]
             if right is _MOVING:
                 continue
-            xl, cl, rl, sl = left
-            xr, cr, rr, sr = right
-            if not (cl.isdisjoint(xr) and rl.isdisjoint(sr)
-                    and rr.isdisjoint(sl)):
-                return _par_witness(node[1], left, right)
-            if left is not _MOVING:
-                right = (xl | xr, cl | cr, rl | rr, sl | sr)
-            stack[-1] = right
+            if left is _MOVING:
+                stack[-1] = right
+                continue
+            key = (left, right)
+            union = memo.get(key)
+            if union is None:
+                union = memo[key] = _compose(left, right)
+            if union is _CLASH:
+                key = (node, left, right)
+                verdict = memo.get(key)
+                if verdict is None:
+                    verdict = memo[key] = _par_witness(node[1], left, right)
+                return verdict
+            stack[-1] = union
         else:
-            x, c, r, s = stack.pop()
-            if kind == RESTRICT:
-                hidden = node[1]
-                x = frozenset([a for a in x
-                               if a.is_tau or a.name not in hidden])
-                s = s.difference(hidden)
-                c, r = _wants(x)
-            elif kind == RELABEL:
-                f = node[1]
-                x = frozenset([f.apply(a) for a in x])
-                s = frozenset([f.apply_name(n, True) for n in s])
-                c, r = _wants(x)
-            else:
-                s = s | {node[1]}
-            stack.append((x, c, r, s))
+            key = (node, stack[-1])
+            lifted = memo.get(key)
+            if lifted is None:
+                lifted = memo[key] = _lifted(node, stack[-1])
+            stack[-1] = lifted
     x = stack[0][0]
+    key = (env.blocking, x)
+    verdict = memo.get(key)
+    if verdict is None:
+        verdict = memo[key] = _root_verdict(env, x)
+    return verdict
+
+
+# Keys of `SosEngine.compositions`, which never collide: a summary is a
+# 4-tuple of frozensets, a node a tuple that starts with its kind.
+#   (left summary, right summary) -> their union, or _CLASH
+#   (Par node, left summary, right summary) -> that Par's unjust verdict
+#   (Restrict/Relabel/Emit node, child summary) -> the node's summary
+#   (blocking names, X of the root) -> the root's verdict
+
+def _compose(left: tuple, right: tuple):
+    """The summary of a Par of two resting subtrees, or _CLASH when one
+    of its three side-conditions fails."""
+    xl, cl, rl, sl = left
+    xr, cr, rr, sr = right
+    if not (cl.isdisjoint(xr) and rl.isdisjoint(sr) and rr.isdisjoint(sl)):
+        return _CLASH
+    return (xl | xr, cl | cr, rl | rr, sl | sr)
+
+
+def _lifted(node: tuple, summary: tuple) -> tuple:
+    """The summary seen above a Restrict, Relabel or SignalEmit node."""
+    x, c, r, s = summary
+    kind = node[0]
+    if kind == RESTRICT:
+        hidden = node[1]
+        x = frozenset([a for a in x if a.is_tau or a.name not in hidden])
+        s = s.difference(hidden)
+        c, r = _wants(x)
+    elif kind == RELABEL:
+        f = node[1]
+        x = frozenset([f.apply(a) for a in x])
+        s = frozenset([f.apply_name(n, True) for n in s])
+        c, r = _wants(x)
+    else:
+        s = s | {node[1]}
+    return (x, c, r, s)
+
+
+def _root_verdict(env: Environment, x: frozenset) -> JustnessVerdict:
+    """Just iff every action the whole term must see blocked blocks."""
     bad = sorted((a for a in x if not env.is_blocking(a)), key=str)
     if bad:
         clause = ("finite path enables τ" if bad[0].is_tau else

@@ -54,13 +54,16 @@ class SosEngine:
     (`contains_par` false): the leaves the explorer composes.  A term
     with a visible `Par` is derived from its memoized parts each time it
     is asked for, and nothing of it is kept.  `ccss.justness` keeps its
-    per-leaf set summaries in `summaries`, so they live as long as the
-    engine whose derivations they summarize."""
+    per-leaf set summaries in `summaries` and its memo of the steps above
+    the leaves in `compositions`, so they live as long as the engine
+    whose derivations they summarize; each holds one entry per distinct
+    leaf or summary combination asked about."""
 
     def __init__(self, env: Environment):
         self.env = env
         self._memo = {}  # term -> (derivations, emitters, signal names)
         self.summaries = {}  # leaf term -> justness summary
+        self.compositions = {}  # justness steps above the leaves
 
     def transitions(self, term: Term) -> tuple:
         return self._entry(term, ())[0]

@@ -132,6 +132,10 @@ class _Parser:
         """`method(*args)`, with any error given its position."""
         try:
             return method(*args)
+        except RecursionError:
+            # the parser descends once per nesting level
+            raise ParseError("input nested too deeply to parse",
+                             *self.position(self.i)) from None
         except _Failure as exc:
             message, index, scope = exc.args
             line, column = self.position(index)

@@ -16,7 +16,7 @@ from _lassos import enumerate_lassos
 from _oracle import (
     UniverseTooLarge, oracle_is_just, reference_analyze_configuration,
 )
-from _randterms import random_system, random_term
+from _randterms import SIGNALS, random_system, random_term
 
 
 def _reader_lasso(model):
@@ -459,3 +459,94 @@ def test_advance_presents_the_suffix_from_the_second_state():
     assert Lasso((a,), rotated.cycle).validate(lts) == lts.transitions[a].tgt
     # a finite path with no stem has no suffix to present
     assert Lasso((), ()).advance() == Lasso((), ())
+
+
+# -- the engine's memo of compositions ---------------------------------------
+
+def _configurations(lts):
+    """Every (shape, leaves, movers) of the system: each state with each
+    set of its slots moving."""
+    return [(shape, leaves,
+             frozenset(s for s in range(len(leaves)) if k >> s & 1))
+            for shape, leaves in lts.states
+            for k in range(2 ** len(leaves))]
+
+
+@pytest.mark.parametrize("signals", [SIGNALS, ()],
+                         ids=["signals", "handshakes"])
+def test_a_shared_engine_gives_the_verdicts_of_a_fresh_engine_per_call(
+        signals):
+    """Verdict, minimal Y and witness do not depend on what the engine
+    was asked before: on every state and mover set of seeded random
+    systems, asked forwards and backwards of one engine each."""
+    seen = set()
+    for seed in range(20):
+        env, root = random_system(random.Random(seed), agents=4, depth=4,
+                                  signals=signals)
+        lts = explore(env, root, max_states=30)
+        cases = _configurations(lts)
+        want = [analyze_configuration(SosEngine(env), env, *case)
+                for case in cases]
+        for order in (cases, cases[::-1]):
+            engine = SosEngine(env)
+            got = {case: analyze_configuration(engine, env, *case)
+                   for case in order}
+            assert [got[case] for case in cases] == want, seed
+        seen.update(v.witness.node if v.witness else v.just for v in want)
+    # just and unjust verdicts, at a Par and at the root
+    assert {True, "(root)"} < seen
+
+
+def test_equal_clashing_pars_each_name_their_own_address():
+    """Two Pars whose children have equal summaries clash alike, but each
+    witness names the Par it was found at, in either call order."""
+    env = Environment()  # nothing blocks
+    term = parse_term("(a.0 | 'a.0) | (a.0 | 'a.0)", signals=())
+    shape, leaves = explore(env, term, max_states=1).states[0]
+    cases = ((frozenset({2, 3}), "L"), (frozenset({0, 1}), "R"))
+    for order in (cases, cases[::-1]):
+        engine = SosEngine(env)
+        for movers, node in order:
+            verdict = analyze_configuration(engine, env, shape, leaves,
+                                            movers)
+            assert verdict.witness.node == node
+            assert verdict == analyze_configuration(
+                SosEngine(env), env, shape, leaves, movers)
+        assert len(engine.summaries) == 2  # a.0 and 'a.0 on both sides
+
+
+def test_a_root_verdict_is_not_read_across_blocking_sets():
+    """One engine asked under two environments that block differently
+    gives each the verdict a fresh engine gives it."""
+    term = parse_term("a.0 | b.0", signals=())
+    blocking, free = Environment(blocking=("a", "b")), Environment()
+    shape, leaves = explore(free, term, max_states=1).states[0]
+    engine = SosEngine(free)
+    for env, just in ((blocking, True), (free, False), (blocking, True)):
+        verdict = analyze_configuration(engine, env, shape, leaves,
+                                        frozenset())
+        assert verdict.just is just
+        assert verdict == analyze_configuration(
+            SosEngine(env), env, shape, leaves, frozenset())
+
+
+def test_an_engine_asked_again_adds_no_entry():
+    """Configurations and lassos already analysed are answered from the
+    memo: asking again, in another order, adds no summary or
+    composition."""
+    for seed in range(6):
+        env, root = random_system(random.Random(seed), agents=4, depth=4)
+        lts = explore(env, root, max_states=30)
+        engine = SosEngine(env)
+        cases = _configurations(lts)
+        lassos = list(enumerate_lassos(lts, max_stem=2, max_cycle=3))
+        first = [analyze_configuration(engine, env, *case) for case in cases]
+        first += [is_just(lts, env, lasso, engine=engine)
+                  for lasso in lassos]
+        sizes = len(engine.summaries), len(engine.compositions)
+        again = [is_just(lts, env, lasso, engine=engine)
+                 for lasso in lassos[::-1]]
+        again += [analyze_configuration(engine, env, *case)
+                  for case in cases[::-1]]
+        assert again[::-1] == first
+        assert (len(engine.summaries), len(engine.compositions)) == sizes

@@ -215,6 +215,20 @@ def test_trailing_input_after_a_term_is_a_parse_error():
     assert (exc.value.line, exc.value.column) == (2, 7)
 
 
+@pytest.mark.parametrize("read, text", [
+    (parse, "system = " + "(" * 3000 + "0" + ")" * 3000 + "\n"),
+    (parse_term, "(" * 3000 + "0" + ")" * 3000),
+    (parse_term, "a." * 1000 + "(" * 3000 + "0" + ")" * 3000),
+], ids=["file", "term", "term-under-prefixes"])
+def test_too_deeply_nested_input_is_a_parse_error(read, text):
+    """A library caller gets a `ParseError` with a position, not a bare
+    `RecursionError`; parsing afterwards works as before."""
+    with pytest.raises(ParseError, match="nested too deeply") as exc:
+        read(text)
+    assert exc.value.line == 1 and exc.value.column > 1
+    assert parse_term("(" * 50 + "a.0" + ")" * 50) == rt("a.0")
+
+
 def test_unknown_range_identifier_is_a_scope_error():
     with pytest.raises((ScopeError, ParseError)):
         parse_term("sum k in N . a_k.0", signals=())
