@@ -173,7 +173,9 @@ MUTANTS = [
            ("tests/test_lts.py::"
             "test_explore_matches_the_term_explorer_on_random_terms",)),
     Mutant("touched blocks taken from the moved states", "src/ccss/bisim.py",
+           "        yield blocks, left\n"
            "        touched = {p for s in left for p in preds[s]}\n",
+           "        yield blocks, left\n"
            "        touched = set(left)\n",
            ("tests/test_bisim.py::"
             "test_refinement_rounds_match_the_reference_on_model_copies",)),
@@ -188,11 +190,22 @@ MUTANTS = [
            ("tests/test_bisim.py::"
             "test_refinement_rounds_match_the_reference_on_model_copies",)),
     Mutant("dropped split group", "src/ccss/bisim.py",
-           "                groups.append([s for s in block "
-           "if s not in touched])\n",
+           "                groups.append(rest)\n",
            "                pass\n",
            ("tests/test_bisim.py::"
             "test_refinement_rounds_match_the_reference_on_model_copies",)),
+    Mutant("record without its last round, which signs but splits nothing",
+           "src/ccss/bisim.py",
+           "    rounds[-1].close(blocks, {})\n",
+           "    rounds.pop()\n",
+           ("tests/test_bisim.py::"
+            "test_an_isomorphic_copy_replays_in_the_rounds_of_the_record",)),
+    Mutant("untouched states of B stay when the record's rest moves",
+           "src/ccss/bisim.py",
+           "        return self.rests[i] if self.rests[i] >= 0 else None\n",
+           "        return bid if self.rests[i] >= 0 else None\n",
+           ("tests/test_bisim.py::"
+            "test_an_isomorphic_copy_replays_in_the_rounds_of_the_record",)),
     Mutant("Par witness kept without its node", "src/ccss/justness.py",
            "                key = (node, left, right)\n",
            "                key = (node[0], left, right)\n",

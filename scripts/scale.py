@@ -6,11 +6,16 @@ states explored, the seconds exploration takes, and the seconds each
 verdict spends after exploration (its search and witness).  A second
 line per model gives its number of bisimulation classes and whether a
 copy with states and transitions shuffled is bisimilar to it, with the
-seconds each took, and a SHA-256 digest of the explored transitions.
+seconds each took (the query's include recording the rounds of
+refining the model's quotient, `Lts.refinement`); a third, the bytes
+that record keeps (tracemalloc, around recording it once more after the
+query, as tracing the query itself would raise the script's max RSS by
+tens of MB); a fourth, a SHA-256 digest of the explored transitions.
 Exits 1 when a verdict differs from `EXPECTED`, a class count from
 `CLASSES`, a digest from `DIGESTS`, or the copy is not bisimilar.  Takes
-about 40 s and 160 MB of memory (max RSS, CPython 3.11.7 on a 2-vCPU
-x86_64 VM); the digests take about 1 s of it.
+about 40 s and 165 MB of memory (max RSS, CPython 3.11.7 on a 2-vCPU
+x86_64 VM); the digests take about 1 s of it, the records about 6 MB
+each (315 bytes per class on filter N=4, 265 on bakery N=3 K=4).
 
     python scripts/scale.py
 """
@@ -20,6 +25,7 @@ import pathlib
 import random
 import sys
 import time
+import tracemalloc
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # the benchmark's workloads module holds the shuffled copy; it imports the
@@ -99,15 +105,25 @@ def timed(check, model):
 
 def bisimulation(lts: Lts):
     """The number of classes, the seconds `equivalence_classes` took,
-    whether a shuffled copy is bisimilar, and the seconds that query
-    took."""
+    whether a shuffled copy is bisimilar, the seconds that first query
+    took, which records the system's refinement, and the bytes that
+    record keeps (tracemalloc around recording it again, after the
+    query)."""
     started = time.perf_counter()
     classes = len(bisim.equivalence_classes(lts))
     classes_s = time.perf_counter() - started
     copy = shuffled_copy(random.Random(0), lts, False)
     started = time.perf_counter()
     same = bisim.bisimilar(lts, lts.initial, copy, copy.initial).equivalent
-    return classes, classes_s, same, time.perf_counter() - started
+    bisim_s = time.perf_counter() - started
+    del copy, lts.refinement
+    tracemalloc.start()
+    try:
+        lts.refinement
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return classes, classes_s, same, bisim_s, kept
 
 
 def main() -> int:
@@ -131,7 +147,7 @@ def main() -> int:
                   f"{min(explore_s, explore2_s):9.2f} {safety_s:8.2f} "
                   f"{liveness_s:10.2f}  {got}"
                   f"{'' if ok else ' expected ' + str(EXPECTED[name, flavor])}")
-            classes, classes_s, same, bisim_s = bisimulation(lts)
+            classes, classes_s, same, bisim_s, kept = bisimulation(lts)
             want = CLASSES[name, flavor]
             ok = classes == want and same
             wrong += not ok
@@ -139,6 +155,8 @@ def main() -> int:
                   f" a shuffled copy is {'' if same else 'not '}bisimilar "
                   f"({bisim_s:.2f} s)"
                   f"{'' if classes == want else f' expected {want} classes'}")
+            print(f"{'':16} {'':6} the record of its refinement keeps "
+                  f"{kept} bytes, {kept / classes:.0f} per class")
             found, pinned = digest(lts), DIGESTS[name, flavor]
             wrong += found != pinned
             print(f"{'':16} {'':6} transitions sha256 {found}"

@@ -19,21 +19,26 @@ deduplicated (label, class) moves and predecessors, and
 quotient together with B ("reduce, then compare").  A state is
 bisimilar to its class, so it is k-step bisimilar to it for every k, and
 the query separates its two states in the round that refining the two
-full systems together would.  Two states of one system take the same
-path, with the system as B.  The evidence is read from the separating
-round and the two states' own moves in transition order, a's mapped
-through the class map, so it is the evidence of the two full systems.
-The tests compare every round with the reference that signs every state
-of the two full systems every round, and the verdict with a naive
-fixpoint oracle.
+full systems together would.  The rounds of A's classes in that
+refinement never depend on B, so `Lts.refinement` records them once per
+system, with the signature of every group each round signs, and a query
+signs only B's states (`_replay`): a signed state of B in a block of
+classes joins the group with its signature or starts a block of B's
+states.  Two states of one system take the same path, with the system
+as B.  The evidence is read from the separating round and the two
+states' own moves in transition order, a's mapped through the class
+map, so it is the evidence of the two full systems.  The tests compare
+every round with the reference that signs every state of the two full
+systems every round, every replayed round with `_rounds` on A's quotient
+and B as one system, and the verdict with a naive fixpoint oracle.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
-from operator import mul
+from itertools import count
 from typing import NamedTuple, Optional
 
 from .lts import Lts
@@ -58,7 +63,7 @@ class BisimResult:
         return self.equivalent
 
 
-def _rounds(moves, preds, signals):
+def _rounds(moves, preds, signals, sign=None):
     """Round-based partition refinement, one round at a time.  After each
     round yields the block id per state, as one list updated in place,
     and a dict `left` that maps each state that changed block in that
@@ -67,8 +72,9 @@ def _rounds(moves, preds, signals):
 
     Round 0 groups the states by emission set; its `left` is empty.  In
     each later round a state's signature is the set of its moves, each
-    coded as label id * n + target block, read from the previous round's
-    ids; a block splits into its groups of equal signatures.  Round 1
+    coded as label code + target block, read from the previous round's
+    ids (the callers space the label codes so that the sums differ); a
+    block splits into its groups of equal signatures.  Round 1
     signs every state.  A split keeps the old id for its largest group
     (Hopcroft's rule), so a state's id changes exactly when it leaves its
     block, into a new block, and as few states as possible do.  So after
@@ -79,6 +85,12 @@ def _rounds(moves, preds, signals):
     signed ones.  The rounds are those of signing every state every
     round, up to the names of the blocks, and they end with the last
     round that splits a block.
+
+    With a function `sign`, a round signs its blocks of one state too, and
+    before it splits it calls sign(block id, its signed members by
+    signature, its members not signed or None) per block it signs; after
+    it the groups' ids are those of their members.  The round after the
+    last yielded one still signs, and splits nothing.
 
     A signature is a frozenset of ints, which hashes and compares in C;
     it lives only while its block is signed."""
@@ -94,18 +106,18 @@ def _rounds(moves, preds, signals):
         splits = []
         for bid, subset in signed.items():
             block = members[bid]
-            if len(block) == 1:
+            if len(block) == 1 and sign is None:
                 continue
-            groups = {}
-            for s in subset:
-                sig = frozenset(
-                    {code + blocks[tgt] for code, tgt in moves[s]})
-                groups.setdefault(sig, []).append(s)
+            groups = _signed(subset, moves, blocks)
+            # the members not signed again keep the signature they
+            # shared, which has no move into a new block
+            rest = ([s for s in block if s not in touched]
+                    if len(subset) < len(block) else None)
+            if sign is not None:
+                sign(bid, groups, rest)
             groups = list(groups.values())
-            if len(subset) < len(block):
-                # the members not signed again keep the signature they
-                # shared, which has no move into a new block
-                groups.append([s for s in block if s not in touched])
+            if rest:
+                groups.append(rest)
             elif len(groups) == 1:
                 continue
             splits.append((bid, groups))
@@ -126,6 +138,16 @@ def _rounds(moves, preds, signals):
         signed = {}
         for p in touched:
             signed.setdefault(blocks[p], []).append(p)
+
+
+def _signed(subset, moves, blocks) -> dict:
+    """The states of `subset` grouped by signature: the frozenset of their
+    moves' codes, each label code + target block."""
+    groups = {}
+    for s in subset:
+        sig = frozenset({code + blocks[tgt] for code, tgt in moves[s]})
+        groups.setdefault(sig, []).append(s)
+    return groups
 
 
 class Quotient(NamedTuple):
@@ -183,85 +205,278 @@ def quotient(lts: Lts) -> Quotient:
                     pred_start, flat)
 
 
-def _quotient_input(lts: Lts, stride: int):
-    """The refinement input of the system's quotient: per class its moves
-    as (label id * stride, class) pairs, its predecessors and its emission
-    set."""
+class Refinement(NamedTuple):
+    """The rounds of refining a system's quotient on its own, recorded
+    for `bisimilar`.  With k classes, a move with label id l into block d
+    is coded l * k + 1 + d, and a signature is the set of its codes.
+    Round 0 puts class c in block start[c], and `emitted` maps each
+    emission set to its block.  rounds[r - 1] records round r; the last
+    one signs and splits nothing."""
+
+    start: array
+    emitted: dict
+    rounds: list  # of _Round
+
+
+class _Round:
+    """One recorded round: the classes that change block in it (`moved`)
+    and the blocks they move to (`new`); the blocks it signs, in
+    increasing order (`signed`), and per such block the block its members
+    not signed move to, or -1 when it signs every member (`rests`); and
+    per signed block and signature of some of its members the block those
+    members move to or stay in (`group`).  Group i has block blocks[i]
+    and signature codes[starts[i]:starts[i + 1]], packed as machine ints
+    of one width, the narrowest that holds every code, or as ints in a
+    list when none does; `index` maps hash(signature) ^ block to the last
+    group with that key, and chain[i] to the one before it, or -1.
+
+    It is filled while `_rounds` signs the round (`sign`), with a member
+    in place of each block id, and `close` reads the ids after it."""
+
+    __slots__ = ("moved", "new", "signed", "rests", "index", "blocks",
+                 "starts", "codes", "chain")
+
+    def __init__(self, top: int):
+        """An empty round whose codes are at most top."""
+        self.signed, self.rests = array("i"), array("i")
+        self.index, self.blocks, self.chain = {}, array("i"), array("i")
+        self.starts = array("i", [0])
+        self.codes = next((array(typecode) for typecode in "BHILQ"
+                           if top < 1 << 8 * array(typecode).itemsize), [])
+
+    def sign(self, bid: int, by_signature: dict, rest) -> None:
+        """Record a block the round signs, as `_rounds` reports it."""
+        self.signed.append(bid)
+        self.rests.append(rest[0] if rest else -1)
+        for sig, group in by_signature.items():
+            key = hash(sig) ^ bid
+            self.chain.append(self.index.get(key, -1))
+            self.index[key] = len(self.blocks)
+            self.blocks.append(group[0])
+            self.codes.extend(sig)
+            self.starts.append(len(self.codes))
+
+    def close(self, blocks, left) -> "_Round":
+        """Read the round's block ids from the blocks after it and the
+        classes that moved in it."""
+        self.moved = array("i", left)
+        self.new = array("i", map(blocks.__getitem__, self.moved))
+        self.blocks = array("i", map(blocks.__getitem__, self.blocks))
+        order = sorted(range(len(self.signed)), key=self.signed.__getitem__)
+        self.signed = array("i", map(self.signed.__getitem__, order))
+        self.rests = array("i", [-1 if self.rests[i] < 0
+                                 else blocks[self.rests[i]] for i in order])
+        return self
+
+    def group(self, bid: int, sig: frozenset):
+        """The block the round puts block bid's members with signature
+        sig in, or None when the round signs none of them."""
+        i = self.index.get(hash(sig) ^ bid, -1)
+        while i >= 0:
+            lo, hi = self.starts[i], self.starts[i + 1]
+            if hi - lo == len(sig) and sig.issuperset(self.codes[lo:hi]):
+                return self.blocks[i]  # sig has the hash, so bid is i's
+            i = self.chain[i]
+        return None
+
+    def rest(self, bid: int):
+        """The block the round puts block bid's members it did not sign
+        in, or None for a new block when it signed every member."""
+        i = bisect_left(self.signed, bid)
+        if i == len(self.signed) or self.signed[i] != bid:
+            return bid
+        return self.rests[i] if self.rests[i] >= 0 else None
+
+
+_PAST = _Round(0).close([], {})  # a round after the record's last one
+
+
+def refinement(lts: Lts) -> Refinement:
+    """Refine the system's quotient on its own and record its rounds;
+    `Lts.refinement` keeps the result."""
     q = lts.quotient
-    pairs = list(zip(map(mul, q.move_label, repeat(stride)), q.move_class))
-    preds = q.preds.tolist()
-    ends = zip(q.move_start, q.move_start[1:], q.pred_start, q.pred_start[1:])
+    k = len(q.first)
+    labels = len(lts.label_ids[1])
+    # one int object per label code and per class, shared by every move
+    code_of = [label * k + 1 for label in range(labels)]
+    ids = list(range(k))
+    codes = list(map(code_of.__getitem__, q.move_label))
+    classes = list(map(ids.__getitem__, q.move_class))
+    preds = list(map(ids.__getitem__, q.preds))
     moves, into = [], []
-    for lo, hi, plo, phi in ends:
-        moves.append(pairs[lo:hi])
+    for lo, hi, plo, phi in zip(q.move_start, q.move_start[1:],
+                                q.pred_start, q.pred_start[1:]):
+        moves.append(list(zip(codes[lo:hi], classes[lo:hi])))
         into.append(preds[plo:phi])
-    return moves, into, list(map(lts.state_signals.__getitem__, q.first))
+    signals = list(map(lts.state_signals.__getitem__, q.first))
+    rounds = [_Round(labels * k)]
+    steps = _rounds(moves, into, signals,
+                    lambda *signed: rounds[-1].sign(*signed))
+    blocks, _ = next(steps)
+    start = array("i", blocks)
+    for blocks, left in steps:
+        rounds[-1].close(blocks, left)
+        rounds.append(_Round(labels * k))
+    rounds[-1].close(blocks, {})
+    return Refinement(start, dict(zip(signals, start)), rounds)
 
 
-def _own_moves(lts: Lts, state: int, stride: int) -> list:
-    """The state's moves in transition order, as (label id * stride,
-    target class) pairs."""
-    label_of, targets = lts.label_ids[0], lts.targets
-    class_of = lts.quotient.class_of
-    return [(label_of[i] * stride, class_of[targets[i]])
-            for i in lts.outgoing(state)]
+def _replay(lts_a: Lts, lts_b: Lts, codes: dict):
+    """The rounds of refining A's quotient together with B, yielded as
+    `_rounds` yields them, over A's k classes followed by B's states (B's
+    state s is k + s): they are `_rounds`' rounds on that union up to the
+    names of the blocks.  Only B's states are signed.  A's classes take
+    the blocks of `Lts.refinement`, whose rounds are those of the union
+    restricted to A, and a block holding classes keeps their block id.
+    B's labels are coded by their ids in `codes`, A's label ids extended
+    with B's other labels, so that a signature of B's moves into blocks
+    holding classes is coded as the record codes it.
+
+    In a block holding classes, a signed state of B joins the classes'
+    group with its signature, or else a new block of B's states with that
+    signature; its members that were not signed keep the signature they
+    shared, so they go where the record's members not signed go, or to a
+    new block when the record signed every member.  A block of B's states
+    alone splits as in `_rounds`.  Its id is a positive multiple of
+    (number of labels + 1) * k, so a code into it is greater than every
+    code into a block holding classes and the codes stay distinct."""
+    rec = lts_a.refinement
+    k = len(rec.start)
+    moves = [()] * k + [[] for _ in range(lts_b.num_states)]
+    preds = [()] * k + [[] for _ in range(lts_b.num_states)]
+    code_of = {}
+    for t in lts_b.transitions:  # B's caches would outlive the query
+        code = code_of.get(t.label)
+        if code is None:
+            code = code_of[t.label] = (
+                codes.setdefault(t.label, len(codes)) * k + 1)
+        moves[k + t.src].append((code, k + t.tgt))
+        preds[k + t.tgt].append(k + t.src)
+    width = (len(codes) + 1) * k
+    fresh = count(width, width)
+    emitted = dict(rec.emitted)
+    blocks = rec.start.tolist()
+    members = {}  # block id -> its states of B
+    for e in lts_b.state_signals:
+        bid = emitted.get(e)
+        if bid is None:
+            bid = emitted[e] = next(fresh)
+        members.setdefault(bid, []).append(len(blocks))
+        blocks.append(bid)
+    yield blocks, {}
+    touched = set()
+    signed = dict(members)
+    for number in count():
+        record = (rec.rounds[number] if number < len(rec.rounds)
+                  else _PAST)
+        splits = []  # (block, [(block to move to or None, states)])
+        for bid, subset in signed.items():
+            block = members[bid]
+            if bid < k:
+                out = []
+                for sig, group in _signed(subset, moves, blocks).items():
+                    target = record.group(bid, sig)
+                    if target != bid:
+                        out.append((target, group))
+                if len(subset) < len(block):
+                    rest = record.rest(bid)
+                    if rest != bid:
+                        out.append((rest, [s for s in block
+                                           if s not in touched]))
+                if out:
+                    splits.append((bid, out))
+            elif len(block) > 1:
+                out = list(_signed(subset, moves, blocks).values())
+                if len(subset) < len(block):
+                    out.append([s for s in block if s not in touched])
+                elif len(out) == 1:
+                    continue
+                out.sort(key=len, reverse=True)
+                members[bid] = out[0]
+                splits.append((bid, [(None, group) for group in out[1:]]))
+        for bid in record.signed:
+            if bid in members and bid not in signed:
+                rest = record.rest(bid)
+                if rest != bid:
+                    splits.append((bid, [(rest, members[bid])]))
+        left = {}
+        for bid, out in splits:
+            for target, group in out:
+                if target is None:
+                    target = next(fresh)
+                members[target] = group
+                for s in group:
+                    blocks[s] = target
+                    left[s] = bid
+            if bid < k:
+                stay = [s for s in members[bid] if blocks[s] == bid]
+                if stay:
+                    members[bid] = stay
+                else:
+                    del members[bid]
+        touched = {p for s in left for p in preds[s]}
+        for c, bid in zip(record.moved, record.new):
+            left[c] = blocks[c]
+            blocks[c] = bid
+        if not left:
+            return
+        yield blocks, left
+        signed = {}
+        for p in touched:
+            signed.setdefault(blocks[p], []).append(p)
 
 
 def _explain(blocks, left, a: int, b: int, moves_a, moves_b, emitted,
-             labels, stride: int) -> Distinction:
+             labels) -> Distinction:
     """Why states a and b of a refinement are not bisimilar, read from the
     first round that separates them (its `blocks` and `left`, as
-    `_rounds` yields them) and the two states' moves (label id * stride,
-    target) in transition order.  In that round either their emission
-    sets differ (round 0, whose `left` is empty; `emitted` is their
-    symmetric difference), or one of them has a move with a label into a
-    block of the round before that the other cannot match with a move of
-    that label into the same block.  The evidence names that signal, or
-    that one label: its trace is empty or holds the label alone."""
+    `_rounds` yields them) and the two states' moves (label id, target)
+    in transition order.  In that round either their emission sets differ
+    (round 0, whose `left` is empty; `emitted` is their symmetric
+    difference), or one of them has a move with a label into a block of
+    the round before that the other cannot match with a move of that
+    label into the same block.  The evidence names that signal, or that
+    one label: its trace is empty or holds the label alone."""
     if not left:
         name = sorted(map(str, emitted))[0]
         return Distinction((), f"emission of {name} differs")
-    moves_a = [(code, left.get(t, blocks[t])) for code, t in moves_a]
-    moves_b = [(code, left.get(t, blocks[t])) for code, t in moves_b]
-    code = _unmatched(moves_a, moves_b)
-    if code is None:
-        code = _unmatched(moves_b, moves_a)
-    label = labels[code // stride]
+    moves_a = [(label, left.get(t, blocks[t])) for label, t in moves_a]
+    moves_b = [(label, left.get(t, blocks[t])) for label, t in moves_b]
+    label = _unmatched(moves_a, moves_b)
+    if label is None:
+        label = _unmatched(moves_b, moves_a)
+    label = labels[label]
     return Distinction((label,), f"one side offers {label} into a class "
                                  f"the other cannot reach")
 
 
 def _unmatched(moves, answers):
-    """The label code of the first move no answer matches in label and
+    """The label id of the first move no answer matches in label and
     block."""
     answers = set(answers)
-    return next((code for code, block in moves
-                 if (code, block) not in answers), None)
+    return next((label for label, block in moves
+                 if (label, block) not in answers), None)
 
 
 def bisimilar(lts_a: Lts, a: int, lts_b: Lts, b: int) -> BisimResult:
     """Decide strong bisimilarity of state a in lts_a and b in lts_b."""
-    k = len(lts_a.quotient.first)
-    qa, qb = lts_a.quotient.class_of[a], k + b
-    stride = k + lts_b.num_states
+    q = lts_a.quotient
+    k = len(q.first)
+    qa, qb = q.class_of[a], k + b
     codes = dict(lts_a.label_ids[1])
-    moves, preds, signals = _quotient_input(lts_a, stride)
-    moves += [[] for _ in range(lts_b.num_states)]
-    preds += [[] for _ in range(lts_b.num_states)]
-    signals += lts_b.state_signals
-    for t in lts_b.transitions:
-        code = codes.setdefault(t.label, len(codes))
-        moves[t.src + k].append((code * stride, t.tgt + k))
-        preds[t.tgt + k].append(t.src + k)
-    for blocks, left in _rounds(moves, preds, signals):
+    for blocks, left in _replay(lts_a, lts_b, codes):
         if blocks[qa] != blocks[qb]:
             break
     else:
         return BisimResult(True)
+    label_of, targets = lts_a.label_ids[0], lts_a.targets
+    own_a = [(label_of[i], q.class_of[targets[i]])
+             for i in lts_a.outgoing(a)]
+    own_b = [(codes[t.label], k + t.tgt) for t in lts_b.transitions
+             if t.src == b]
     emitted = lts_a.state_signals[a] ^ lts_b.state_signals[b]
-    return BisimResult(False, _explain(
-        blocks, left, qa, qb, _own_moves(lts_a, a, stride), moves[qb],
-        emitted, list(codes), stride))
+    return BisimResult(False, _explain(blocks, left, qa, qb, own_a, own_b,
+                                       emitted, list(codes)))
 
 
 def equivalence_classes(lts: Lts):

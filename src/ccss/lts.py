@@ -125,6 +125,14 @@ class Lts:
         from .bisim import quotient  # bisim imports this module
         return quotient(self)
 
+    @cached_property
+    def refinement(self):
+        """The rounds of refining the system's quotient on its own
+        (`bisim.Refinement`), recorded on first use by a bisimulation
+        query against the system."""
+        from .bisim import refinement
+        return refinement(self)
+
     @property
     def num_states(self) -> int:
         return len(self.states)

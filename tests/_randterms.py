@@ -21,6 +21,28 @@ SIGNALS = ("s", "t")
 DEPTH = 5
 
 
+# Hand-written models for the language features no random term reaches:
+# guarded indexed sums with `and`, `or` and parentheses, a range name as
+# sum bounds, and parameterised bodies with `+`, `|`, `\`, relabelling
+# and `^`, which unfolding instantiates with `substitute`.  Each is
+# (source, states, transitions).
+GUARDED_MODELS = [
+    ("""\
+signals { s }
+range N = 1..3
+P[i] = (sum j in N when j != i and (j < 3 or i = 1) . a[j].P[j]) + tau.Q[i]
+Q[i] = (sum k in 0..1 . 'a[k].Q[i]) ^ s
+system = (P[1] | Q[2]) \\ {a}
+""", 6, 28),
+    ("""\
+signals { t }
+range M = 0..2
+R[i] = ((a[i].0 | b[i].0 ^ t) \\ {d[i]})[c/b[i]] + (sum k in M when k > i or (k = 0) . e[k].R[k])
+system = R[1] | 'c.0
+""", 24, 48),
+]
+
+
 def make_env(blocking=HANDSHAKES + SIGNALS) -> Environment:
     return Environment((), signals=SIGNALS, blocking=blocking)
 

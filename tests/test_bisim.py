@@ -1,12 +1,15 @@
 """Strong bisimilarity: partition refinement, evidence, naive oracle."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccss import protocols
-from ccss.bisim import BisimResult, _rounds, bisimilar, equivalence_classes
+from ccss import bisim, protocols
+from ccss.bisim import (
+    BisimResult, _replay, _Round, _rounds, bisimilar, equivalence_classes,
+)
 from ccss.lts import Lts, Transition, explore
 from ccss.syntax import parse_term
 from ccss.terms import HANDSHAKE, Action, Name, Par, Sum
@@ -150,21 +153,56 @@ def assert_encodes_the_union(lts_a, lts_b):
     return moves, preds, own_signals
 
 
-def assert_refines_like_the_oracle(lts_a, lts_b, pairs):
-    """Every round of the full refinement is the reference's round up to
-    renaming, and its `left` names exactly the states that changed block
-    in it, each with its block of the round before; a query gives the
-    reference's result and evidence."""
-    out, signals, _ = _disjoint_union(lts_a, lts_b)
-    _, want = oracle_refine(out, signals)
+def _snapshots(steps):
+    """Each round's blocks, copied, after checking that its `left` names
+    exactly the states that changed block in it, each with its block of
+    the round before."""
     got = []
-    for blocks, left in _rounds(*assert_encodes_the_union(lts_a, lts_b)):
+    for blocks, left in steps:
         before = got[-1] if got else blocks
         assert left == {s: old for s, old in enumerate(before)
                         if old != blocks[s]}
         got.append(list(blocks))
+    return got
+
+
+def _quotient_system(lts):
+    """The system's quotient as a system of its own: class c is state c,
+    with one transition per (label, class) move."""
+    q = lts.quotient
+    labels = list(lts.label_ids[1])
+    trans = [Transition(c, labels[q.move_label[i]], q.move_class[i])
+             for c in range(len(q.first))
+             for i in range(q.move_start[c], q.move_start[c + 1])]
+    return Lts([None] * len(q.first), q.class_of[lts.initial], trans,
+               [lts.state_signals[s] for s in q.first])
+
+
+def assert_replays_the_union_of_the_quotient(lts_a, lts_b):
+    """Every round that `bisimilar` replays is the round of refining A's
+    quotient together with B as one system, up to renaming; its `left`
+    names exactly the states that changed block; and the rounds end
+    together."""
+    moves, preds, signals, _ = union_refinement_input(
+        _quotient_system(lts_a), lts_b)
+    want = _snapshots(_rounds(moves, preds, signals))
+    got = _snapshots(_replay(lts_a, lts_b, dict(lts_a.label_ids[1])))
     assert len(got) == len(want)
     assert [_renamed(r) for r in got] == [_renamed(r) for r in want]
+
+
+def assert_refines_like_the_oracle(lts_a, lts_b, pairs):
+    """Every round of the full refinement is the reference's round up to
+    renaming, and its `left` names exactly the states that changed block
+    in it, each with its block of the round before; the replayed rounds
+    are those of A's quotient with B; a query gives the reference's
+    result and evidence."""
+    out, signals, _ = _disjoint_union(lts_a, lts_b)
+    _, want = oracle_refine(out, signals)
+    got = _snapshots(_rounds(*assert_encodes_the_union(lts_a, lts_b)))
+    assert len(got) == len(want)
+    assert [_renamed(r) for r in got] == [_renamed(r) for r in want]
+    assert_replays_the_union_of_the_quotient(lts_a, lts_b)
     for a, b in pairs:
         assert bisimilar(lts_a, a, lts_b, b) == _oracle_result(
             lts_a, a, lts_b, b)
@@ -225,6 +263,77 @@ def test_refinement_rounds_match_the_reference_on_model_copies(maker, kind):
             (rng.randrange(lts.num_states), rng.randrange(copy.num_states))
             for _ in range(5)]
         assert_refines_like_the_oracle(lts, copy, pairs)
+
+
+@pytest.mark.parametrize("flavor", ["ccss", "ccs"])
+def test_an_isomorphic_copy_replays_in_the_rounds_of_the_record(flavor):
+    """peterson2's record ends with a round that signs and splits
+    nothing, and in some round the members a block did not sign move to a
+    new block, so a replay needs both; against a shuffled copy it takes
+    round 0 and the record's splitting rounds, the rounds of the quotient
+    together with the copy."""
+    model = protocols.peterson2(flavor)
+    lts = explore(model.env, model.root)
+    rec = lts.refinement
+    for seed in range(3):
+        copy = _copy(random.Random(seed), lts, "shuffled")
+        replayed = _replay(lts, copy, dict(lts.label_ids[1]))
+        assert len(_snapshots(replayed)) == len(rec.rounds)
+        assert_replays_the_union_of_the_quotient(lts, copy)
+    assert not rec.rounds[-1].moved and len(rec.rounds[-1].blocks)
+    assert any(rest not in (bid, -1) for r in rec.rounds
+               for bid, rest in zip(r.signed, r.rests))
+
+
+@pytest.mark.parametrize("top", [3, 255, 256, 2**16, 2**32 - 1, 2**32,
+                                 2**64 - 1, 2**64, 2**200])
+def test_a_recorded_round_finds_exactly_its_signatures(top):
+    """Codes are kept at the narrowest machine width that holds `top`, or
+    as ints when none does, so a signature is found only in its own block
+    and only when every code is equal."""
+    sigs = {frozenset({top}): [0], frozenset(): [1],
+            frozenset({1, top}): [2]}
+    record = _Round(top)
+    record.sign(3, sigs, None)
+    record.sign(1, {frozenset({top}): [3]}, [4])
+    record.close([7, 8, 9, 10, 11], {})
+    assert [record.group(3, sig) for sig in sigs] == [7, 8, 9]
+    assert record.group(1, frozenset({top})) == 10
+    assert record.rest(1) == 11 and record.rest(3) is None
+    assert record.rest(2) == 2
+    for wrong in ({1}, {top - 1}, {top - 1, top}, {1, top - 1}):
+        assert record.group(3, frozenset(wrong)) is None
+    assert record.group(2, frozenset({top})) is None
+
+
+def test_groups_whose_keys_collide_are_each_found(monkeypatch):
+    """Every signature hashes alike here, so the groups of one block share
+    a key and are told apart by their codes."""
+    monkeypatch.setattr(bisim, "hash", lambda sig: 5, raising=False)
+    sigs = {frozenset({1, 2}): [0], frozenset({1}): [1], frozenset(): [2]}
+    record = _Round(2)
+    record.sign(0, sigs, None)
+    record.close([4, 5, 6], {})
+    assert [record.group(0, sig) for sig in sigs] == [4, 5, 6]
+    assert record.group(0, frozenset({2})) is None
+
+
+def test_the_record_of_filter3_keeps_at_most_400_bytes_per_class():
+    """The largest system the queries workload asks about: the bytes its
+    record keeps, traced around recording it, per class."""
+    model = protocols.filter_lock(3, "ccss")
+    lts = explore(model.env, model.root)
+    lts.label_ids
+    lts.quotient
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rec = lts.refinement
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rec.start) == 621
+    assert kept <= 400 * len(rec.start)
 
 
 @settings(max_examples=60, deadline=None)

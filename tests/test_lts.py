@@ -20,7 +20,7 @@ from ccss import protocols
 
 import _oracle
 from _oracle import term_explore
-from _randterms import ENV as RAND_ENV, sample_terms
+from _randterms import ENV as RAND_ENV, GUARDED_MODELS, sample_terms
 
 ENV = Environment(signals=("s",))
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -221,6 +221,16 @@ def test_explore_matches_the_term_explorer_on_a_spawning_model():
 def test_explore_matches_the_term_explorer_on_edge_cases(source):
     spec = parse(source)
     for cap in (1_000, 1, 2, 3):
+        assert_identical(spec.env, spec.root, cap)
+
+
+@pytest.mark.parametrize("source, states, transitions", GUARDED_MODELS)
+def test_explore_matches_the_term_explorer_on_guarded_parameterised_sums(
+        source, states, transitions):
+    spec = parse(source)
+    lts = explore(spec.env, spec.root)
+    assert (lts.num_states, len(lts.transitions)) == (states, transitions)
+    for cap in (1_000, 1, 2, 5):
         assert_identical(spec.env, spec.root, cap)
 
 

@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from ccss.errors import ParseError, ScopeError
 from ccss.terms import (
-    NIL, Name, Par, Prefix, Restrict, Sum, SignalEmit, Relabel, Ident,
-    IndexedSum, Var, act, coact, sig, TAU,
+    NIL, Environment, Name, Par, Prefix, Restrict, Sum, SignalEmit, Relabel,
+    Ident, IndexedSum, Var, act, canonical, coact, mk_sum, sig, TAU,
 )
 from ccss import syntax
 from ccss.syntax import parse, parse_term, spec_str, term_str
 
-from _randterms import HANDSHAKES, SIGNALS, random_term
+from _randterms import GUARDED_MODELS, HANDSHAKES, SIGNALS, random_term
 import random
 
 
@@ -245,6 +245,30 @@ system = (A[1] | 'a[1].0 ^ s) \\ {a}
     spec = parse(source)
     printed = spec_str(spec)
     assert spec_str(parse(printed)) == printed
+
+
+@pytest.mark.parametrize("source", [m[0] for m in GUARDED_MODELS])
+def test_guarded_sums_and_parameterised_bodies_round_trip(source):
+    spec = parse(source)
+    printed = spec_str(spec)
+    again = parse(printed)
+    assert spec_str(again) == printed
+    assert again.env.order == spec.env.order
+    assert again.root == spec.root
+    assert again.ranges == spec.ranges
+
+
+def test_an_indexed_sum_prints_reparses_and_expands():
+    text = "sum k in 0..3 when k != 1 and (k < 3 or k = 3) . a[k].0"
+    term = parse_term(text, signals=())
+    assert isinstance(term, IndexedSum)
+    printed = term_str(term)
+    assert printed == ("sum k in 0..3 when (k != 1 and (k < 3 or k = 3)) "
+                       ". a[k].0")
+    assert parse_term(printed, signals=()) == term
+    assert term_str(Par(term, NIL)) == f"({printed}) | 0"
+    assert canonical(Environment(), term) == mk_sum(
+        parse_term(f"a[{k}].0", signals=()) for k in (0, 2, 3))
 
 
 @settings(max_examples=200, deadline=None)
