@@ -6,20 +6,22 @@ states explored, the seconds exploration takes, and the seconds each
 verdict spends after exploration (its search and witness).  A second
 line per model gives its number of bisimulation classes and whether a
 copy with states and transitions shuffled is bisimilar to it, with the
-seconds each took (the query's include recording the rounds of
-refining the model's quotient, `Lts.refinement`); a third, the bytes
-that record keeps (tracemalloc, around recording it once more after the
-query, as tracing the query itself would raise the script's max RSS by
-tens of MB); a fourth, a SHA-256 digest of the explored transitions.
-Exits 1 when a verdict differs from `EXPECTED`, a class count from
-`CLASSES`, a digest from `DIGESTS`, or the copy is not bisimilar.  Takes
-about 40 s and 165 MB of memory (max RSS, CPython 3.11.7 on a 2-vCPU
-x86_64 VM); the digests take about 1 s of it, the records about 6 MB
-each (315 bytes per class on filter N=4, 265 on bakery N=3 K=4).
+seconds each took (the classes' include refining the model and
+recording its rounds, `Lts.quotient`); a third, the bytes that quotient
+keeps (tracemalloc, around building it once more after the query, so
+that tracing slows none of the timed steps); a fourth, a SHA-256 digest of the explored transitions.  Exits 1 when a
+verdict differs from `EXPECTED`, a class count from `CLASSES`, a digest
+from `DIGESTS`, or the copy is not bisimilar.  Takes 50 to 65 s and
+about 188 MB of memory (max RSS, CPython 3.11.7 on a 2-vCPU x86_64 VM),
+of which about 35 MB is tracemalloc's bookkeeping while the quotient is
+traced (153 MB without that step); the digests take about 1 s of it.
+The quotients keep 7.0 MB on filter N=4 (367 bytes per class) and
+5.6 MB on bakery N=3 K=4 (290).
 
     python scripts/scale.py
 """
 
+import gc
 import hashlib
 import pathlib
 import random
@@ -105,10 +107,11 @@ def timed(check, model):
 
 def bisimulation(lts: Lts):
     """The number of classes, the seconds `equivalence_classes` took,
-    whether a shuffled copy is bisimilar, the seconds that first query
-    took, which records the system's refinement, and the bytes that
-    record keeps (tracemalloc around recording it again, after the
-    query)."""
+    which builds the system's quotient and the record of its rounds,
+    whether a shuffled copy is bisimilar, the seconds that query took,
+    and the bytes the quotient keeps (tracemalloc around building it
+    again, after the query; a full collection empties the interpreter's
+    free lists, which would otherwise count freed move tuples)."""
     started = time.perf_counter()
     classes = len(bisim.equivalence_classes(lts))
     classes_s = time.perf_counter() - started
@@ -116,10 +119,11 @@ def bisimulation(lts: Lts):
     started = time.perf_counter()
     same = bisim.bisimilar(lts, lts.initial, copy, copy.initial).equivalent
     bisim_s = time.perf_counter() - started
-    del copy, lts.refinement
+    del copy, lts.quotient
     tracemalloc.start()
     try:
-        lts.refinement
+        lts.quotient
+        gc.collect()
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -155,7 +159,7 @@ def main() -> int:
                   f" a shuffled copy is {'' if same else 'not '}bisimilar "
                   f"({bisim_s:.2f} s)"
                   f"{'' if classes == want else f' expected {want} classes'}")
-            print(f"{'':16} {'':6} the record of its refinement keeps "
+            print(f"{'':16} {'':6} its quotient and record keep "
                   f"{kept} bytes, {kept / classes:.0f} per class")
             found, pinned = digest(lts), DIGESTS[name, flavor]
             wrong += found != pinned

@@ -12,25 +12,20 @@ block each state that moved in it left, which is all the evidence
 needs of the round before.  A query about two states stops at the
 round that separates them.
 
-Each system is refined on its own at most once: `Lts.quotient` keeps its
-partition as flat ints, the class of each state and the quotient's
-deduplicated (label, class) moves and predecessors, and
-`equivalence_classes` reads it.  `bisimilar(A, a, B, b)` refines A's
-quotient together with B ("reduce, then compare").  A state is
-bisimilar to its class, so it is k-step bisimilar to it for every k, and
-the query separates its two states in the round that refining the two
-full systems together would.  The rounds of A's classes in that
-refinement never depend on B, so `Lts.refinement` records them once per
-system, with the signature of every group each round signs, and a query
-signs only B's states (`_replay`): a signed state of B in a block of
-classes joins the group with its signature or starts a block of B's
-states.  Two states of one system take the same path, with the system
-as B.  The evidence is read from the separating round and the two
-states' own moves in transition order, a's mapped through the class
-map, so it is the evidence of the two full systems.  The tests compare
-every round with the reference that signs every state of the two full
-systems every round, every replayed round with `_rounds` on A's quotient
-and B as one system, and the verdict with a naive fixpoint oracle.
+Each system is refined on its own at most once: `Lts.quotient` records
+the rounds of refining it, with the signature of every group each round
+signs, and reads the class of each state from the last round;
+`equivalence_classes` reads the classes.  `bisimilar(A, a, B, b)`
+refines A together with B.  The rounds of A's states in that refinement
+never depend on B, so a query signs only B's states against A's record
+(`_replay`): a signed state of B in a block of A's states joins the
+group with its signature or starts a block of B's states.  Two states
+of one system take the same path, with the system as B.  The evidence
+is read from the separating round and the two states' own moves in
+transition order.  The tests compare every round with the reference
+that signs every state of the two systems every round, every replayed
+round with `_rounds` on the two systems as one, and the verdict with a
+naive fixpoint oracle.
 """
 
 from __future__ import annotations
@@ -86,7 +81,7 @@ def _rounds(moves, preds, signals, sign=None):
     round, up to the names of the blocks, and they end with the last
     round that splits a block.
 
-    With a function `sign`, a round signs its blocks of one state too, and
+    A round signs its blocks of one state too.  With a function `sign`,
     before it splits it calls sign(block id, its signed members by
     signature, its members not signed or None) per block it signs; after
     it the groups' ids are those of their members.  The round after the
@@ -106,8 +101,6 @@ def _rounds(moves, preds, signals, sign=None):
         splits = []
         for bid, subset in signed.items():
             block = members[bid]
-            if len(block) == 1 and sign is None:
-                continue
             groups = _signed(subset, moves, blocks)
             # the members not signed again keep the signature they
             # shared, which has no move into a new block
@@ -151,75 +144,23 @@ def _signed(subset, moves, blocks) -> dict:
 
 
 class Quotient(NamedTuple):
-    """A system's bisimulation quotient, as flat int arrays.  Classes are
-    numbered in order of their first state.  Class c's moves are entries
-    move_start[c] to move_start[c + 1] of `move_label` (ids of
-    `Lts.label_ids`) and `move_class`, one per distinct (label, target
-    class) pair; its predecessors are entries pred_start[c] to
-    pred_start[c + 1] of `preds`, one per move into it."""
+    """A system's bisimulation quotient and the rounds of refining the
+    system on its own, recorded for `bisimilar`.  Classes are numbered in
+    order of their first state.  With n states, a move with label id l
+    into block d is coded l * n + 1 + d, and a signature is the set of its
+    codes.  Round 0 puts state s in block start[s], and `emitted` maps
+    each emission set to its block.  rounds[r - 1] records round r; the
+    last one signs and splits nothing."""
 
     class_of: array  # state -> class
     first: array  # class -> its first state, which gives its emission set
-    move_start: array
-    move_label: array
-    move_class: array
-    pred_start: array
-    preds: array
-
-
-def quotient(lts: Lts) -> Quotient:
-    """Refine the system alone and read its quotient; `Lts.quotient`
-    keeps the result."""
-    n = lts.num_states
-    label_of = lts.label_ids[0]
-    targets = lts.targets
-    moves = [[(label_of[i] * n, targets[i]) for i in lts.outgoing(s)]
-             for s in range(n)]
-    preds = [[] for _ in range(n)]
-    for s, out in enumerate(moves):
-        for _, t in out:
-            preds[t].append(s)
-    for final, _ in _rounds(moves, preds, lts.state_signals):
-        pass
-    names = {}
-    class_of = array("i", [names.setdefault(b, len(names)) for b in final])
-    first = array("i")
-    for s, c in enumerate(class_of):
-        if c == len(first):
-            first.append(s)
-    move_start = array("i", [0])
-    move_label, move_class = array("i"), array("i")
-    into = [[] for _ in first]
-    for c, s in enumerate(first):
-        for label, d in sorted({(label_of[i], class_of[targets[i]])
-                                for i in lts.outgoing(s)}):
-            move_label.append(label)
-            move_class.append(d)
-            into[d].append(c)
-        move_start.append(len(move_label))
-    pred_start, flat = array("i", [0]), array("i")
-    for ps in into:
-        flat.extend(ps)
-        pred_start.append(len(flat))
-    return Quotient(class_of, first, move_start, move_label, move_class,
-                    pred_start, flat)
-
-
-class Refinement(NamedTuple):
-    """The rounds of refining a system's quotient on its own, recorded
-    for `bisimilar`.  With k classes, a move with label id l into block d
-    is coded l * k + 1 + d, and a signature is the set of its codes.
-    Round 0 puts class c in block start[c], and `emitted` maps each
-    emission set to its block.  rounds[r - 1] records round r; the last
-    one signs and splits nothing."""
-
     start: array
     emitted: dict
     rounds: list  # of _Round
 
 
 class _Round:
-    """One recorded round: the classes that change block in it (`moved`)
+    """One recorded round: the states that change block in it (`moved`)
     and the blocks they move to (`new`); the blocks it signs, in
     increasing order (`signed`), and per such block the block its members
     not signed move to, or -1 when it signs every member (`rests`); and
@@ -258,7 +199,7 @@ class _Round:
 
     def close(self, blocks, left) -> "_Round":
         """Read the round's block ids from the blocks after it and the
-        classes that moved in it."""
+        states that moved in it."""
         self.moved = array("i", left)
         self.new = array("i", map(blocks.__getitem__, self.moved))
         self.blocks = array("i", map(blocks.__getitem__, self.blocks))
@@ -291,68 +232,72 @@ class _Round:
 _PAST = _Round(0).close([], {})  # a round after the record's last one
 
 
-def refinement(lts: Lts) -> Refinement:
-    """Refine the system's quotient on its own and record its rounds;
-    `Lts.refinement` keeps the result."""
-    q = lts.quotient
-    k = len(q.first)
-    labels = len(lts.label_ids[1])
-    # one int object per label code and per class, shared by every move
-    code_of = [label * k + 1 for label in range(labels)]
-    ids = list(range(k))
-    codes = list(map(code_of.__getitem__, q.move_label))
-    classes = list(map(ids.__getitem__, q.move_class))
-    preds = list(map(ids.__getitem__, q.preds))
-    moves, into = [], []
-    for lo, hi, plo, phi in zip(q.move_start, q.move_start[1:],
-                                q.pred_start, q.pred_start[1:]):
-        moves.append(list(zip(codes[lo:hi], classes[lo:hi])))
-        into.append(preds[plo:phi])
-    signals = list(map(lts.state_signals.__getitem__, q.first))
-    rounds = [_Round(labels * k)]
-    steps = _rounds(moves, into, signals,
+def quotient(lts: Lts) -> Quotient:
+    """Refine the system on its own, record its rounds and read its
+    classes from the last one; `Lts.quotient` keeps the result."""
+    n = lts.num_states
+    label_of, labels = lts.label_ids
+    targets = lts.targets
+    # one int object per label code, shared by every move
+    code_of = [label * n + 1 for label in range(len(labels))]
+    moves = [[(code_of[label_of[i]], targets[i]) for i in lts.outgoing(s)]
+             for s in range(n)]
+    preds = [[] for _ in range(n)]
+    for s, out in enumerate(moves):
+        for _, t in out:
+            preds[t].append(s)
+    signals = lts.state_signals
+    rounds = [_Round(len(labels) * n)]
+    steps = _rounds(moves, preds, signals,
                     lambda *signed: rounds[-1].sign(*signed))
     blocks, _ = next(steps)
     start = array("i", blocks)
     for blocks, left in steps:
         rounds[-1].close(blocks, left)
-        rounds.append(_Round(labels * k))
+        rounds.append(_Round(len(labels) * n))
     rounds[-1].close(blocks, {})
-    return Refinement(start, dict(zip(signals, start)), rounds)
+    names = {}
+    class_of = array("i", [names.setdefault(b, len(names)) for b in blocks])
+    first = array("i")
+    for s, c in enumerate(class_of):
+        if c == len(first):
+            first.append(s)
+    return Quotient(class_of, first, start, dict(zip(signals, start)),
+                    rounds)
 
 
 def _replay(lts_a: Lts, lts_b: Lts, codes: dict):
-    """The rounds of refining A's quotient together with B, yielded as
-    `_rounds` yields them, over A's k classes followed by B's states (B's
-    state s is k + s): they are `_rounds`' rounds on that union up to the
-    names of the blocks.  Only B's states are signed.  A's classes take
-    the blocks of `Lts.refinement`, whose rounds are those of the union
-    restricted to A, and a block holding classes keeps their block id.
-    B's labels are coded by their ids in `codes`, A's label ids extended
-    with B's other labels, so that a signature of B's moves into blocks
-    holding classes is coded as the record codes it.
+    """The rounds of refining A together with B, yielded as `_rounds`
+    yields them, over A's n states followed by B's (B's state s is
+    n + s): they are `_rounds`' rounds on that union up to the names of
+    the blocks.  Only B's states are signed.  A's states take the blocks
+    of the record in `Lts.quotient`, whose rounds are those of the union
+    restricted to A, and a block holding states of A keeps their block
+    id.  B's labels are coded by their ids in `codes`, A's label ids
+    extended with B's other labels, so that a signature of B's moves into
+    blocks holding states of A is coded as the record codes it.
 
-    In a block holding classes, a signed state of B joins the classes'
-    group with its signature, or else a new block of B's states with that
+    In a block holding states of A, a signed state of B joins A's group
+    with its signature, or else a new block of B's states with that
     signature; its members that were not signed keep the signature they
     shared, so they go where the record's members not signed go, or to a
     new block when the record signed every member.  A block of B's states
     alone splits as in `_rounds`.  Its id is a positive multiple of
-    (number of labels + 1) * k, so a code into it is greater than every
-    code into a block holding classes and the codes stay distinct."""
-    rec = lts_a.refinement
-    k = len(rec.start)
-    moves = [()] * k + [[] for _ in range(lts_b.num_states)]
-    preds = [()] * k + [[] for _ in range(lts_b.num_states)]
+    (number of labels + 1) * n, so a code into it is greater than every
+    code into a block holding states of A and the codes stay distinct."""
+    rec = lts_a.quotient
+    n = len(rec.start)
+    moves = [()] * n + [[] for _ in range(lts_b.num_states)]
+    preds = [()] * n + [[] for _ in range(lts_b.num_states)]
     code_of = {}
     for t in lts_b.transitions:  # B's caches would outlive the query
         code = code_of.get(t.label)
         if code is None:
             code = code_of[t.label] = (
-                codes.setdefault(t.label, len(codes)) * k + 1)
-        moves[k + t.src].append((code, k + t.tgt))
-        preds[k + t.tgt].append(k + t.src)
-    width = (len(codes) + 1) * k
+                codes.setdefault(t.label, len(codes)) * n + 1)
+        moves[n + t.src].append((code, n + t.tgt))
+        preds[n + t.tgt].append(n + t.src)
+    width = (len(codes) + 1) * n
     fresh = count(width, width)
     emitted = dict(rec.emitted)
     blocks = rec.start.tolist()
@@ -372,7 +317,7 @@ def _replay(lts_a: Lts, lts_b: Lts, codes: dict):
         splits = []  # (block, [(block to move to or None, states)])
         for bid, subset in signed.items():
             block = members[bid]
-            if bid < k:
+            if bid < n:
                 out = []
                 for sig, group in _signed(subset, moves, blocks).items():
                     target = record.group(bid, sig)
@@ -408,16 +353,16 @@ def _replay(lts_a: Lts, lts_b: Lts, codes: dict):
                 for s in group:
                     blocks[s] = target
                     left[s] = bid
-            if bid < k:
+            if bid < n:
                 stay = [s for s in members[bid] if blocks[s] == bid]
                 if stay:
                     members[bid] = stay
                 else:
                     del members[bid]
         touched = {p for s in left for p in preds[s]}
-        for c, bid in zip(record.moved, record.new):
-            left[c] = blocks[c]
-            blocks[c] = bid
+        for s, bid in zip(record.moved, record.new):
+            left[s] = blocks[s]
+            blocks[s] = bid
         if not left:
             return
         yield blocks, left
@@ -460,22 +405,22 @@ def _unmatched(moves, answers):
 
 def bisimilar(lts_a: Lts, a: int, lts_b: Lts, b: int) -> BisimResult:
     """Decide strong bisimilarity of state a in lts_a and b in lts_b."""
-    q = lts_a.quotient
-    k = len(q.first)
-    qa, qb = q.class_of[a], k + b
+    for side, lts, s in (("first", lts_a, a), ("second", lts_b, b)):
+        if not 0 <= s < lts.num_states:
+            raise ValueError(f"no state {s} in the {side} system")
+    n = lts_a.num_states
     codes = dict(lts_a.label_ids[1])
     for blocks, left in _replay(lts_a, lts_b, codes):
-        if blocks[qa] != blocks[qb]:
+        if blocks[a] != blocks[n + b]:
             break
     else:
         return BisimResult(True)
     label_of, targets = lts_a.label_ids[0], lts_a.targets
-    own_a = [(label_of[i], q.class_of[targets[i]])
-             for i in lts_a.outgoing(a)]
-    own_b = [(codes[t.label], k + t.tgt) for t in lts_b.transitions
+    own_a = [(label_of[i], targets[i]) for i in lts_a.outgoing(a)]
+    own_b = [(codes[t.label], n + t.tgt) for t in lts_b.transitions
              if t.src == b]
     emitted = lts_a.state_signals[a] ^ lts_b.state_signals[b]
-    return BisimResult(False, _explain(blocks, left, qa, qb, own_a, own_b,
+    return BisimResult(False, _explain(blocks, left, a, n + b, own_a, own_b,
                                        emitted, list(codes)))
 
 

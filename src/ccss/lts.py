@@ -120,18 +120,11 @@ class Lts:
 
     @cached_property
     def quotient(self):
-        """The system's bisimulation quotient (`bisim.Quotient`), refined
-        on first use."""
+        """The system's bisimulation classes and the recorded rounds of
+        refining it on its own (`bisim.Quotient`), built on first use by
+        a bisimulation query or `equivalence_classes`."""
         from .bisim import quotient  # bisim imports this module
         return quotient(self)
-
-    @cached_property
-    def refinement(self):
-        """The rounds of refining the system's quotient on its own
-        (`bisim.Refinement`), recorded on first use by a bisimulation
-        query against the system."""
-        from .bisim import refinement
-        return refinement(self)
 
     @property
     def num_states(self) -> int:

@@ -32,9 +32,8 @@ rounds of `ccss.bisim._rounds`, which signs again only the predecessors
 of states that changed block.  Both work on `_disjoint_union`, two
 systems merged into one state list of (label, target) moves.
 `union_refinement_input` codes that union as the int input of
-`ccss.bisim._rounds`; on one system's quotient and another system it is
-the reference for the rounds `ccss.bisim._replay` replays from the
-first system's record.
+`ccss.bisim._rounds`; on two systems it is the reference for the rounds
+`ccss.bisim._replay` replays from the first system's record.
 `term_explore` explores whole state terms, one SOS call per state, the
 reference for the skeleton explorer `ccss.lts.explore`.  `oracle_sccs`
 is Tarjan's algorithm over dicts and a successor function, the
