@@ -214,6 +214,13 @@ MUTANTS = [
            "        return bid if self.rests[i] >= 0 else None\n",
            ("tests/test_bisim.py::"
             "test_an_isomorphic_copy_replays_in_the_rounds_of_the_record",)),
+    Mutant("concrete equation indexed after a pattern of its family",
+           "src/ccss/terms.py",
+           "        elif key not in self.patterned:\n",
+           "        else:\n",
+           ("tests/test_terms.py::"
+            "test_a_pattern_declared_before_a_concrete_equation_wins_its_calls",
+            )),
     Mutant("Par witness kept without its node", "src/ccss/justness.py",
            "                key = (node, left, right)\n",
            "                key = (node[0], left, right)\n",

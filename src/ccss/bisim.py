@@ -83,9 +83,16 @@ def _rounds(moves, preds, signals, sign=None):
 
     A round signs its blocks of one state too.  With a function `sign`,
     before it splits it calls sign(block id, its signed members by
-    signature, its members not signed or None) per block it signs; after
-    it the groups' ids are those of their members.  The round after the
-    last yielded one still signs, and splits nothing.
+    signature, its first member not signed or None) per block it signs;
+    after it the groups' ids are those of their members.  The round
+    after the last yielded one still signs, and splits nothing.
+
+    The list of a block's members not signed is built only when they
+    leave it: when some group is at least as large, since the sort that
+    picks the largest group is stable and puts them last.  When they
+    keep its id, the block keeps its list, with the states that left
+    it, and its size; a state of the list is in the block while its id
+    is the block's, as an id is never given out twice.
 
     A signature is a frozenset of ints, which hashes and compares in C;
     it lives only while its block is signed."""
@@ -94,35 +101,45 @@ def _rounds(moves, preds, signals, sign=None):
     members = [[] for _ in ids]
     for s, bid in enumerate(blocks):
         members[bid].append(s)
+    size = list(map(len, members))
     yield blocks, {}
     touched = set()  # the states signed again; empty in round 1
     signed = dict(enumerate(members))
     while True:
-        splits = []
+        splits = []  # (block, its groups, whether its rest keeps its id)
         for bid, subset in signed.items():
-            block = members[bid]
             groups = _signed(subset, moves, blocks)
             # the members not signed again keep the signature they
             # shared, which has no move into a new block
-            rest = ([s for s in block if s not in touched]
-                    if len(subset) < len(block) else None)
+            unsigned = size[bid] - len(subset)
             if sign is not None:
-                sign(bid, groups, rest)
+                first = (next(s for s in members[bid]
+                              if blocks[s] == bid and s not in touched)
+                         if unsigned else None)
+                sign(bid, groups, first)
             groups = list(groups.values())
-            if rest:
+            stays = unsigned > max(map(len, groups))
+            if unsigned and not stays:
+                rest = [s for s in members[bid]
+                        if blocks[s] == bid and s not in touched]
                 groups.append(rest)
-            elif len(groups) == 1:
+            elif len(groups) == 1 and not unsigned:
                 continue
-            splits.append((bid, groups))
+            splits.append((bid, groups, stays))
         if not splits:
             return
         left = {}
-        for bid, groups in splits:
+        for bid, groups, stays in splits:
             groups.sort(key=len, reverse=True)
-            members[bid] = groups[0]
-            for group in groups[1:]:
+            if stays:
+                size[bid] -= sum(map(len, groups))
+            else:
+                members[bid] = groups.pop(0)
+                size[bid] = len(members[bid])
+            for group in groups:
                 new = len(members)
                 members.append(group)
+                size.append(len(group))
                 for s in group:
                     blocks[s] = new
                     left[s] = bid
@@ -188,7 +205,7 @@ class _Round:
     def sign(self, bid: int, by_signature: dict, rest) -> None:
         """Record a block the round signs, as `_rounds` reports it."""
         self.signed.append(bid)
-        self.rests.append(rest[0] if rest else -1)
+        self.rests.append(-1 if rest is None else rest)
         for sig, group in by_signature.items():
             key = hash(sig) ^ bid
             self.chain.append(self.index.get(key, -1))

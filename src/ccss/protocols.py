@@ -1,11 +1,14 @@
 """Generators for the bundled mutual-exclusion models, and role tagging.
 
 Each generator writes the model as `.ccss` source text and builds from
-it a parsed, validated `ProtocolModel` whose roles `roles_from_file`
-infers, as for any model file: which action marks a process leaving its
-noncritical section, which one marks entry into the critical section,
-and which leaf subterms count as "pending" (noncritical section left,
-critical section not yet reached) or as occupying the critical section.
+it a parsed `ProtocolModel` whose roles `roles_from_file` infers, as for
+any model file; building does not validate the model, and
+`tests/test_protocols.py::test_model_sources_parse_and_validate`
+validates every generated source.  The roles say which action marks a
+process leaving its noncritical section, which one marks entry into the
+critical section, and which leaf subterms count as "pending"
+(noncritical section left, critical section not yet reached) or as
+occupying the critical section.
 Shared variables come in two flavors: `ccs` variables answer reads by
 handshake, `ccss` variables emit their value as a signal.
 """
@@ -17,8 +20,8 @@ from operator import getitem, itemgetter, not_
 
 from .errors import ComponentTooLarge, DynamicParallelism, ParameterOutOfRange
 from .terms import (
-    Action, Environment, Prefix, Relabel, Term, canonical, leaf_paths,
-    reachable, subterm_at,
+    Action, Environment, Ident, Prefix, Relabel, Term, canonical,
+    leaf_paths, reachable, subterm_at,
 )
 from .syntax import SpecFile, parse, term_str
 # explore is not called here; perfbench/spans.py traces protocols.explore
@@ -166,12 +169,19 @@ def roles_from_file(spec: SpecFile) -> ProtocolModel:
     and `crit` (same suffix and parameters) is treated as one process of
     a mutual-exclusion protocol.  The generators build their models with
     it too.  A component whose term and reachable equations name no
-    `noncrit*` action is not walked."""
+    `noncrit*` action is not walked.  `reachable` reads every equation of
+    a call's base and arity, whatever its parameters, so a component
+    that is a call is pre-scanned once per base and arity."""
     engine = SosEngine(spec.env)
     roles = []
+    scanned = {}  # a call's (base, arity), or another term -> pre-scan
     for leaf in leaf_paths(spec.root):
         agent = subterm_at(spec.root, leaf)
-        if not _may_name_noncrit(spec.env, agent):
+        key = ((agent.name.base, len(agent.name.params))
+               if isinstance(agent, Ident) else agent)
+        if key not in scanned:
+            scanned[key] = _may_name_noncrit(spec.env, agent)
+        if not scanned[key]:
             continue
         graph = _local_graph(engine, agent, leaf)
         noncrit = {}

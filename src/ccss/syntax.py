@@ -80,8 +80,9 @@ class _Parser:
         self.ranges = {}
         self.equations = []
         self.root = None
-        # one object per distinct name, action and identifier of the file:
-        # models keep their parsed equations, where most names recur
+        # one object per distinct name, action and identifier of the file,
+        # keyed by its class and fields: models keep their parsed
+        # equations, where most names recur
         self.shared = {}
 
     # -- token plumbing ----------------------------------------------------
@@ -111,8 +112,13 @@ class _Parser:
         self.i += 1
         return tok
 
-    def _shared(self, item):
-        return self.shared.setdefault(item, item)
+    def _shared(self, cls, *fields):
+        """The file's one `cls(*fields)`, built when first asked for."""
+        key = (cls, *fields)
+        item = self.shared.get(key)
+        if item is None:
+            item = self.shared[key] = cls(*fields)
+        return item
 
     def position(self, index: int):
         """(line, column) of the token at `index`, or of the end of input
@@ -199,13 +205,9 @@ class _Parser:
 
     def equation_lhs(self):
         base = self.expect_ident()
-        params = []
         scope = set()
-        if self.at("["):
-            params.append(self.param_bracketed(frozenset(), binding_ok=scope))
-            while self.accept("_"):
-                params.append(self.param_tail(frozenset(), binding_ok=scope))
-        return Name(base, tuple(params)), frozenset(scope)
+        params = self.params(frozenset(), binding_ok=scope)
+        return Name(base, params), frozenset(scope)
 
     # -- processes -----------------------------------------------------------
 
@@ -261,7 +263,7 @@ class _Parser:
                 self.expect(".")
                 if name.base in self.signals:
                     self.error(f"signal {name.base} has no output action")
-                actions.append(self._shared(Action(COHANDSHAKE, name)))
+                actions.append(self._shared(Action, COHANDSHAKE, name))
             elif tok in self.idents:
                 # "A[1]" is an indexed identifier, but "A[b/a]" is a
                 # relabelling of A: read parameters, back off on failure
@@ -270,14 +272,14 @@ class _Parser:
                     name = self.name(scope)
                 except _Failure:
                     self.i = start + 1
-                    name = self._shared(Name(tok))
+                    name = self._shared(Name, tok, ())
                 else:
                     if self.accept("."):
                         kind = (SIGNAL if name.base in self.signals
                                 else HANDSHAKE)
-                        actions.append(self._shared(Action(kind, name)))
+                        actions.append(self._shared(Action, kind, name))
                         continue
-                term = self._shared(Ident(name))
+                term = self._shared(Ident, name)
                 break
             else:
                 term = self.atom(scope)
@@ -344,14 +346,29 @@ class _Parser:
 
     def name(self, scope) -> Name:
         base = self.expect_ident()
-        params = []
-        if self.at("["):
-            params.append(self.param_bracketed(scope))
-            while self.accept("_"):
-                params.append(self.param_tail(scope))
-        key = (base, tuple(params))  # a recurring name is found unbuilt
-        return (self.shared.get(key)
-                or self.shared.setdefault(key, self._shared(Name(*key))))
+        return self._shared(Name, base, self.params(scope))
+
+    def params(self, scope, binding_ok=None) -> tuple:
+        """A name's parameters, from the `[` at the next token, or ().
+        When each is an integer literal, as in `D[1]_0_2`, they are read
+        in one step; any other form by `param_bracketed` and
+        `param_tail`."""
+        tokens, i = self.tokens, self.i
+        if tokens[i] != "[":
+            return ()
+        if tokens[i + 1].isdecimal() and tokens[i + 2] == "]":
+            params = [int(tokens[i + 1])]
+            i += 3
+            while tokens[i] == "_" and tokens[i + 1].isdecimal():
+                params.append(int(tokens[i + 1]))
+                i += 2
+            if tokens[i] != "_":
+                self.i = i
+                return tuple(params)
+        params = [self.param_bracketed(scope, binding_ok)]
+        while self.accept("_"):
+            params.append(self.param_tail(scope, binding_ok))
+        return tuple(params)
 
     def param_bracketed(self, scope, binding_ok=None):
         self.expect("[")

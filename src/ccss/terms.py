@@ -376,13 +376,18 @@ class Environment:
     Each equation is one (Name, body) pair, listed in `equations` under
     its (base, arity) and in `order` in declaration order; parameters in
     a left-hand side may be pattern variables, bound by matching at
-    resolve time.  Blocking is classified per base name (both polarities
-    of a handshake name block or neither does); tau is always
-    non-blocking.
+    resolve time.  A call resolves to its first matching equation in
+    declaration order, so a left-hand side without variables that no
+    pattern of its base and arity comes before is also kept in `exact`,
+    the first such equation per name.  Blocking is classified per base
+    name (both polarities of a handshake name block or neither does);
+    tau is always non-blocking.
     """
 
     def __init__(self, equations=(), signals=(), blocking=()):
         self.equations = {}
+        self.exact = {}  # concrete left-hand side -> body
+        self.patterned = set()  # (base, arity) of each pattern equation
         self.order = []  # for printing
         self.declared_signals = frozenset(signals)
         self.blocking = frozenset(blocking)
@@ -391,8 +396,12 @@ class Environment:
 
     def define(self, name: Name, body: Term):
         equation = (name, body)
-        self.equations.setdefault((name.base, len(name.params)), []).append(
-            equation)
+        key = (name.base, len(name.params))
+        if not name.concrete:
+            self.patterned.add(key)
+        elif key not in self.patterned:
+            self.exact.setdefault(name, body)
+        self.equations.setdefault(key, []).append(equation)
         self.order.append(equation)
 
     def is_blocking(self, action: Action) -> bool:
@@ -401,7 +410,11 @@ class Environment:
         return action.name.base in self.blocking
 
     def resolve(self, name: Name) -> Term:
-        """Body of the matching equation, parameters substituted in."""
+        """Body of the first matching equation, parameters substituted
+        in: the one `exact` keeps for `name`, else the first by scan."""
+        body = self.exact.get(name)
+        if body is not None:
+            return body
         candidates = self.equations.get((name.base, len(name.params)))
         if candidates is None:
             if any(base == name.base for base, _ in self.equations):
@@ -608,8 +621,10 @@ def validate(env: Environment, root: Term) -> ValidationReport:
                 if key not in env.equations:
                     out.append(Violation("UnknownAgent", f"{name} in {where}"))
             # a call with index variables is resolved, and checked, by
-            # the SOS engine once they are bound
-            if key in env.equations and name.concrete and name not in called:
+            # the SOS engine once they are bound; a call `exact` keeps
+            # always resolves
+            if (key in env.equations and name.concrete
+                    and name not in env.exact and name not in called):
                 called.add(name)
                 if all(_match_params(lhs.params, name.params) is None
                        for lhs, _ in env.equations[key]):

@@ -283,7 +283,7 @@ def test_a_recorded_round_finds_exactly_its_signatures(top):
             frozenset({1, top}): [2]}
     record = _Round(top)
     record.sign(3, sigs, None)
-    record.sign(1, {frozenset({top}): [3]}, [4])
+    record.sign(1, {frozenset({top}): [3]}, 4)
     record.close([7, 8, 9, 10, 11], {})
     assert [record.group(3, sig) for sig in sigs] == [7, 8, 9]
     assert record.group(1, frozenset({top})) == 10

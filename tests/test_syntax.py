@@ -1,12 +1,15 @@
 """Concrete syntax: parser, pretty-printer, and their round trip."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccss.errors import ParseError, ScopeError
 from ccss.terms import (
-    NIL, Environment, Name, Par, Prefix, Restrict, Sum, SignalEmit, Relabel,
-    Ident, IndexedSum, Var, act, canonical, coact, mk_sum, sig, TAU,
+    NIL, Action, Environment, Name, Par, Prefix, Relabelling, Restrict, Sum,
+    SignalEmit, Relabel, Ident, IndexedSum, Var, act, canonical, coact, mk_sum,
+    sig, TAU,
 )
 from ccss import syntax
 from ccss.syntax import parse, parse_term, spec_str, term_str
@@ -78,11 +81,14 @@ def test_a_relabelling_pair_listed_twice_is_one_pair():
 def test_identifier_with_parameters_vs_relabelling():
     spec = parse("""
 A[1] = a.0
-system = A[1] | (a.0)[b/a]
+system = A[1] | (a.0)[b/a] | A[b/a] | A[1]_2[b[1]/a[1]]
 """)
-    par = spec.root
-    assert isinstance(par.left, Ident)
-    assert isinstance(par.right, Relabel)
+    b_for_a = Relabelling.make([(Name("a"), Name("b"))])
+    assert spec.root == Par(Par(Par(
+        Ident(Name("A", (1,))), Relabel(Prefix(act("a"), NIL), b_for_a)),
+        Relabel(Ident(Name("A")), b_for_a)),
+        Relabel(Ident(Name("A", (1, 2))),
+                Relabelling.make([(Name("a", (1,)), Name("b", (1,)))])))
 
 
 def test_parse_error_carries_position():
@@ -178,6 +184,27 @@ ERRORS = {
     "one indexed name relabelled to two": (
         "A = a.0\nsystem = A[b/a[1], a[2]/a[2], c/a[1]]\n",
         ParseError, "2:31: a[1] is relabelled to both b and c"),
+    # names whose parameters start as integer literals but are not all
+    # literals: `D[1]_0_2` is read in one step, anything else by the
+    # parameter rules, which raise these
+    "A[1]_ as a process": (
+        "A = a.0\nsystem = A[1]_\n",
+        ParseError, "2:12: expected identifier, found '1'"),
+    "A[1]_( as a process": (
+        "A = a.0\nsystem = A[1]_(\n",
+        ParseError, "2:12: expected identifier, found '1'"),
+    "A[1]_ as a left-hand side": (
+        "A = a.0\nA[1]_ = 0\nsystem = 0\n",
+        ParseError, "2:7: expected a parameter"),
+    "A[1]_( as a left-hand side": (
+        "A = a.0\nA[1]_( = 0\nsystem = 0\n",
+        ParseError, "2:8: expected an index expression"),
+    "'a[1]_2_ as an output": (
+        "A = a.0\nsystem = 'a[1]_2_.0\n",
+        ParseError, "2:18: expected a parameter"),
+    "'a[1]_x with x unbound": (
+        "A = a.0\nsystem = 'a[1]_x.0\n",
+        ScopeError, "unbound index variable 'x' at line 2"),
 }
 
 
@@ -191,6 +218,39 @@ def test_parse_errors_name_the_offending_position(case):
     if error is ParseError:
         line, column = message.split(":")[:2]
         assert (exc.value.line, exc.value.column) == (int(line), int(column))
+
+
+@pytest.mark.parametrize("source", ["bakery 2 4 ccs", "filter 3 ccss",
+                                    "guarded"])
+def test_each_recurring_name_action_and_identifier_is_one_object(source):
+    """In the processes of a file, the equation bodies and the system,
+    each distinct name, action and identifier is one object, however
+    often it occurs; a left-hand side is a name of its own."""
+    from ccss import protocols
+    text = {"bakery 2 4 ccs": lambda: protocols.bakery(2, 4, "ccs").source,
+            "filter 3 ccss": lambda: protocols.filter_lock(3).source,
+            "guarded": lambda: GUARDED_MODELS[0][0]}[source]()
+    spec = parse(text)
+    objects, occurrences = {}, 0
+
+    def walk(item):
+        nonlocal occurrences
+        if isinstance(item, (Name, Action, Ident)):
+            objects.setdefault(item, set()).add(id(item))
+            occurrences += 1
+        if dataclasses.is_dataclass(item):
+            for f in dataclasses.fields(item):
+                if f.compare:
+                    walk(getattr(item, f.name))
+        elif isinstance(item, (tuple, frozenset)):
+            for x in item:
+                walk(x)
+
+    for _, body in spec.env.order:
+        walk(body)
+    walk(spec.root)
+    assert occurrences > len(objects)  # some recur
+    assert all(len(ids) == 1 for ids in objects.values())
 
 
 def test_relabelling_back_offs_work_out_no_position(monkeypatch):

@@ -1,6 +1,7 @@
 """Term model: actions, guards, substitution, environments, validation."""
 
 import dataclasses
+import pathlib
 
 import pytest
 
@@ -12,6 +13,8 @@ from ccss.terms import (
     act, coact, sig, canonical, contains_par, eval_guard, indexed_branches,
     leaf_paths, reachable, subterm_at, substitute, validate,
 )
+
+MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 
 
 def test_complement_is_an_involution():
@@ -110,6 +113,76 @@ def test_environment_resolves_by_parameter_pattern():
     env.define(Name("A", (Var("n", 0),)), Prefix(act("many", Var("n", 0)), NIL))
     assert env.resolve(Name("A", (1,))) == Prefix(act("one"), NIL)
     assert env.resolve(Name("A", (7,))) == Prefix(act("many", 7), NIL)
+
+
+def test_a_pattern_declared_before_a_concrete_equation_wins_its_calls():
+    env = Environment()
+    env.define(Name("A", (Var("n"), 2)), Prefix(act("pattern", Var("n")), NIL))
+    env.define(Name("A", (1, 2)), Prefix(act("one"), NIL))
+    env.define(Name("A", (1, 3)), Prefix(act("three"), NIL))
+    env.define(Name("B", (1,)), Prefix(act("b"), NIL))
+    assert env.resolve(Name("A", (1, 2))) == Prefix(act("pattern", 1), NIL)
+    assert env.resolve(Name("A", (1, 3))) == Prefix(act("three"), NIL)
+    assert env.resolve(Name("B", (1,))) == Prefix(act("b"), NIL)
+
+
+def test_a_left_hand_side_declared_twice_resolves_to_its_first_equation():
+    first, second = Prefix(act("first"), NIL), Prefix(act("second"), NIL)
+    env = Environment([(Name("A", (1,)), first), (Name("A", (1,)), second),
+                       (Name("B", ()), second), (Name("B", ()), first)])
+    assert env.resolve(Name("A", (1,))) is first
+    assert env.resolve(Name("B", ())) is second
+
+
+def _scan(env: Environment, name: Name):
+    """The reference resolution: the first equation in declaration order
+    whose left-hand side matches the call, its variables bound."""
+    for lhs, body in env.order:
+        if (lhs.base, len(lhs.params)) != (name.base, len(name.params)):
+            continue
+        binding = {}
+        for pat, val in zip(lhs.params, name.params):
+            if isinstance(pat, Var):
+                if pat.offset or binding.setdefault(pat.var, val) != val:
+                    break
+            elif pat != val:
+                break
+        else:
+            return substitute(body, binding)
+    return None
+
+
+def _catalog_specs():
+    from ccss import protocols
+    from ccss.syntax import parse
+    models = [protocols.example1(), protocols.example2()]
+    for flavor in protocols.FLAVORS:
+        models.append(protocols.peterson2(flavor))
+        models += [protocols.filter_lock(n, flavor) for n in (2, 3, 4)]
+        models += [protocols.bakery(n, k, flavor)
+                   for n, k in ((2, 2), (2, 4), (3, 4))]
+    specs = [(m.env, m.root) for m in models]
+    for path in sorted(MODELS.glob("*.ccss")):
+        spec = parse(path.read_text(encoding="utf-8"))
+        specs.append((spec.env, spec.root))
+    return specs
+
+
+def test_every_concrete_call_of_the_catalog_resolves_as_the_scan_does():
+    """Each call without variables in a catalog model or model file, and
+    each left-hand side, resolves to the equation the declaration-order
+    scan picks."""
+    checked = 0
+    for env, root in _catalog_specs():
+        calls = {lhs for lhs, _ in env.order}
+        for term in [root] + [body for _, body in env.order]:
+            # with no equations, `reachable` stays inside the term
+            calls.update(t.name for t, _ in reachable(Environment(), term)
+                         if isinstance(t, Ident) and t.name.concrete)
+        for name in calls:
+            assert env.resolve(name) == _scan(env, name), name
+            checked += 1
+    assert checked > 500  # 1,000 distinct names
 
 
 def test_environment_arity_and_unknown_agent_errors():
