@@ -108,7 +108,9 @@ class SosEngine:
             return self._par(term, stack)
         if isinstance(term, Ident):
             if term in stack or len(stack) >= MAX_UNFOLD:
-                raise UnguardedRecursion(str(term.name))
+                raise UnguardedRecursion(
+                    f"{stack[0].name} unfolds to {term.name} with no "
+                    f"prefix in between, at depth {len(stack)}")
             return self._entry(self.env.resolve(term.name),
                                stack + (term,))[:2]
         if isinstance(term, Restrict):

@@ -46,8 +46,7 @@ _LETTERS = frozenset(string.ascii_letters)
 
 
 class _Failure(Exception):
-    """(message, token index, is a ScopeError): `_Parser.run` positions it,
-    so a relabelling back-off costs only the raise."""
+    """(message, token index, is a ScopeError): `_Parser.run` positions it."""
 
 
 @dataclass
@@ -161,16 +160,13 @@ class _Parser:
 
     def declaration(self):
         if self.accept("signals"):
-            self.signals |= self.ident_set()
+            self.signals.update(self.braced(self.expect_ident))
         elif self.accept("blocking"):
-            self.blocking |= self.ident_set()
+            self.blocking.update(self.braced(self.expect_ident))
         elif self.accept("range"):
             name = self.expect_ident()
             self.expect("=")
-            lo = self.int_literal()
-            self.expect("..")
-            hi = self.int_literal()
-            self.ranges[name] = (lo, hi)
+            self.ranges[name] = self.bounds()
         elif self.accept("system"):
             if self.root is not None:
                 self.error("duplicate `system` declaration")
@@ -185,15 +181,16 @@ class _Parser:
             body = self.proc(scope)
             self.equations.append((name, body))
 
-    def ident_set(self):
+    def braced(self, item, *args) -> list:
+        """`{x, y, ...}`, each element read by `item(*args)`."""
         self.expect("{")
-        names = set()
+        items = []
         if not self.at("}"):
-            names.add(self.expect_ident())
+            items.append(item(*args))
             while self.accept(","):
-                names.add(self.expect_ident())
+                items.append(item(*args))
         self.expect("}")
-        return names
+        return items
 
     def int_literal(self) -> int:
         neg = self.accept("-")
@@ -232,16 +229,19 @@ class _Parser:
         return term
 
     def range_expr(self):
+        """A sum's range: a declared range's name, or `lo..hi`."""
         tok = self.peek()
         if tok in self.idents:
             self.i += 1
             if tok not in self.ranges:
                 self.error(f"unknown range {tok!r}", self.i - 1, True)
             return self.ranges[tok]
+        return self.bounds()
+
+    def bounds(self):
         lo = self.int_literal()
         self.expect("..")
-        hi = self.int_literal()
-        return lo, hi
+        return lo, self.int_literal()
 
     def par(self, scope) -> Term:
         term = self.prefixed(scope)
@@ -251,11 +251,16 @@ class _Parser:
 
     def prefixed(self, scope) -> Term:
         """Actions, each followed by '.', then a postfixed atom.  An
-        identifier's name is parsed once, as an action or as the atom."""
+        identifier's name is parsed once, as an action or as the atom.
+        After `A[`, a `]` or an identifier followed by `/` or `[` starts
+        a relabelling of A, as in `A[]`, `A[b/a]` and `A[b[1]/a[1]]`;
+        anything else starts A's parameters, as in `A[1]` and `A[i+1]`."""
         actions = []
+        tokens = self.tokens
         while True:
-            tok = self.peek()
-            if tok == "tau" and self.tokens[self.i + 1] == ".":
+            i = self.i
+            tok = tokens[i]
+            if tok == "tau" and tokens[i + 1] == ".":
                 self.i += 2
                 actions.append(TAU)
             elif self.accept("'"):
@@ -265,15 +270,13 @@ class _Parser:
                     self.error(f"signal {name.base} has no output action")
                 actions.append(self._shared(Action, COHANDSHAKE, name))
             elif tok in self.idents:
-                # "A[1]" is an indexed identifier, but "A[b/a]" is a
-                # relabelling of A: read parameters, back off on failure
-                start = self.i
-                try:
-                    name = self.name(scope)
-                except _Failure:
-                    self.i = start + 1
+                if tokens[i + 1] == "[" and (
+                        tokens[i + 2] == "]" or tokens[i + 2] in self.idents
+                        and tokens[i + 3] in ("/", "[")):
+                    self.i += 1
                     name = self._shared(Name, tok, ())
                 else:
+                    name = self.name(scope)
                     if self.accept("."):
                         kind = (SIGNAL if name.base in self.signals
                                 else HANDSHAKE)
@@ -292,7 +295,7 @@ class _Parser:
     def postfixed(self, term, scope) -> Term:
         while True:
             if self.accept("\\"):
-                term = Restrict(term, frozenset(self.name_set(scope)))
+                term = Restrict(term, frozenset(self.braced(self.name, scope)))
             elif self.accept("["):
                 term = Relabel(term, self.rename_list(scope))
             elif self.accept("^"):
@@ -309,16 +312,6 @@ class _Parser:
             self.expect(")")
             return term
         self.error("expected a process")
-
-    def name_set(self, scope):
-        self.expect("{")
-        names = []
-        if not self.at("}"):
-            names.append(self.name(scope))
-            while self.accept(","):
-                names.append(self.name(scope))
-        self.expect("}")
-        return names
 
     def rename_list(self, scope) -> Relabelling:
         """The pairs up to `]`, each listed once; a pair given twice is
@@ -351,8 +344,7 @@ class _Parser:
     def params(self, scope, binding_ok=None) -> tuple:
         """A name's parameters, from the `[` at the next token, or ().
         When each is an integer literal, as in `D[1]_0_2`, they are read
-        in one step; any other form by `param_bracketed` and
-        `param_tail`."""
+        in one step; any other form by `intexpr` and `param_tail`."""
         tokens, i = self.tokens, self.i
         if tokens[i] != "[":
             return ()
@@ -365,16 +357,12 @@ class _Parser:
             if tokens[i] != "_":
                 self.i = i
                 return tuple(params)
-        params = [self.param_bracketed(scope, binding_ok)]
+        self.i += 1  # the "["
+        params = [self.intexpr(scope, binding_ok)]
+        self.expect("]")
         while self.accept("_"):
             params.append(self.param_tail(scope, binding_ok))
         return tuple(params)
-
-    def param_bracketed(self, scope, binding_ok=None):
-        self.expect("[")
-        value = self.intexpr(scope, binding_ok)
-        self.expect("]")
-        return value
 
     def param_tail(self, scope, binding_ok=None):
         """Parameter after '_': an integer, a variable, or (expr)."""

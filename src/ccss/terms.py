@@ -366,8 +366,10 @@ def indexed_branches(term: IndexedSum) -> tuple:
 # --------------------------------------------------------------------------
 # environments of defining equations
 
-# longest chain of identifier unfoldings before recursion counts as unguarded
-MAX_UNFOLD = 10_000
+# longest chain of identifier unfoldings before recursion counts as
+# unguarded; the SOS engine recurses a few frames per unfolding, so the
+# chain must end well before Python's recursion limit does
+MAX_UNFOLD = 50
 
 
 class Environment:

@@ -17,21 +17,24 @@ per-SCC configuration (touched components moving, all others resting at
 their — necessarily constant — subterms) decides the existence question
 exactly.  Components are the leaf slots of the SCC's own shape (every
 state of an SCC has one), so components spawned before the cycle count.
-The role is stuck on an SCC with a pending state or a noncrit edge: an
-edge with the role's noncrit label, of any component, as the brute-force
-reference reads it; with no pending state the witness takes one first.
-Per role, cycles come first, in the order Tarjan's algorithm finds the
-SCCs; the first witness cycle that the full lasso justness check
-confirms is reported.  Only then are dead ends tried (a maximal state
-with only blocking actions enabled while the role is stuck
-mid-protocol).  The search is exhaustive whenever exploration was not
+A role's crit and noncrit edges are those with its label that move its
+own component (a slot at or below `Role.leaf`); another component's
+action with the same label is an edge like any other.  The role is
+stuck on an SCC with a pending state, where it waits mid-protocol.  An
+SCC with one of the role's noncrit edges has one too, that edge's
+target, so this is the brute-force reference's condition "a pending
+state or a noncrit edge".  Per role, cycles come first, in the order
+Tarjan's algorithm finds the SCCs; the first witness cycle that the
+full lasso justness check confirms is reported.  Only then are dead
+ends tried (a maximal state with only blocking actions enabled while
+the role is stuck mid-protocol).  The search is exhaustive whenever exploration was not
 truncated.  When some witness cycle fails the check and no other
 witness is confirmed, the verdict is "unknown", never "holds".
 
 The per-state and per-edge loops read int columns, not `Transition`s:
 transition sources, targets and label ids (`Lts.sources`, `Lts.targets`,
-`Lts.label_ids`), per role an edge mask (target not excluded, label not
-the crit action) and per-state role flags (`ProtocolModel.flags`).
+`Lts.label_ids`), per role an edge mask (target not excluded, not one of
+the role's crit edges) and per-state role flags (`ProtocolModel.flags`).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
-from operator import and_, eq
+from operator import eq
 from typing import Optional
 
 from .lts import Lts, explore
@@ -230,6 +233,14 @@ def _cycle_through(lts: Lts, inside, anchor: int, required: list) -> list:
     return walk + _path(lts, at, {anchor}, inside)
 
 
+def _moves(lts: Lts, i: int, leaf: tuple) -> bool:
+    """Whether transition i moves the component at `leaf`: among its
+    components is a slot at or below it, in the source state's shape."""
+    addresses = lts.states[lts.sources[i]].shape.addresses
+    return any(addresses[k][:len(leaf)] == leaf
+               for k in lts.transitions[i].components)
+
+
 def check_liveness(model: ProtocolModel,
                    max_states: int = 1_000_000) -> LivenessVerdict:
     ws = _prepare(model, max_states)
@@ -252,10 +263,11 @@ def check_liveness(model: ProtocolModel,
 
     for role in model.roles:
         crit = label_id.get(role.crit, -1)
-        noncrit = label_id.get(role.noncrit, -1)
-        # the role's edges: no crit action, no excluded target
-        mask = bytearray(map(and_, ws.ok_edges,
-                             map(crit.__ne__, label_of)))
+        # the role's edges: none of its own crit edges, no excluded target
+        mask = bytearray(ws.ok_edges)
+        for i in compress(count(), map(crit.__eq__, label_of)):
+            if _moves(lts, i, role.leaf):
+                mask[i] = 0
         pending = model.flags(lts.states, role, role.pending_terms)
         comp_of = [-1] * lts.num_states
         for c, comp in enumerate(_sccs(lts, mask, ws.ok_states)):
@@ -265,28 +277,23 @@ def check_liveness(model: ProtocolModel,
                 comp_of[s] = c
             edges = [i for s in comp for i in lts.outgoing(s)
                      if mask[i] and comp_of[targets[i]] == c]
-            anchor = min(comp)
             # the role must be stuck mid-protocol on this cycle
-            noncrit_edges = [i for i in edges if label_of[i] == noncrit]
             waiting = [s for s in comp if pending[s]]
-            if not edges or not noncrit_edges and not waiting:
+            if not edges or not waiting:
                 continue
-            # every state of the SCC has the anchor's shape: a Par never
+            # every state of the SCC has one shape: a Par never
             # disappears, so none can appear on a cycle either
-            shape, leaves = lts.states[anchor]
+            shape, leaves = lts.states[min(comp)]
             touched = frozenset().union(*(trans[i].components
                                           for i in edges))
             if not analyze_configuration(ws.engine, env, shape, leaves,
                                          touched).just:
                 continue
-            # build a witness cycle covering every touched component
+            # build a witness cycle from a pending state, covering every
+            # touched component
+            anchor = min(waiting)
             required = []
             covered = frozenset()
-            if noncrit_edges and not waiting:
-                required.append(noncrit_edges[0])
-                covered = trans[noncrit_edges[0]].components
-            elif waiting:
-                anchor = min(waiting)
             inside = bytearray(len(trans))
             for i in edges:
                 inside[i] = 1

@@ -321,12 +321,14 @@ def _strongly_connected(chosen, ends):
 def oracle_liveness(model):
     """Per role, in order: (name, just cycles, dead ends), by brute force,
     the reference for `ccss.verify.check_liveness`, which searches the
-    strongly connected components of each role's graph.  A role's edges
-    are the transitions without its crit label into states that are not
+    strongly connected components of each role's graph.  A role's own
+    crit and noncrit edges are the transitions with that label in which a
+    component at or below `role.leaf` takes part.  A role's edges are the
+    transitions other than its own crit edges into states that are not
     excluded, from states reached from the initial one without entering
     an excluded state.  Its just cycles are the subsets of those edges
-    that form one strongly connected graph, have a noncrit edge or a
-    pending state, and are just when the components their edges move
+    that form one strongly connected graph, have an own noncrit edge or
+    a pending state, and are just when the components their edges move
     keep moving and every other component rests (`oracle_config`,
     judged at the subset's lowest state).  Its dead ends are the
     reached, pending states whose actions all block.  A subset is a
@@ -363,8 +365,13 @@ def oracle_liveness(model):
     out = []
     for role in model.roles:
         pending = model.flags(lts.states, role, role.pending_terms)
+
+        def own(t, label, depth=len(role.leaf)):
+            return t.label == label and any(p[:depth] == role.leaf
+                                            for p in t.participants)
+
         edges = [t for t in trans if t.src in reached and ok[t.tgt]
-                 and t.label != role.crit]
+                 and not own(t, role.crit)]
         ahead = {s: reach(s, edges) for s in reached}
         classes = {}
         for t in edges:
@@ -382,7 +389,7 @@ def oracle_liveness(model):
                     continue
                 walk = [t for k, t in enumerate(group) if chosen >> k & 1]
                 states = {t.src for t in walk}
-                if not (any(t.label == role.noncrit for t in walk)
+                if not (any(own(t, role.noncrit) for t in walk)
                         or any(pending[s] for s in states)):
                     continue
                 key = (min(states),

@@ -352,6 +352,18 @@ def test_unguarded_recursion_is_a_usage_error_for_parse_as_for_lts(
         assert "UnguardedRecursion" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", ["a.0 + A[i+1]", "(a.0 | A[i+1]) \\ {b}"])
+def test_unguarded_recursion_through_a_parameterised_equation_is_a_usage_error(
+        tmp_path, capsys, body):
+    """Each call `A[i]` unfolds to a new call `A[i+1]`, so no identifier
+    recurs; the engine stops the chain and names its first call."""
+    path = tmp_path / "unguarded.ccss"
+    path.write_text(f"A[i] = {body}\nsystem = A[0]\n")
+    assert main(["lts", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: UnguardedRecursion: A[0] unfolds to A[50]")
+
+
 @FILE_COMMANDS
 def test_a_name_relabelled_to_two_names_is_a_usage_error(tmp_path, capsys,
                                                          command):

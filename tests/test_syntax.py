@@ -91,6 +91,31 @@ system = A[1] | (a.0)[b/a] | A[b/a] | A[1]_2[b[1]/a[1]]
                 Relabelling.make([(Name("a", (1,)), Name("b", (1,)))])))
 
 
+@pytest.mark.parametrize("text, term", [
+    ("A[]", Relabel(Ident(Name("A")), Relabelling.make())),
+    ("A[b/a]", Relabel(Ident(Name("A")),
+                       Relabelling.make([(Name("a"), Name("b"))]))),
+    ("A[b[1]/a[1]]", Relabel(Ident(Name("A")), Relabelling.make(
+        [(Name("a", (1,)), Name("b", (1,)))]))),
+    ("A[1][b/a]", Relabel(Ident(Name("A", (1,))),
+                          Relabelling.make([(Name("a"), Name("b"))]))),
+    ("(a.0)[b/a]", Relabel(Prefix(act("a"), NIL),
+                           Relabelling.make([(Name("a"), Name("b"))]))),
+    ("A[i]", Ident(Name("A", (Var("i"),)))),
+    ("A[i+1]_j", Ident(Name("A", (Var("i", 1), Var("j"))))),
+])
+def test_a_bracket_after_an_identifier_is_told_apart_by_lookahead(text,
+                                                                   term):
+    """After `A[`, a `]` or an identifier followed by `/` or `[` starts a
+    relabelling of A; anything else starts A's parameters."""
+    assert parse_term(text, signals=(), scope={"i", "j"}) == term
+    spec = parse(f"A = a.0\nA[k] = a.0\nA[k]_l = a.0\nB[i]_j = {text}\n"
+                 "system = B[0]_1\n")
+    printed = spec_str(spec)
+    assert spec_str(parse(printed)) == printed
+    assert parse(printed).root == spec.root
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse("system = a..0\n")
@@ -164,11 +189,14 @@ ERRORS = {
     "unbound index variable": (
         "A = a.0\nsystem = 'b[k].0\n",
         ScopeError, "unbound index variable 'k' at line 2"),
-    # an identifier whose parameters do not parse backs off to a
-    # relabelling, so these errors come from reading one
+    # `b[k` is a name with parameters, not a relabelling of b: only a
+    # `]`, or an identifier followed by `/` or `[`, starts one
     "unbound index variable read as a relabelling": (
         "A = a.0\n\nsystem = a.b[k].0\n",
-        ParseError, "3:15: expected '/', found ']'"),
+        ScopeError, "unbound index variable 'k' at line 3"),
+    "A[i] with i unbound": (
+        "A[k] = a.0\nsystem = A[i]\n",
+        ScopeError, "unbound index variable 'i' at line 2"),
     "relabelled action": (
         "A = a.0\nsystem = A[b/a] | a[c/a].0\n",
         ParseError, "2:25: expected a declaration"),
@@ -189,10 +217,10 @@ ERRORS = {
     # parameter rules, which raise these
     "A[1]_ as a process": (
         "A = a.0\nsystem = A[1]_\n",
-        ParseError, "2:12: expected identifier, found '1'"),
+        ParseError, "3:1: expected a parameter"),
     "A[1]_( as a process": (
         "A = a.0\nsystem = A[1]_(\n",
-        ParseError, "2:12: expected identifier, found '1'"),
+        ParseError, "3:1: expected an index expression"),
     "A[1]_ as a left-hand side": (
         "A = a.0\nA[1]_ = 0\nsystem = 0\n",
         ParseError, "2:7: expected a parameter"),
@@ -253,10 +281,10 @@ def test_each_recurring_name_action_and_identifier_is_one_object(source):
     assert all(len(ids) == 1 for ids in objects.values())
 
 
-def test_relabelling_back_offs_work_out_no_position(monkeypatch):
-    # `A[b/a]` first reads [b/a] as parameters of A and backs off; the
-    # back-off must not scan the text for a position, or a source with r
-    # relabellings would cost r scans
+def test_relabellings_work_out_no_position(monkeypatch):
+    # a position is worked out only for an error: reading `A[b/a]` must
+    # not scan the text for one, or a source with r relabellings would
+    # cost r scans
     def no_position(self, index):
         raise AssertionError("a position was worked out without an error")
 

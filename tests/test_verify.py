@@ -273,9 +273,9 @@ def test_liveness_matches_the_brute_force_search(source):
     assert assert_liveness_matches_the_oracle(model) in ("holds", "cycle")
 
 
-# B's own noncritA loop is a noncrit edge of role A while A is not
-# pending: the witness cycle must take it, not B's tau loop, in which
-# noncritA never occurs.
+# B's noncritA loop is not an edge of role A: A never leaves its
+# noncritical section while B loops, and once A has, its critA is
+# enabled on every loop of B.
 FOREIGN_NONCRIT = """\
 blocking { noncritA }
 A = noncritA.critA.A
@@ -284,19 +284,40 @@ system = A | B
 """
 
 
-def test_a_noncrit_edge_of_another_component_starts_the_witness_cycle():
+def test_a_noncrit_edge_of_another_component_is_not_the_roles():
     model = protocols.roles_from_file(parse(FOREIGN_NONCRIT))
-    assert oracle_liveness(model) == [("A", 2, 0)]
+    assert oracle_liveness(model) == [("A", 0, 0)]
+    assert assert_liveness_matches_the_oracle(model) == "holds"
+    lts = explore(model.env, model.root)
+    (role,) = model.roles
+    assert [t.label for t in lts.transitions if t.src == t.tgt].count(
+        role.noncrit) == 2  # B's loop, before and after A's noncritA
+
+
+# B's critA loop is not A's crit edge: once A has taken noncritA it
+# waits at the restricted w forever while B repeats critA.
+FOREIGN_CRIT = """\
+blocking { noncritA }
+A = noncritA.w.critA.A
+B = critA.B
+system = (A | B) \\ {w}
+"""
+
+
+def test_a_crit_edge_of_another_component_is_not_the_roles(tmp_path,
+                                                              capsys):
+    model = protocols.roles_from_file(parse(FOREIGN_CRIT))
+    assert oracle_liveness(model) == [("A", 1, 0)]
     assert assert_liveness_matches_the_oracle(model) == "cycle"
-    verdict = check_liveness(model)
-    assert (verdict.status, verdict.role) == ("violated", "A")
-    lasso, _ = verdict.counterexample
-    assert lasso == Lasso((), (2,))
+    lasso, _ = check_liveness(model).counterexample
     lts = explore(model.env, model.root)
     (step,) = lasso.cycle
-    assert lts.transitions[step].label == model.roles[0].noncrit
-    assert model.flags([lts.states[lts.initial]], model.roles[0],
-                       model.roles[0].pending_terms)[0] == 0
+    assert lts.transitions[step].label == model.roles[0].crit
+    path = tmp_path / "foreign-crit.ccss"
+    path.write_text(FOREIGN_CRIT)
+    assert main(["verify", "--liveness", str(path)]) == 1
+    blob = json.loads(capsys.readouterr().out)
+    assert (blob["status"], blob["role"]) == ("violated", "A")
 
 
 # The SCC of D's tau loop is pending and just, but it is reached only
