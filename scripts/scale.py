@@ -9,14 +9,16 @@ copy with states and transitions shuffled is bisimilar to it, with the
 seconds each took (the classes' include refining the model and
 recording its rounds, `Lts.quotient`); a third, the bytes that quotient
 keeps (tracemalloc, around building it once more after the query, so
-that tracing slows none of the timed steps); a fourth, a SHA-256 digest of the explored transitions.  Exits 1 when a
-verdict differs from `EXPECTED`, a class count from `CLASSES`, a digest
-from `DIGESTS`, or the copy is not bisimilar.  Takes 50 to 65 s and
-about 188 MB of memory (max RSS, CPython 3.11.7 on a 2-vCPU x86_64 VM),
-of which about 35 MB is tracemalloc's bookkeeping while the quotient is
-traced (153 MB without that step); the digests take about 1 s of it.
-The quotients keep 7.0 MB on filter N=4 (367 bytes per class) and
-5.6 MB on bakery N=3 K=4 (290).
+that tracing slows none of the timed steps); a fourth, a SHA-256 digest
+of the explored transitions, and a fifth, one of the quotient's record.
+Exits 1 when a verdict differs from `EXPECTED`, a class count from
+`CLASSES`, a digest from `DIGESTS` or `RECORDS`, or the copy is not
+bisimilar.  Takes 43 to 65 s and about 189 MB of memory (max RSS,
+CPython 3.11.7 on a 2-vCPU x86_64 VM), of which about 35 MB is
+tracemalloc's bookkeeping while the quotient is traced (153 MB without
+that step); the digests take about 1 s of it.  The quotients keep
+7.0 MB on filter N=4 (363 bytes per class) and 5.5 MB on bakery N=3 K=4
+(286).
 
     python scripts/scale.py
 """
@@ -70,6 +72,18 @@ DIGESTS = {
     ("bakery N=3 K=4", "ccss"):
         "caf2000a8c5ac41dd10bfadfb55795ffec7782cb3fc7c89d207cbf80eed2958f",
 }
+# `record_digest` of each system's quotient: the same under PYTHONHASHSEED=0
+# and 1, so a change to the refinement that keeps every array keeps these
+RECORDS = {
+    ("filter N=4", "ccs"):
+        "40e6051e0204541612c5466b84bd79fcd5407e852c5642a2ad4564701cc9741f",
+    ("filter N=4", "ccss"):
+        "3ed56cad13b8af650a3f2905cf948b13f238bb2af10683c75a3f8eca1f71aa05",
+    ("bakery N=3 K=4", "ccs"):
+        "f46cc1ceda7bbb5ec3ba7f0171b2d1d4b59547e1836f75b7b900982161b5930c",
+    ("bakery N=3 K=4", "ccss"):
+        "4e8daec16f1a17c88668f84710c64327b145032d63709f318fd7c0fb76e4c4f6",
+}
 
 
 def digest(lts: Lts) -> str:
@@ -79,6 +93,18 @@ def digest(lts: Lts) -> str:
     for t in lts.transitions:
         h.update(f"{t.src} {t.label} {t.tgt} {sorted(t.components)}\n"
                  .encode())
+    return h.hexdigest()
+
+
+def record_digest(q: bisim.Quotient) -> str:
+    """SHA-256 over the int values of the quotient's `class_of` and
+    `start` and of each recorded round's arrays, one line per array."""
+    h = hashlib.sha256()
+    for values in (q.class_of, q.start, *(
+            getattr(r, field) for r in q.rounds
+            for field in ("moved", "new", "signed", "rests", "blocks",
+                          "starts", "codes", "chain"))):
+        h.update(" ".join(map(str, values)).encode() + b"\n")
     return h.hexdigest()
 
 
@@ -164,6 +190,10 @@ def main() -> int:
             found, pinned = digest(lts), DIGESTS[name, flavor]
             wrong += found != pinned
             print(f"{'':16} {'':6} transitions sha256 {found}"
+                  f"{'' if found == pinned else ' expected ' + pinned}")
+            found, pinned = record_digest(lts.quotient), RECORDS[name, flavor]
+            wrong += found != pinned
+            print(f"{'':16} {'':6} record sha256 {found}"
                   f"{'' if found == pinned else ' expected ' + pinned}")
     return 1 if wrong else 0
 

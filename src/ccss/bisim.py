@@ -83,16 +83,9 @@ def _rounds(moves, preds, signals, sign=None):
 
     A round signs its blocks of one state too.  With a function `sign`,
     before it splits it calls sign(block id, its signed members by
-    signature, its first member not signed or None) per block it signs;
-    after it the groups' ids are those of their members.  The round
-    after the last yielded one still signs, and splits nothing.
-
-    The list of a block's members not signed is built only when they
-    leave it: when some group is at least as large, since the sort that
-    picks the largest group is stable and puts them last.  When they
-    keep its id, the block keeps its list, with the states that left
-    it, and its size; a state of the list is in the block while its id
-    is the block's, as an id is never given out twice.
+    signature, its members not signed or None) per block it signs; after
+    it the groups' ids are those of their members.  The round after the
+    last yielded one still signs, and splits nothing.
 
     A signature is a frozenset of ints, which hashes and compares in C;
     it lives only while its block is signed."""
@@ -101,45 +94,35 @@ def _rounds(moves, preds, signals, sign=None):
     members = [[] for _ in ids]
     for s, bid in enumerate(blocks):
         members[bid].append(s)
-    size = list(map(len, members))
     yield blocks, {}
     touched = set()  # the states signed again; empty in round 1
     signed = dict(enumerate(members))
     while True:
-        splits = []  # (block, its groups, whether its rest keeps its id)
+        splits = []
         for bid, subset in signed.items():
+            block = members[bid]
             groups = _signed(subset, moves, blocks)
             # the members not signed again keep the signature they
             # shared, which has no move into a new block
-            unsigned = size[bid] - len(subset)
+            rest = ([s for s in block if s not in touched]
+                    if len(subset) < len(block) else None)
             if sign is not None:
-                first = (next(s for s in members[bid]
-                              if blocks[s] == bid and s not in touched)
-                         if unsigned else None)
-                sign(bid, groups, first)
+                sign(bid, groups, rest)
             groups = list(groups.values())
-            stays = unsigned > max(map(len, groups))
-            if unsigned and not stays:
-                rest = [s for s in members[bid]
-                        if blocks[s] == bid and s not in touched]
+            if rest:
                 groups.append(rest)
-            elif len(groups) == 1 and not unsigned:
+            elif len(groups) == 1:
                 continue
-            splits.append((bid, groups, stays))
+            splits.append((bid, groups))
         if not splits:
             return
         left = {}
-        for bid, groups, stays in splits:
+        for bid, groups in splits:
             groups.sort(key=len, reverse=True)
-            if stays:
-                size[bid] -= sum(map(len, groups))
-            else:
-                members[bid] = groups.pop(0)
-                size[bid] = len(members[bid])
-            for group in groups:
+            members[bid] = groups[0]
+            for group in groups[1:]:
                 new = len(members)
                 members.append(group)
-                size.append(len(group))
                 for s in group:
                     blocks[s] = new
                     left[s] = bid
@@ -165,14 +148,11 @@ class Quotient(NamedTuple):
     system on its own, recorded for `bisimilar`.  Classes are numbered in
     order of their first state.  With n states, a move with label id l
     into block d is coded l * n + 1 + d, and a signature is the set of its
-    codes.  Round 0 puts state s in block start[s], and `emitted` maps
-    each emission set to its block.  rounds[r - 1] records round r; the
-    last one signs and splits nothing."""
+    codes.  Round 0 puts state s in block start[s].  rounds[r - 1]
+    records round r; the last one signs and splits nothing."""
 
     class_of: array  # state -> class
-    first: array  # class -> its first state, which gives its emission set
     start: array
-    emitted: dict
     rounds: list  # of _Round
 
 
@@ -205,7 +185,7 @@ class _Round:
     def sign(self, bid: int, by_signature: dict, rest) -> None:
         """Record a block the round signs, as `_rounds` reports it."""
         self.signed.append(bid)
-        self.rests.append(-1 if rest is None else rest)
+        self.rests.append(rest[0] if rest else -1)
         for sig, group in by_signature.items():
             key = hash(sig) ^ bid
             self.chain.append(self.index.get(key, -1))
@@ -275,12 +255,7 @@ def quotient(lts: Lts) -> Quotient:
     rounds[-1].close(blocks, {})
     names = {}
     class_of = array("i", [names.setdefault(b, len(names)) for b in blocks])
-    first = array("i")
-    for s, c in enumerate(class_of):
-        if c == len(first):
-            first.append(s)
-    return Quotient(class_of, first, start, dict(zip(signals, start)),
-                    rounds)
+    return Quotient(class_of, start, rounds)
 
 
 def _replay(lts_a: Lts, lts_b: Lts, codes: dict):
@@ -316,7 +291,7 @@ def _replay(lts_a: Lts, lts_b: Lts, codes: dict):
         preds[n + t.tgt].append(n + t.src)
     width = (len(codes) + 1) * n
     fresh = count(width, width)
-    emitted = dict(rec.emitted)
+    emitted = dict(zip(lts_a.state_signals, rec.start))
     blocks = rec.start.tolist()
     members = {}  # block id -> its states of B
     for e in lts_b.state_signals:
@@ -444,7 +419,7 @@ def bisimilar(lts_a: Lts, a: int, lts_b: Lts, b: int) -> BisimResult:
 def equivalence_classes(lts: Lts):
     """Blocks of bisimilar states of a single system, each in state order,
     in order of their first states."""
-    groups = [[] for _ in lts.quotient.first]
+    groups = {}
     for s, c in enumerate(lts.quotient.class_of):
-        groups[c].append(s)
-    return groups
+        groups.setdefault(c, []).append(s)
+    return list(groups.values())

@@ -300,13 +300,11 @@ def is_complete(lts: Lts, env: Environment, lasso: Lasso, mode=None,
     end where only blocking actions are enabled (progress), infinite
     paths must be just.  Unless exploration was truncated, every
     derivation of an explored state is one of its transitions, so the
-    enabled actions are read from the system itself.  `mode` is unused."""
-    if not lasso.terminal:
+    enabled actions of an end state are read from the system itself; on
+    a truncated system they are read by the justness pass, which derives
+    each leaf's moves itself.  `mode` is unused."""
+    if not lasso.terminal or lts.truncated:
         return is_just(lts, env, lasso, engine=engine).just
     anchor = lasso.validate(lts)
-    if not lts.truncated:
-        return all(env.is_blocking(lts.transitions[i].label)
-                   for i in lts.outgoing(anchor))
-    engine = engine or SosEngine(env)
-    return all(env.is_blocking(d.label)
-               for d in engine.transitions(lts.term(anchor)))
+    return all(env.is_blocking(lts.transitions[i].label)
+               for i in lts.outgoing(anchor))

@@ -337,8 +337,9 @@ def test_spot_check_against_brute_force_oracle():
 
 def test_finite_path_completeness_matches_the_whole_term_derivations():
     """is_complete on a finite path reads the end state's enabled actions
-    from the system unless exploration was truncated; both ways agree
-    with the derivations of the whole state term."""
+    from the system, or on a truncated system (cap 3) from the justness
+    pass over the end state's leaves; both ways agree with the
+    derivations of the whole state term."""
     from _randterms import ENV, sample_terms
     engine = SosEngine(ENV)
     for term in sample_terms(80):
