@@ -291,7 +291,13 @@ def _replay(lts_a: Lts, lts_b: Lts, codes: dict):
         preds[n + t.tgt].append(n + t.src)
     width = (len(codes) + 1) * n
     fresh = count(width, width)
-    emitted = dict(zip(lts_a.state_signals, rec.start))
+    # one entry per round-0 block, read at its first state: round 0
+    # numbers the blocks in order of their first states, and round 1
+    # signs every block
+    emitted, first = {}, -1
+    for bid in range(len(rec.rounds[0].signed)):
+        first = rec.start.index(bid, first + 1)
+        emitted[lts_a.state_signals[first]] = bid
     blocks = rec.start.tolist()
     members = {}  # block id -> its states of B
     for e in lts_b.state_signals:

@@ -14,8 +14,14 @@ a leading apostrophe ('a); whether a plain name is a handshake or a signal
 read is decided by the `signals` declaration.  `#` starts a line comment.
 
 The tokenizer is one regex `findall`: each token is a plain string, and
-the end of input is "".  Line and column are worked out from the
-token's index only when an error leaves the parser.
+the end of input is "".  A literal indexed name, such as `D[1]_0_2`
+with no letter, digit or `_` after it, is one token, which the parser
+maps once to its name; every other name is read from its identifier,
+brackets and parameters.  Where that reading fails, the parser reads the
+text again from plain tokens, which cut each name into those parts, so
+a result or an error is always the plain reading's.  Line and column
+are worked out from the token's index only when an error leaves the
+parser.
 """
 
 from __future__ import annotations
@@ -37,11 +43,17 @@ KEYWORDS = {"sum", "in", "when", "tau", "signals", "blocking", "range",
 _OPS = frozenset({"..", "!=", "<=", ">=", *"-.'+|\\{}[]()^/,=<>_"})
 # whitespace and comments match outside the group, so `findall` gives ""
 # for them; the last alternative takes any other character, an error
+_SKIP = r"[ \t\r\n]+|\#[^\n]*|("
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+_PLAIN = (r"\d+|" + _IDENT + "|"
+          + "|".join(map(re.escape,
+                         sorted(_OPS, key=lambda op: (-len(op), op))))
+          + "|.)")
+_PLAIN_TOKEN_RE = re.compile(_SKIP + _PLAIN)
+# a literal indexed name, tried first, spans exactly the plain tokens of
+# its parts
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]+|\#[^\n]*|(\d+|[A-Za-z][A-Za-z0-9_]*|"
-    + "|".join(map(re.escape,
-                   sorted(_OPS, key=lambda op: (-len(op), op))))
-    + "|.)")
+    _SKIP + _IDENT + r"\[\d+\](?:_\d+)*(?![A-Za-z0-9_])|" + _PLAIN)
 _LETTERS = frozenset(string.ascii_letters)
 
 
@@ -57,21 +69,21 @@ class SpecFile:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, token_re=_TOKEN_RE):
         self.text = text
-        self.tokens = list(filter(None, _TOKEN_RE.findall(text)))
+        self.token_re = token_re
+        self.tokens = list(filter(None, token_re.findall(text)))
         self.offsets = None  # each token's start, found on the first error
-        # a token is an int if it starts with a digit, an identifier if
-        # with a letter, else an operator; `idents` leaves out keywords
+        # a token is an int if it starts with a digit, a word if with a
+        # letter, else an operator
         distinct = set(self.tokens)
-        self.idents = {tok for tok in distinct if tok[0] in _LETTERS}
-        bad = [tok for tok in distinct - self.idents - _OPS
+        words = {tok for tok in distinct if tok[0] in _LETTERS}
+        bad = [tok for tok in distinct - words - _OPS
                if not tok[0].isdecimal()]
         if bad:
             i = min(map(self.tokens.index, bad))
             raise ParseError(f"unexpected character {self.tokens[i]!r}",
                              *self.position(i))
-        self.idents -= KEYWORDS
         self.tokens.append("")  # the end of input
         self.i = 0
         self.signals = set()
@@ -83,6 +95,17 @@ class _Parser:
         # keyed by its class and fields: models keep their parsed
         # equations, where most names recur
         self.shared = {}
+        # a word is a keyword, an identifier or a literal name such as
+        # `D[1]_0_2`; `literals` maps each whose base is no keyword to its
+        # name
+        self.idents = {tok for tok in words if "[" not in tok} - KEYWORDS
+        self.literals = {}
+        for tok in words - self.idents:
+            base, bracket, rest = tok.partition("[")
+            if bracket and base not in KEYWORDS:
+                params = rest.replace("]", "").split("_")
+                self.literals[tok] = self._shared(
+                    Name, base, tuple(map(int, params)))
 
     # -- token plumbing ----------------------------------------------------
 
@@ -123,7 +146,8 @@ class _Parser:
         """(line, column) of the token at `index`, or of the end of input
         after the last token."""
         if self.offsets is None:
-            self.offsets = [m.start() for m in _TOKEN_RE.finditer(self.text)
+            self.offsets = [m.start()
+                            for m in self.token_re.finditer(self.text)
                             if m.lastindex]
         pos = (self.offsets[index] if index < len(self.offsets)
                else len(self.text))
@@ -174,7 +198,8 @@ class _Parser:
             self.root = self.proc(frozenset())
         else:
             tok = self.peek()
-            if tok not in self.idents and tok not in KEYWORDS:
+            if (tok not in self.idents and tok not in KEYWORDS
+                    and tok not in self.literals):
                 self.error("expected a declaration")
             name, scope = self.equation_lhs()
             self.expect("=")
@@ -201,6 +226,11 @@ class _Parser:
         return -int(tok) if neg else int(tok)
 
     def equation_lhs(self):
+        literal = self.literals.get(self.peek())
+        if literal is not None:
+            self.i += 1
+            # a name of its own, as the parameter rules build it
+            return Name(literal.base, literal.params), frozenset()
         base = self.expect_ident()
         scope = set()
         params = self.params(frozenset(), binding_ok=scope)
@@ -250,11 +280,12 @@ class _Parser:
         return term
 
     def prefixed(self, scope) -> Term:
-        """Actions, each followed by '.', then a postfixed atom.  An
-        identifier's name is parsed once, as an action or as the atom.
-        After `A[`, a `]` or an identifier followed by `/` or `[` starts
-        a relabelling of A, as in `A[]`, `A[b/a]` and `A[b[1]/a[1]]`;
-        anything else starts A's parameters, as in `A[1]` and `A[i+1]`."""
+        """Actions, each followed by '.', then a postfixed atom.  A
+        name is parsed once, as an action or as the atom.  After `A[`, a
+        `]`, a literal name or an identifier followed by `/` or `[`
+        starts a relabelling of A, as in `A[]`, `A[b/a]` and
+        `A[b[1]/a[1]]`; anything else starts A's parameters, as in
+        `A[i]` and `A[i+1]`."""
         actions = []
         tokens = self.tokens
         while True:
@@ -269,19 +300,19 @@ class _Parser:
                 if name.base in self.signals:
                     self.error(f"signal {name.base} has no output action")
                 actions.append(self._shared(Action, COHANDSHAKE, name))
-            elif tok in self.idents:
-                if tokens[i + 1] == "[" and (
-                        tokens[i + 2] == "]" or tokens[i + 2] in self.idents
-                        and tokens[i + 3] in ("/", "[")):
-                    self.i += 1
-                    name = self._shared(Name, tok, ())
-                else:
-                    name = self.name(scope)
-                    if self.accept("."):
-                        kind = (SIGNAL if name.base in self.signals
-                                else HANDSHAKE)
-                        actions.append(self._shared(Action, kind, name))
-                        continue
+            elif tok in self.idents and tokens[i + 1] == "[" and (
+                    tokens[i + 2] == "]" or tokens[i + 2] in self.literals
+                    or tokens[i + 2] in self.idents
+                    and tokens[i + 3] in ("/", "[")):
+                self.i += 1
+                term = self._shared(Ident, self._shared(Name, tok, ()))
+                break
+            elif tok in self.idents or tok in self.literals:
+                name = self.name(scope)
+                if self.accept("."):
+                    kind = SIGNAL if name.base in self.signals else HANDSHAKE
+                    actions.append(self._shared(Action, kind, name))
+                    continue
                 term = self._shared(Ident, name)
                 break
             else:
@@ -338,26 +369,17 @@ class _Parser:
     # -- names, parameters and guards -----------------------------------------
 
     def name(self, scope) -> Name:
+        literal = self.literals.get(self.tokens[self.i])
+        if literal is not None:
+            self.i += 1
+            return literal
         base = self.expect_ident()
         return self._shared(Name, base, self.params(scope))
 
     def params(self, scope, binding_ok=None) -> tuple:
-        """A name's parameters, from the `[` at the next token, or ().
-        When each is an integer literal, as in `D[1]_0_2`, they are read
-        in one step; any other form by `intexpr` and `param_tail`."""
-        tokens, i = self.tokens, self.i
-        if tokens[i] != "[":
+        """A name's parameters, from the `[` at the next token, or ()."""
+        if not self.accept("["):
             return ()
-        if tokens[i + 1].isdecimal() and tokens[i + 2] == "]":
-            params = [int(tokens[i + 1])]
-            i += 3
-            while tokens[i] == "_" and tokens[i + 1].isdecimal():
-                params.append(int(tokens[i + 1]))
-                i += 2
-            if tokens[i] != "_":
-                self.i = i
-                return tuple(params)
-        self.i += 1  # the "["
         params = [self.intexpr(scope, binding_ok)]
         self.expect("]")
         while self.accept("_"):
@@ -425,25 +447,34 @@ class _Parser:
         self.error("expected a comparison operator")
 
 
-def parse(text) -> SpecFile:
-    """Parse a full specification file (str or UTF-8 bytes)."""
+def _read(text, read):
+    """read(parser of text), from whole-name tokens; where that fails,
+    from plain tokens, which give the same result wherever both succeed,
+    and raise the error to report where neither does."""
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
-    p = _Parser(text)
-    return p.run(p.parse_file)
+    try:
+        return read(_Parser(text))
+    except (ParseError, ScopeError):
+        pass
+    return read(_Parser(text, _PLAIN_TOKEN_RE))
+
+
+def parse(text) -> SpecFile:
+    """Parse a full specification file (str or UTF-8 bytes)."""
+    return _read(text, lambda p: p.run(p.parse_file))
 
 
 def parse_term(text, signals=(), ranges=None, scope=frozenset()) -> Term:
     """Parse a bare process expression."""
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
-    p = _Parser(text)
-    p.signals = set(signals)
-    p.ranges = dict(ranges or {})
-    term = p.run(p.proc, frozenset(scope))
-    if p.peek():
-        p.run(p.error, f"trailing input {p.peek()!r}")
-    return term
+    def read(p):
+        p.signals = set(signals)
+        p.ranges = dict(ranges or {})
+        term = p.run(p.proc, frozenset(scope))
+        if p.peek():
+            p.run(p.error, f"trailing input {p.peek()!r}")
+        return term
+    return _read(text, read)
 
 
 # --------------------------------------------------------------------------

@@ -8,8 +8,7 @@ may appear inside name parameters and guards until substituted away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Union
 
 from .errors import ArityMismatch, UnguardedRecursion, UnknownAgent
@@ -18,17 +17,25 @@ from .errors import ArityMismatch, UnguardedRecursion, UnknownAgent
 def _node(cls):
     """Declare `cls` a frozen, slotted dataclass whose hash is computed
     once, when an instance is built, from its type and its fields, and
-    kept in the extra field `_h`."""
+    kept in the extra field `_h`: hash((type, value)) for a class with
+    one field, hash((type, fields)) otherwise.  The `__init__` generated
+    here stores the fields and `_h` in one call, through their slots."""
     annotations = cls.__dict__.get("__annotations__", {})
-    values = attrgetter(*annotations) if annotations else lambda self: ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((type(self), values(self))))
-
     cls.__annotations__ = {**annotations, "_h": "int"}
     cls._h = field(init=False, repr=False, compare=False)
-    cls.__post_init__ = __post_init__
-    cls = dataclass(frozen=True, slots=True)(cls)
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    names = list(annotations)
+    scope = {f"_set_{name}": getattr(cls, name).__set__
+             for name in names + ["_h"]}
+    value = (names[0] if len(names) == 1
+             else "(" + "".join(f"{name}, " for name in names) + ")")
+    exec("".join([f"def __init__(self, {', '.join(names)}):\n"]
+                 + [f"    _set_{name}(self, {name})\n" for name in names]
+                 + [f"    _set__h(self, hash((type(self), {value})))\n"]),
+         scope)
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__defaults__ = tuple(f.default for f in fields(cls)
+                                      if f.default is not MISSING)
     cls.__hash__ = lambda self: self._h
     return cls
 

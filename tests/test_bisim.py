@@ -273,6 +273,20 @@ def test_an_isomorphic_copy_replays_in_the_rounds_of_the_record(flavor):
                for bid, rest in zip(r.signed, r.rests))
 
 
+def test_a_split_block_keeps_its_id_for_its_largest_group():
+    """Hopcroft's rule: round 1 splits the one block of six states into
+    groups of 1, 3 and 2 states, met in that order; the group of 3 keeps
+    id 0, and the others take new ids, the larger group first.  Round 2
+    signs the predecessors of the moved states and splits nothing."""
+    a, b = 10, 20  # label codes; a move's code is label code + block
+    moves = [[], [(a, 0)], [(a, 0)], [(a, 0)], [(b, 0)], [(b, 0)]]
+    preds = [[1, 2, 3, 4, 5], [], [], [], [], []]
+    rounds = [(list(blocks), dict(left))
+              for blocks, left in _rounds(moves, preds, [frozenset()] * 6)]
+    assert rounds == [([0] * 6, {}),
+                      ([2, 0, 0, 0, 1, 1], {0: 0, 4: 0, 5: 0})]
+
+
 @pytest.mark.parametrize("top", [3, 255, 256, 2**16, 2**32 - 1, 2**32,
                                  2**64 - 1, 2**64, 2**200])
 def test_a_recorded_round_finds_exactly_its_signatures(top):

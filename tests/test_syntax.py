@@ -213,7 +213,7 @@ ERRORS = {
         "A = a.0\nsystem = A[b/a[1], a[2]/a[2], c/a[1]]\n",
         ParseError, "2:31: a[1] is relabelled to both b and c"),
     # names whose parameters start as integer literals but are not all
-    # literals: `D[1]_0_2` is read in one step, anything else by the
+    # literals: `D[1]_0_2` is one token, anything else is read by the
     # parameter rules, which raise these
     "A[1]_ as a process": (
         "A = a.0\nsystem = A[1]_\n",
@@ -233,6 +233,23 @@ ERRORS = {
     "'a[1]_x with x unbound": (
         "A = a.0\nsystem = 'a[1]_x.0\n",
         ScopeError, "unbound index variable 'x' at line 2"),
+    # a literal name where only a bare identifier may stand: the error is
+    # the one read from plain tokens, at the name's bracket
+    "a literal name in a signals list": (
+        "signals { a[1] }\nsystem = 0\n",
+        ParseError, "1:12: expected '}', found '['"),
+    "a literal name as a range's name": (
+        "signals { s }\nrange R[1] = 0..2\nsystem = 0\n",
+        ParseError, "2:8: expected '=', found '['"),
+    "a literal name as a sum's variable": (
+        "A = a.0\nsystem = sum k[1] in 0..1 . 0\n",
+        ParseError, "2:15: expected 'in', found '['"),
+    "a literal name as a sum's range": (
+        "A = a.0\nsystem = sum k in R[1] . 0\n",
+        ScopeError, "unknown range 'R' at line 2"),
+    "a keyword with a literal index": (
+        "A = a.0\nsystem = tau[1].0\n",
+        ParseError, "2:10: expected a process"),
 }
 
 
@@ -279,6 +296,108 @@ def test_each_recurring_name_action_and_identifier_is_one_object(source):
     walk(spec.root)
     assert occurrences > len(objects)  # some recur
     assert all(len(ids) == 1 for ids in objects.values())
+
+
+@pytest.mark.parametrize("split", ["D[1]_0 _2", "D[1] _0_2", "D [1]_0_2",
+                                   "D[ 1 ]_0_2", "D[1]_ 0_2", "D[1]_0_\n2"])
+def test_a_name_split_by_whitespace_parses_as_the_joined_name(split):
+    joined = Name("D", (1, 0, 2))
+    assert rt(split) == Ident(joined)
+    assert rt(f"'d{split[1:]}.0") == Prefix(coact("d", 1, 0, 2), NIL)
+    assert rt(f"A[b/{split}]") == Relabel(Ident(Name("A")), Relabelling.make(
+        [(joined, Name("b"))]))
+    spec = parse(f"{split} = a.0\nsystem = D[1]_0_2 | {split}\n")
+    assert spec.env.order == [(joined, Prefix(act("a"), NIL))]
+    assert spec.root == Par(Ident(joined), Ident(joined))
+
+
+def _outcome(read, text):
+    """What read(text) gives: the spec's declarations, equations and
+    system, or the term, or else the error's type, message and
+    position."""
+    try:
+        out = read(text)
+    except (ParseError, ScopeError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+    if isinstance(out, syntax.SpecFile):
+        return ("spec", out.env.order, out.root, out.env.declared_signals,
+                out.env.blocking, out.ranges)
+    return "term", out
+
+
+def _plain_parse(text):
+    p = syntax._Parser(text, syntax._PLAIN_TOKEN_RE)
+    return p.run(p.parse_file)
+
+
+def _plain_parse_term(text):
+    p = syntax._Parser(text, syntax._PLAIN_TOKEN_RE)
+    p.signals = set(SIGNALS)
+    term = p.run(p.proc, frozenset())
+    if p.peek():
+        p.run(p.error, f"trailing input {p.peek()!r}")
+    return term
+
+
+def _mutated_sources(rng, count):
+    """`count` small sources cut from the model files and the catalog:
+    a source's declarations, a run of its equations and its system line
+    with the first three restricted names, with one to three characters
+    inserted, deleted or replaced, mostly the characters of an indexed
+    name and whitespace."""
+    from pathlib import Path
+    from ccss import protocols
+    root = Path(__file__).resolve().parents[1] / "models"
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted(root.glob("*.ccss"))]
+    for flavor in protocols.FLAVORS:
+        sources += [protocols.peterson2(flavor).source,
+                    protocols.filter_lock(3, flavor).source,
+                    protocols.bakery(2, 4, flavor).source]
+    cut = []
+    for source in sources:
+        lines = source.splitlines()
+        heads = [line for line in lines
+                 if line.startswith(("signals", "blocking", "range"))]
+        system = [line for line in lines if line.startswith("system")]
+        body = [line for line in lines if line not in heads + system
+                and line.strip() and not line.startswith("#")]
+        system = [line if "{" not in line else
+                  line[:line.index("{") + 1]
+                  + ", ".join(line[line.index("{") + 1:-1].split(", ")[:3])
+                  + "}" for line in system]
+        cut.append((heads, body, system))
+    chars = "[]_0123456789 \n_[]_ab/.'|(+^"
+    for _ in range(count):
+        heads, body, system = rng.choice(cut)
+        start = rng.randrange(len(body))
+        text = "\n".join(heads + body[start:start + rng.randint(1, 3)]
+                         + system) + "\n"
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text))
+            edit = rng.randrange(3)
+            text = (text[:i] + rng.choice(chars) * (edit != 1)
+                    + text[i + (edit != 0):])
+        yield text
+
+
+def test_whole_name_tokens_read_what_plain_tokens_read():
+    """Mutated model and catalog sources give the same spec, or the same
+    error at the same position, from `parse` as from plain tokens alone;
+    so does the system line of every third one, read by `parse_term`."""
+    rng = random.Random(20171002)
+    parsed = differ = 0
+    for number, text in enumerate(_mutated_sources(rng, 6000)):
+        outcome = _outcome(parse, text)
+        parsed += outcome[0] == "spec"
+        differ += outcome != _outcome(_plain_parse, text)
+        if number % 3 == 0:
+            line = text.rstrip("\n").rpartition("\n")[2].partition("=")[2]
+            differ += (_outcome(lambda t: parse_term(t, signals=SIGNALS), line)
+                       != _outcome(_plain_parse_term, line))
+    assert differ == 0
+    assert 1000 < parsed < 5000  # both outcomes are well represented
 
 
 def test_relabellings_work_out_no_position(monkeypatch):
