@@ -3,14 +3,15 @@
 
 Each mutant in `MUTANTS` replaces one exact piece of source text.  The
 script first runs every named test on an unchanged copy of `src` and
-`tests` (with `pyproject.toml`), where they must pass; then, for each
-mutant, it copies them again to a temporary directory, applies the
-mutant and runs its tests there.  A mutant is killed when one of its
-tests fails.  Exits 1 when a mutant survives, when its source text is
-gone or found more than once (a change that rewrites mutated code must
-update the mutant here), or when a named test does not pass unchanged;
-exits 0 when every mutant is killed.  The 31 mutants take 50 to 75 s
-(CPython 3.11.7, 2-vCPU x86_64 VM).
+`tests` (with `models`, `perfbench` and `pyproject.toml`, which the
+tests read), where they must pass; then, for each mutant, it copies them
+again to a temporary directory, applies the mutant and runs its tests
+there.  A mutant is killed when one of its tests fails.  Exits 1 when a
+mutant survives, when its source text is gone or found more than once (a
+change that rewrites mutated code must update the mutant here), or when
+a named test does not pass unchanged; exits 0 when every mutant is
+killed.  The 32 mutants take 90 to 110 s (CPython 3.11.7, 2-vCPU x86_64
+VM).
 
     python scripts/mutants.py [NAME ...]
 
@@ -26,7 +27,7 @@ import tempfile
 from typing import NamedTuple
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "models", "perfbench", "pyproject.toml")
 
 
 class Mutant(NamedTuple):
@@ -39,27 +40,27 @@ class Mutant(NamedTuple):
 
 # `_Skeleton.derivations` at a Par: handshakes, then signal reads
 _HANDSHAKES = """\
-                if left_hits:
+                if lhs and rhs:
                     by_id = {}
-                    for m in rhs:
-                        if m[0] in left_hits:
-                            by_id.setdefault(m[0], []).append(m)
+                    for p in rhs:
+                        by_id.setdefault(p[0], []).append(p)
                     for m in lhs:
-                        for p in by_id.get(m[1], ()):
-                            out.append((TAU, m[3] + p[3],
-                                        split.intern(m[4] | p[4]), None,
-                                        m[5] or p[5],
-                                        split.intern(m[6] | p[6])))
+                        if m[1] in by_id:
+                            for p in by_id[m[1]]:
+                                out.append((TAU, m[3] + p[3],
+                                            split.intern(m[4] | p[4]), None,
+                                            m[5] or p[5],
+                                            split.intern(m[6] | p[6])))
 """
 _READS = """\
-                for readers, emitters, hits in (
-                        (lrd, remit, left_hits), (rrd, lemit, rwant & loffer)):
-                    if not hits:
-                        continue
-                    for m in readers:
-                        if m[1] in hits:
-                            for e in emitters:
-                                if e[0] == m[1]:
+                for readers, emitters in ((lrd, remit), (rrd, lemit)):
+                    if readers and emitters:
+                        by_id = {}
+                        for e in emitters:
+                            by_id.setdefault(e[0], []).append(e)
+                        for m in readers:
+                            if m[1] in by_id:
+                                for e in by_id[m[1]]:
                                     out.append((TAU, m[3], m[4], e[2], m[5],
                                                 m[6]))
 """
@@ -172,6 +173,12 @@ MUTANTS = [
            "                                    if e[2][:len(a)] == a})))\n",
            ("tests/test_lts.py::"
             "test_explore_matches_the_term_explorer_on_random_terms",)),
+    Mutant("signal reads matched against their own side's emitters",
+           "src/ccss/lts.py",
+           "((lrd, remit), (rrd, lemit))",
+           "((lrd, lemit), (rrd, remit))",
+           ("tests/test_lts.py::"
+            "test_explore_matches_the_term_explorer_on_bundled_models",)),
     Mutant("touched blocks taken from the moved states", "src/ccss/bisim.py",
            "        yield blocks, left\n"
            "        touched = {p for s in left for p in preds[s]}\n",
@@ -288,7 +295,8 @@ MUTANTS = [
 
 
 def _copy(where: pathlib.Path) -> None:
-    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".records",
+                                    ".smoke-*")
     for name in COPIED:
         source = ROOT / name
         if source.is_dir():

@@ -4,7 +4,7 @@ Subcommands: parse, lts, bisim, just, verify, gen, step.  Exit codes:
 0 success / property holds, 1 property violated (or systems inequivalent),
 2 usage or input error, 3 verdict unknown.  --max-states, or else the
 CCSS_MAX_STATES environment variable, caps state-space exploration
-(default 1000000); either must be a positive integer.
+(default `lts.MAX_STATES`); either must be a positive integer.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .errors import CcssError, InvalidModel, ParameterOutOfRange
 from .terms import validate
 from .syntax import parse, spec_str, term_str
 from .sos import SosEngine
-from .lts import explore, export_dot, export_json
+from .lts import MAX_STATES, explore, export_dot, export_json
 from .bisim import bisimilar
 from .justness import Lasso, is_just, is_complete
 from . import protocols
@@ -43,7 +43,7 @@ def _max_states(args) -> int:
     if args.max_states is not None:
         return args.max_states
     try:
-        return _state_cap(os.environ.get("CCSS_MAX_STATES", "1000000"))
+        return _state_cap(os.environ.get("CCSS_MAX_STATES", str(MAX_STATES)))
     except argparse.ArgumentTypeError as exc:
         raise CcssError(f"CCSS_MAX_STATES: {exc}") from None
 
@@ -260,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     capped = argparse.ArgumentParser(add_help=False)
     capped.add_argument("--max-states", type=_state_cap,
                         help="cap on explored states (default: "
-                             "CCSS_MAX_STATES, else 1000000)")
+                             f"CCSS_MAX_STATES, else {MAX_STATES})")
     # None unless given: `_get_model` refuses one the model does not
     # take, and fills in the defaults
     modelled = argparse.ArgumentParser(add_help=False)

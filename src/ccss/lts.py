@@ -24,6 +24,8 @@ from .terms import (
 from .sos import SosEngine
 from .syntax import term_str
 
+MAX_STATES = 1_000_000  # the default cap on explored states
+
 
 @dataclass(frozen=True, slots=True)
 class Transition:
@@ -136,7 +138,7 @@ class Lts:
         return shape.term(leaves)
 
 
-def explore(env: Environment, root: Term, max_states: int = 1_000_000,
+def explore(env: Environment, root: Term, max_states: int = MAX_STATES,
             engine: Optional[SosEngine] = None) -> Lts:
     """Breadth-first state-space construction from the root term.
 
@@ -205,17 +207,6 @@ def _lift(label: Action, ops) -> Optional[Action]:
     return label
 
 
-def _lift_name(name: Name, ops) -> Optional[Name]:
-    """The emitted signal name as seen above `ops`, or None."""
-    for kind, arg in ops:
-        if kind == RESTRICT:
-            if name in arg:
-                return None
-        else:
-            name = arg.apply_name(name, True)
-    return name
-
-
 class _Splitter:
     """Splits terms into (skeleton, leaves); one skeleton object per
     distinct skeleton, so that its caches and state index are shared by
@@ -224,7 +215,7 @@ class _Splitter:
     def __init__(self, engine: SosEngine):
         self.engine = engine
         self.skeletons = {}
-        self.ids = {}  # label or signal name -> small int, for set tests
+        self.ids = {}  # label or signal name -> small int, for matching
         self.label_ids = {}  # label -> (its id, the id it pairs with)
         self.sets = {}  # see `intern`
 
@@ -260,9 +251,9 @@ class _Splitter:
                 else:
                     op = (EMIT, term.signal, path, len(leaves))
                     step, inner, under_emit = STEP_EMIT, chain, True
-                    name = _lift_name(term.signal, chain[::-1])
-                    if name is not None:
-                        emitted.add(name)
+                    top = _lift(Action(SIGNAL, term.signal), chain[::-1])
+                    if top is not None:
+                        emitted.add(top.name)
                 stack.append(op)
                 stack.append((term.body, path + (step,), inner, under_emit))
             else:
@@ -300,14 +291,6 @@ class _Splitter:
         return self.ids.setdefault(item, len(self.ids))
 
 
-def _keys(handshakes, reads, emitters):
-    """(what a subtree offers, what it wants) as sets of ids: its
-    handshake labels and emitted names, and the complements of its
-    handshakes and the names its signal reads need."""
-    return (frozenset([m[0] for m in handshakes] + [e[0] for e in emitters]),
-            frozenset([m[1] for m in handshakes] + [m[1] for m in reads]))
-
-
 class _Skeleton:
     """One parallel skeleton, with a per-leaf cache of derivations and
     emitters whose addresses are absolute, and the index of the explored
@@ -333,7 +316,7 @@ class _Skeleton:
     def _leaf(self, slot, term) -> tuple:
         """What the walk needs of one leaf: (records of its derivations
         seen at the root, handshake moves, signal-read moves, emitters,
-        offered ids, wanted ids, signal names seen at the root).
+        signal names seen at the root).
 
         A record is (label at the topmost Par, changes, participants,
         signal partner, reshapes, components), where changes are (slot,
@@ -362,13 +345,13 @@ class _Skeleton:
                 records.append((top, changes, parts, partner, reshapes,
                                 comps))
         pairs = engine.emitters(term)
-        names = frozenset(_lift_name(name, inner + outer)
-                          for name, _ in pairs) - {None}
+        lifted = [_lift(Action(SIGNAL, name), inner + outer)
+                  for name, _ in pairs]
+        names = frozenset(a.name for a in lifted if a is not None)
         emitters = [split.emitter(name, path + address)
                     for name, address in pairs]
         cached = self.leaf_cache[slot][term] = (
-            records, handshakes, reads, emitters,
-            *_keys(handshakes, reads, emitters), names)
+            records, handshakes, reads, emitters, names)
         return cached
 
     def derivations(self, leaves) -> tuple:
@@ -377,18 +360,18 @@ class _Skeleton:
         `SosEngine.transitions` gives for the whole state term; one walk
         reads each leaf once for both.
 
-        The walk follows `SosEngine._par`: at each Par, the left side's
-        derivations, the right side's, handshakes, then left reading
-        right's signals and right reading left's.  Duplicates are removed
-        once, at the topmost Par: removing them at inner Pars as well
-        changes neither which derivations are kept nor their order."""
+        The walk is `SosEngine._par` at each Par: left's derivations,
+        right's, then handshakes, left reading right's signals and right
+        reading left's, each matched by id.  Duplicates are removed once,
+        at the topmost Par: removing them at inner Pars as well changes
+        neither which derivations are kept nor their order."""
         if not self.has_par:
             leaf = self._leaf(0, leaves[0])  # the whole term: keep duplicates
-            return leaf[6], leaf[0]
+            return leaf[4], leaf[0]
         emitted = self.emitted
         out = []
-        # per subtree: (handshake moves, signal-read moves, emitters,
-        # offered ids, wanted ids), labels and names as seen at its root
+        # per subtree: (handshake moves, signal-read moves, emitters),
+        # labels and names as seen at its root
         stack = []
         split = self.splitter
         for node in self.walk:
@@ -396,43 +379,40 @@ class _Skeleton:
             if kind == LEAF:
                 slot = node[1]
                 leaf = self._leaf(slot, leaves[slot])
-                if leaf[6]:
-                    emitted = emitted | leaf[6]
+                if leaf[4]:
+                    emitted = emitted | leaf[4]
                 out.extend(leaf[0])
-                stack.append(leaf[1:6])
+                stack.append(leaf[1:4])
             elif kind == PAR:
-                rhs, rrd, remit, roffer, rwant = stack.pop()
-                lhs, lrd, lemit, loffer, lwant = stack.pop()
-                left_hits = lwant & roffer
-                if left_hits:
+                rhs, rrd, remit = stack.pop()
+                lhs, lrd, lemit = stack.pop()
+                if lhs and rhs:
                     by_id = {}
-                    for m in rhs:
-                        if m[0] in left_hits:
-                            by_id.setdefault(m[0], []).append(m)
+                    for p in rhs:
+                        by_id.setdefault(p[0], []).append(p)
                     for m in lhs:
-                        for p in by_id.get(m[1], ()):
-                            out.append((TAU, m[3] + p[3],
-                                        split.intern(m[4] | p[4]), None,
-                                        m[5] or p[5],
-                                        split.intern(m[6] | p[6])))
-                for readers, emitters, hits in (
-                        (lrd, remit, left_hits), (rrd, lemit, rwant & loffer)):
-                    if not hits:
-                        continue
-                    for m in readers:
-                        if m[1] in hits:
-                            for e in emitters:
-                                if e[0] == m[1]:
+                        if m[1] in by_id:
+                            for p in by_id[m[1]]:
+                                out.append((TAU, m[3] + p[3],
+                                            split.intern(m[4] | p[4]), None,
+                                            m[5] or p[5],
+                                            split.intern(m[6] | p[6])))
+                for readers, emitters in ((lrd, remit), (rrd, lemit)):
+                    if readers and emitters:
+                        by_id = {}
+                        for e in emitters:
+                            by_id.setdefault(e[0], []).append(e)
+                        for m in readers:
+                            if m[1] in by_id:
+                                for e in by_id[m[1]]:
                                     out.append((TAU, m[3], m[4], e[2], m[5],
                                                 m[6]))
-                stack.append((lhs + rhs, lrd + rrd, lemit + remit,
-                              loffer | roffer, lwant | rwant))
+                stack.append((lhs + rhs, lrd + rrd, lemit + remit))
             elif kind == EMIT:
-                hs, rd, emitters, offer, want = stack.pop()
-                e = split.emitter(node[1], node[2])
-                stack.append((hs, rd, [e] + emitters, offer | {e[0]}, want))
+                hs, rd, emitters = stack.pop()
+                stack.append((hs, rd, [split.emitter(*node[1:3])] + emitters))
             else:
-                hs, rd, emitters, _, _ = stack.pop()
+                hs, rd, emitters = stack.pop()
                 if kind == RESTRICT:
                     hidden = node[1]
                     hs = [m for m in hs if m[2].name not in hidden]
@@ -444,7 +424,7 @@ class _Skeleton:
                     rd = [split.move(f.apply(m[2]), *m[3:]) for m in rd]
                     emitters = [split.emitter(f.apply_name(e[1], True), e[2])
                                 for e in emitters]
-                stack.append((hs, rd, emitters, *_keys(hs, rd, emitters)))
+                stack.append((hs, rd, emitters))
         out = list(dict.fromkeys(out))
         if self.outer_relabels:
             out = [(_lift(r[0], self.outer_relabels),) + r[1:] for r in out]

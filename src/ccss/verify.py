@@ -46,7 +46,7 @@ from itertools import compress, count
 from operator import eq
 from typing import Optional
 
-from .lts import Lts, explore
+from .lts import MAX_STATES, Lts, explore
 # is_complete is not called here; perfbench/spans.py traces verify.is_complete
 from .justness import Lasso, analyze_configuration, is_complete, is_just
 from .protocols import ProtocolModel
@@ -152,7 +152,7 @@ def _path(lts: Lts, source: int, goals, mask) -> Optional[list]:
 
 
 def check_safety(model: ProtocolModel,
-                 max_states: int = 1_000_000) -> SafetyVerdict:
+                 max_states: int = MAX_STATES) -> SafetyVerdict:
     """A bad state reachable without entering an excluded state is a real
     violation even when exploration was truncated; otherwise a truncated
     search gives an unknown verdict (`holds` None)."""
@@ -242,7 +242,7 @@ def _moves(lts: Lts, i: int, leaf: tuple) -> bool:
 
 
 def check_liveness(model: ProtocolModel,
-                   max_states: int = 1_000_000) -> LivenessVerdict:
+                   max_states: int = MAX_STATES) -> LivenessVerdict:
     ws = _prepare(model, max_states)
     excluded = ws.ok.count(0)
     if ws.lts.truncated:
