@@ -10,7 +10,7 @@ there.  A mutant is killed when one of its tests fails.  Exits 1 when a
 mutant survives, when its source text is gone or found more than once (a
 change that rewrites mutated code must update the mutant here), or when
 a named test does not pass unchanged; exits 0 when every mutant is
-killed.  The 32 mutants take 90 to 110 s (CPython 3.11.7, 2-vCPU x86_64
+killed.  The 34 mutants take 85 to 110 s (CPython 3.11.7, 2-vCPU x86_64
 VM).
 
     python scripts/mutants.py [NAME ...]
@@ -41,9 +41,7 @@ class Mutant(NamedTuple):
 # `_Skeleton.derivations` at a Par: handshakes, then signal reads
 _HANDSHAKES = """\
                 if lhs and rhs:
-                    by_id = {}
-                    for p in rhs:
-                        by_id.setdefault(p[0], []).append(p)
+                    by_id = rhs_ids or _index(rhs)
                     for m in lhs:
                         if m[1] in by_id:
                             for p in by_id[m[1]]:
@@ -53,11 +51,10 @@ _HANDSHAKES = """\
                                             split.intern(m[6] | p[6])))
 """
 _READS = """\
-                for readers, emitters in ((lrd, remit), (rrd, lemit)):
+                for readers, emitters, by_id in ((lrd, remit, remit_ids),
+                                                 (rrd, lemit, lemit_ids)):
                     if readers and emitters:
-                        by_id = {}
-                        for e in emitters:
-                            by_id.setdefault(e[0], []).append(e)
+                        by_id = by_id or _index(emitters)
                         for m in readers:
                             if m[1] in by_id:
                                 for e in by_id[m[1]]:
@@ -175,8 +172,21 @@ MUTANTS = [
             "test_explore_matches_the_term_explorer_on_random_terms",)),
     Mutant("signal reads matched against their own side's emitters",
            "src/ccss/lts.py",
-           "((lrd, remit), (rrd, lemit))",
-           "((lrd, lemit), (rrd, remit))",
+           "((lrd, remit, remit_ids),\n" + " " * 49
+           + "(rrd, lemit, lemit_ids))",
+           "((lrd, lemit, lemit_ids),\n" + " " * 49
+           + "(rrd, remit, remit_ids))",
+           ("tests/test_lts.py::"
+            "test_explore_matches_the_term_explorer_on_bundled_models",)),
+    Mutant("a move's target id is written one slot over", "src/ccss/lts.py",
+           "tids = tids[:slot] + (i,) + tids[slot + 1:]\n",
+           "tids = tids[:slot + 1] + (i,) + tids[slot + 2:]\n",
+           ("tests/test_lts.py::"
+            "test_explore_matches_the_term_explorer_on_random_terms",)),
+    Mutant("the per-leaf handshake index is keyed by pair id",
+           "src/ccss/lts.py",
+           "_index(handshakes)",
+           "_index([m[1:2] + m[1:] for m in handshakes])",
            ("tests/test_lts.py::"
             "test_explore_matches_the_term_explorer_on_bundled_models",)),
     Mutant("touched blocks taken from the moved states", "src/ccss/bisim.py",

@@ -20,12 +20,20 @@ that step); the digests take about 1 s of it.  The quotients keep
 7.0 MB on filter N=4 (363 bytes per class) and 5.5 MB on bakery N=3 K=4
 (286).
 
-    python scripts/scale.py
+    python scripts/scale.py [--json PATH]
+
+With `--json`, it also writes one record per model and flavor to PATH:
+states and transitions, exploration seconds and states/s, each
+verdict's seconds after exploration, and the class count, the seconds
+the classes took and those of the copy query.
 """
 
+import argparse
 import gc
 import hashlib
+import json
 import pathlib
+import platform
 import random
 import sys
 import time
@@ -156,8 +164,13 @@ def bisimulation(lts: Lts):
     return classes, classes_s, same, bisim_s, kept
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the figures per model and flavor")
+    args = parser.parse_args(argv)
     wrong = 0
+    records = []
     print(f"{'model':16} {'flavor':6} {'states':>7} {'explore_s':>9} "
           f"{'safety_s':>8} {'liveness_s':>10}  verdicts")
     for name, make in MODELS.items():
@@ -167,6 +180,7 @@ def main() -> int:
                 verify.check_safety, model)
             liveness, lts, explore2_s, liveness_s = timed(
                 verify.check_liveness, model)
+            explore_s = min(explore_s, explore2_s)
             states = lts.num_states
             lasso = (liveness.counterexample or (None,))[0]
             got = (safety.holds, liveness.status, liveness.role,
@@ -174,10 +188,16 @@ def main() -> int:
             ok = got == EXPECTED[name, flavor]
             wrong += not ok
             print(f"{name:16} {flavor:6} {states:7} "
-                  f"{min(explore_s, explore2_s):9.2f} {safety_s:8.2f} "
+                  f"{explore_s:9.2f} {safety_s:8.2f} "
                   f"{liveness_s:10.2f}  {got}"
                   f"{'' if ok else ' expected ' + str(EXPECTED[name, flavor])}")
             classes, classes_s, same, bisim_s, kept = bisimulation(lts)
+            records.append({
+                "model": name, "flavor": flavor, "states": states,
+                "transitions": len(lts.transitions), "explore_s": explore_s,
+                "states_per_s": states / explore_s, "safety_s": safety_s,
+                "liveness_s": liveness_s, "classes": classes,
+                "classes_s": classes_s, "copy_s": bisim_s})
             want = CLASSES[name, flavor]
             ok = classes == want and same
             wrong += not ok
@@ -195,6 +215,12 @@ def main() -> int:
             wrong += found != pinned
             print(f"{'':16} {'':6} record sha256 {found}"
                   f"{'' if found == pinned else ' expected ' + pinned}")
+    if args.json:
+        pathlib.Path(args.json).write_text(json.dumps({
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "correct": not wrong,
+            "models": records}, indent=1) + "\n")
     return 1 if wrong else 0
 
 

@@ -11,6 +11,7 @@ names one derivation and justness reads the moving components from it.
 from __future__ import annotations
 
 import json
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +28,7 @@ from .syntax import term_str
 MAX_STATES = 1_000_000  # the default cap on explored states
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Transition:
     src: int
     label: Action
@@ -143,39 +144,49 @@ def explore(env: Environment, root: Term, max_states: int = MAX_STATES,
     """Breadth-first state-space construction from the root term.
 
     Each state is held as its parallel skeleton and the tuple of its
-    leaves; its derivations are exactly those of
-    `SosEngine.transitions` on the whole state term, in the same order.
-    A term is built only for a move that reshapes the skeleton."""
+    leaves; the skeleton numbers each leaf term once per slot and finds
+    its explored states by their leaf ids (`_Skeleton.key`).  A state's
+    derivations are exactly those of `SosEngine.transitions` on the whole
+    state term, in the same order.  A move's target is looked up by ids;
+    its leaf tuple is built only when it is a new state, and a term only
+    for a move that reshapes the skeleton."""
     engine = engine or SosEngine(env)
     split = _Splitter(engine)
     skel, leaves = split(canonical(env, root))
-    skel.index[leaves] = 0
+    ids = skel.ids(leaves)
+    skel.index[skel.key(ids)] = 0
     states = [State(skel.shape, leaves)]
     signals = []  # filled as states are expanded, which is in id order
     transitions = []
     truncated = False
-    queue = deque([(0, skel)])
+    queue = deque([(0, skel, ids)])
     while queue:
-        sid, skel = queue.popleft()
-        leaves = states[sid].leaves
-        emitted, derivations = skel.derivations(leaves)
+        sid, skel, ids = queue.popleft()
+        emitted, derivations = skel.derivations(ids)
         signals.append(emitted)
+        terms = skel.terms
         for label, changes, parts, partner, reshapes, comps in derivations:
             if reshapes:
-                tskel, tleaves = split(skel.shape.term(leaves, changes))
+                tskel, tleaves = split(skel.shape.term(
+                    states[sid].leaves,
+                    [(slot, terms[slot][i]) for slot, i in changes]))
+                tids = tskel.ids(tleaves)
             else:
-                tskel, tleaves = skel, leaves
-                for slot, term in changes:
-                    tleaves = tleaves[:slot] + (term,) + tleaves[slot + 1:]
-            tid = tskel.index.get(tleaves)
+                tskel, tleaves, tids = skel, None, ids
+                for slot, i in changes:
+                    tids = tids[:slot] + (i,) + tids[slot + 1:]
+            key = tskel.key(tids)
+            tid = tskel.index.get(key)
             if tid is None:
                 if len(states) >= max_states:
                     truncated = True
                     continue
+                if tleaves is None:
+                    tleaves = tuple([t[i] for t, i in zip(terms, tids)])
                 tid = len(states)
-                tskel.index[tleaves] = tid
+                tskel.index[key] = tid
                 states.append(State(tskel.shape, tleaves))
-                queue.append((tid, tskel))
+                queue.append((tid, tskel, tids))
             transitions.append(Transition(sid, label, tid, parts, partner,
                                           comps))
     return Lts(states, 0, transitions, signals, truncated)
@@ -292,9 +303,15 @@ class _Splitter:
 
 
 class _Skeleton:
-    """One parallel skeleton, with a per-leaf cache of derivations and
-    emitters whose addresses are absolute, and the index of the explored
-    states that have this skeleton (leaf tuple -> state id)."""
+    """One parallel skeleton: its leaf terms numbered per slot, a cache of
+    what the walk needs of each (its derivations, moves and emitters,
+    with absolute addresses), and the index of the explored states that
+    have this skeleton, by the key of their leaf ids.
+
+    A key is one byte per slot while every slot has at most 256 leaves,
+    and four after that: the first id that does not fit a byte re-keys
+    the whole index, so that every key in it has one width and no two
+    leaf tuples share a key."""
 
     def __init__(self, nodes, slots, emitted, splitter: _Splitter):
         addresses = tuple(slot[0] for slot in slots)
@@ -310,22 +327,45 @@ class _Skeleton:
                                     if op[0] == RELABEL)
         self.emitted = emitted  # root names of the skeleton's own emissions
         self.splitter = splitter
-        self.leaf_cache = [{} for _ in slots]
-        self.index = {}
+        self.leaf_ids = [{} for _ in slots]  # per slot: term -> id
+        self.terms = [[] for _ in slots]  # per slot: id -> term
+        self.leaf_cache = [[] for _ in slots]  # per slot: id -> `_leaf`
+        self.index = {}  # key of the leaf ids -> state id
+        self.key = bytes  # leaf ids -> key, until an id passes 255
 
-    def _leaf(self, slot, term) -> tuple:
-        """What the walk needs of one leaf: (records of its derivations
-        seen at the root, handshake moves, signal-read moves, emitters,
-        signal names seen at the root).
+    def ids(self, leaves) -> tuple:
+        """The ids of these leaves, numbering the new ones."""
+        return tuple([self._id(slot, term)
+                      for slot, term in enumerate(leaves)])
+
+    def _id(self, slot, term) -> int:
+        i = self.leaf_ids[slot].get(term)
+        if i is None:
+            i = self.leaf_ids[slot][term] = len(self.terms[slot])
+            self.terms[slot].append(term)
+            self.leaf_cache[slot].append(None)
+            if i == 256 and self.key is bytes:
+                # a byte holds ids up to 255: re-key at four bytes a slot
+                self.key = _wide_key
+                self.index = {_wide_key(tuple(k)): sid
+                              for k, sid in self.index.items()}
+        return i
+
+    def _leaf(self, slot, i) -> tuple:
+        """What the walk needs of one leaf, by its id: (records of its
+        derivations seen at the root, signal names seen at the root, its
+        entry on the walk's stack: handshake moves, signal-read moves,
+        emitters, handshake moves by label id and emitters by name id).
 
         A record is (label at the topmost Par, changes, participants,
         signal partner, reshapes, components), where changes are (slot,
-        target) pairs, `reshapes` marks a target whose skeleton differs
+        target id) pairs, `reshapes` marks a target whose skeleton differs
         and components is the set of slots that move."""
-        cached = self.leaf_cache[slot].get(term)
+        cached = self.leaf_cache[slot][i]
         if cached is not None:
             return cached
         split, engine = self.splitter, self.splitter.engine
+        term = self.terms[slot][i]
         path, inner, outer, under_emit = self.slots[slot]
         comps = split.intern(frozenset((slot,)))
         records, handshakes, reads = [], [], []
@@ -334,7 +374,7 @@ class _Skeleton:
                                  if path else d.participants)
             partner = (None if d.signal_partner is None
                        else path + d.signal_partner)
-            changes = ((slot, d.target),)
+            changes = ((slot, self._id(slot, d.target)),)
             reshapes = under_emit or contains_par(d.target)
             # without a Par the walk reads only the records
             if self.has_par and not d.label.is_tau:
@@ -350,46 +390,49 @@ class _Skeleton:
         names = frozenset(a.name for a in lifted if a is not None)
         emitters = [split.emitter(name, path + address)
                     for name, address in pairs]
-        cached = self.leaf_cache[slot][term] = (
-            records, handshakes, reads, emitters, names)
+        cached = self.leaf_cache[slot][i] = (records, names, (
+            handshakes, reads, emitters, _index(handshakes),
+            _index(emitters)))
         return cached
 
-    def derivations(self, leaves) -> tuple:
-        """The signal names the state with these leaves emits, and its
+    def derivations(self, ids) -> tuple:
+        """The signal names the state with these leaf ids emits, and its
         derivations as records, in the order and with the duplicates
         `SosEngine.transitions` gives for the whole state term; one walk
         reads each leaf once for both.
 
         The walk is `SosEngine._par` at each Par: left's derivations,
         right's, then handshakes, left reading right's signals and right
-        reading left's, each matched by id.  Duplicates are removed once,
+        reading left's, each matched by id.  A side that is one leaf
+        brings its cached indexes of handshake moves and emitters by id;
+        a wider side's are built at the Par.  Duplicates are removed once,
         at the topmost Par: removing them at inner Pars as well changes
         neither which derivations are kept nor their order."""
         if not self.has_par:
-            leaf = self._leaf(0, leaves[0])  # the whole term: keep duplicates
-            return leaf[4], leaf[0]
+            leaf = self._leaf(0, ids[0])  # the whole term: keep duplicates
+            return leaf[1], leaf[0]
         emitted = self.emitted
         out = []
-        # per subtree: (handshake moves, signal-read moves, emitters),
-        # labels and names as seen at its root
+        # per subtree: (handshake moves, signal-read moves, emitters,
+        # handshake moves by label id, emitters by name id), labels and
+        # names as seen at its root; the indexes of one leaf come from its
+        # cache, a wider subtree has None and builds them when asked
         stack = []
-        split = self.splitter
+        split, cache = self.splitter, self.leaf_cache
         for node in self.walk:
             kind = node[0]
             if kind == LEAF:
                 slot = node[1]
-                leaf = self._leaf(slot, leaves[slot])
-                if leaf[4]:
-                    emitted = emitted | leaf[4]
+                leaf = cache[slot][ids[slot]] or self._leaf(slot, ids[slot])
+                if leaf[1]:
+                    emitted = emitted | leaf[1]
                 out.extend(leaf[0])
-                stack.append(leaf[1:4])
+                stack.append(leaf[2])
             elif kind == PAR:
-                rhs, rrd, remit = stack.pop()
-                lhs, lrd, lemit = stack.pop()
+                rhs, rrd, remit, rhs_ids, remit_ids = stack.pop()
+                lhs, lrd, lemit, _, lemit_ids = stack.pop()
                 if lhs and rhs:
-                    by_id = {}
-                    for p in rhs:
-                        by_id.setdefault(p[0], []).append(p)
+                    by_id = rhs_ids or _index(rhs)
                     for m in lhs:
                         if m[1] in by_id:
                             for p in by_id[m[1]]:
@@ -397,22 +440,23 @@ class _Skeleton:
                                             split.intern(m[4] | p[4]), None,
                                             m[5] or p[5],
                                             split.intern(m[6] | p[6])))
-                for readers, emitters in ((lrd, remit), (rrd, lemit)):
+                for readers, emitters, by_id in ((lrd, remit, remit_ids),
+                                                 (rrd, lemit, lemit_ids)):
                     if readers and emitters:
-                        by_id = {}
-                        for e in emitters:
-                            by_id.setdefault(e[0], []).append(e)
+                        by_id = by_id or _index(emitters)
                         for m in readers:
                             if m[1] in by_id:
                                 for e in by_id[m[1]]:
                                     out.append((TAU, m[3], m[4], e[2], m[5],
                                                 m[6]))
-                stack.append((lhs + rhs, lrd + rrd, lemit + remit))
+                stack.append((lhs + rhs, lrd + rrd, lemit + remit, None,
+                              None))
             elif kind == EMIT:
-                hs, rd, emitters = stack.pop()
-                stack.append((hs, rd, [split.emitter(*node[1:3])] + emitters))
+                hs, rd, emitters, _, _ = stack.pop()
+                stack.append((hs, rd, [split.emitter(*node[1:3])] + emitters,
+                              None, None))
             else:
-                hs, rd, emitters = stack.pop()
+                hs, rd, emitters, _, _ = stack.pop()
                 if kind == RESTRICT:
                     hidden = node[1]
                     hs = [m for m in hs if m[2].name not in hidden]
@@ -424,11 +468,24 @@ class _Skeleton:
                     rd = [split.move(f.apply(m[2]), *m[3:]) for m in rd]
                     emitters = [split.emitter(f.apply_name(e[1], True), e[2])
                                 for e in emitters]
-                stack.append((hs, rd, emitters))
+                stack.append((hs, rd, emitters, None, None))
         out = list(dict.fromkeys(out))
         if self.outer_relabels:
             out = [(_lift(r[0], self.outer_relabels),) + r[1:] for r in out]
         return emitted, out
+
+
+def _wide_key(ids) -> bytes:
+    """A state key of four bytes per slot (`_Skeleton`)."""
+    return array("I", ids).tobytes()
+
+
+def _index(moves) -> dict:
+    """Moves or emitters by their first field, their id."""
+    by_id = {}
+    for m in moves:
+        by_id.setdefault(m[0], []).append(m)
+    return by_id
 
 
 def encode_signals_as_transitions(lts: Lts) -> Lts:

@@ -91,9 +91,9 @@ class _Parser:
         self.ranges = {}
         self.equations = []
         self.root = None
-        # one object per distinct name, action and identifier of the file,
-        # keyed by its class and fields: models keep their parsed
-        # equations, where most names recur
+        # one object per distinct name, action, identifier, prefix and
+        # choice of the file, keyed by its class and fields: models keep
+        # their parsed equations, where most names and many prefixes recur
         self.shared = {}
         # a word is a keyword, an identifier or a literal name such as
         # `D[1]_0_2`; `literals` maps each whose base is no keyword to its
@@ -255,7 +255,7 @@ class _Parser:
             branches = [term]
             while self.accept("+"):
                 branches.append(self.par(scope))
-            return Sum(tuple(branches))
+            return self._shared(Sum, tuple(branches))
         return term
 
     def range_expr(self):
@@ -320,7 +320,7 @@ class _Parser:
                 break
         term = self.postfixed(term, scope)
         for a in reversed(actions):
-            term = Prefix(a, term)
+            term = self._shared(Prefix, a, term)
         return term
 
     def postfixed(self, term, scope) -> Term:

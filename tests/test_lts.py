@@ -224,6 +224,23 @@ def test_explore_matches_the_term_explorer_on_edge_cases(source):
         assert_identical(spec.env, spec.root, cap)
 
 
+@pytest.mark.parametrize("source", [
+    # the counter ticks with a partner: both slots move
+    "C[i] = sum k in 0..0 when i < 300 . tick.C[i+1]\nT = 'tick.T\n"
+    "system = (C[0] | T) \\ {tick}\n",
+    # the counter reads the other slot's signal: only the reader moves
+    "signals { s }\nC[i] = sum k in 0..0 when i < 300 . s.C[i+1]\n"
+    "E = (b.E) ^ s\nsystem = C[0] | E\n",
+])
+def test_explore_matches_the_term_explorer_past_256_leaves_in_a_slot(source):
+    # a slot's 257th leaf term widens its skeleton's state keys
+    spec = parse(source)
+    lts = explore(spec.env, spec.root)
+    assert len({leaves[0] for _, leaves in lts.states}) == 301
+    for cap in (1_000, 256, 257, 258, 300):
+        assert_identical(spec.env, spec.root, cap)
+
+
 @pytest.mark.parametrize("source, states, transitions", GUARDED_MODELS)
 def test_explore_matches_the_term_explorer_on_guarded_parameterised_sums(
         source, states, transitions):

@@ -269,8 +269,9 @@ def test_parse_errors_name_the_offending_position(case):
                                     "guarded"])
 def test_each_recurring_name_action_and_identifier_is_one_object(source):
     """In the processes of a file, the equation bodies and the system,
-    each distinct name, action and identifier is one object, however
-    often it occurs; a left-hand side is a name of its own."""
+    each distinct name, action, identifier, prefix and choice is one
+    object, however often it occurs; a left-hand side is a name of its
+    own."""
     from ccss import protocols
     text = {"bakery 2 4 ccs": lambda: protocols.bakery(2, 4, "ccs").source,
             "filter 3 ccss": lambda: protocols.filter_lock(3).source,
@@ -280,7 +281,7 @@ def test_each_recurring_name_action_and_identifier_is_one_object(source):
 
     def walk(item):
         nonlocal occurrences
-        if isinstance(item, (Name, Action, Ident)):
+        if isinstance(item, (Name, Action, Ident, Prefix, Sum)):
             objects.setdefault(item, set()).add(id(item))
             occurrences += 1
         if dataclasses.is_dataclass(item):
